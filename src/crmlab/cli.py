@@ -19,7 +19,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,6 +38,7 @@ from .bounds import (
 )
 from .datasets import load_labeled, load_logged, save_logged, simulate_logs, temper
 from .estimators import (
+    _compensated_mean,
     argmax_accuracy,
     expected_reward_stochastic,
     ips_risk,
@@ -75,7 +76,6 @@ class ExperimentConfig:
 
     run_id: str
     output_dir: Path
-    params: dict = field(default_factory=dict)
 
     def resolve(self, path: Optional[str]) -> Optional[Path]:
         """Resolve an output path against ``output_dir`` (absolute paths
@@ -91,8 +91,7 @@ def _experiment_config(ns: argparse.Namespace) -> ExperimentConfig:
     if not out_dir.exists():
         raise ValueError(f"output directory does not exist: {out_dir}")
     run_id = getattr(ns, "run_id", None) or ns.command
-    params = {k: v for k, v in vars(ns).items() if k != "func"}
-    return ExperimentConfig(run_id=run_id, output_dir=out_dir, params=params)
+    return ExperimentConfig(run_id=run_id, output_dir=out_dir)
 
 
 # ---------------------------------------------------------------------
@@ -200,7 +199,7 @@ def cmd_learn_logging(ns: argparse.Namespace) -> int:
     logits = logs.features @ policy.weights.T + policy.biases
     logits -= logits.max(axis=1, keepdims=True)
     log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-    nll = -math.fsum(log_probs[np.arange(logs.n), logs.actions]) / logs.n
+    nll = -_compensated_mean(log_probs[np.arange(logs.n), logs.actions])
     print(f"held_in_nll={_fmt(nll)}")
     print(f"out={out}")
     return 0

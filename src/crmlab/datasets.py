@@ -24,12 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .policies import SoftmaxPolicy, action_prob_matrix, gumbel_noise
+from .policies import SoftmaxPolicy, _softmax_rows, gumbel_noise
 
 __all__ = [
-    "LabeledExample",
     "LabeledDataset",
-    "LogRecord",
     "LoggedDataset",
     "FoldAssignment",
     "load_labeled",
@@ -40,20 +38,6 @@ __all__ = [
     "simulate_logs",
     "temper",
 ]
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    features: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
-class LogRecord:
-    features: np.ndarray
-    action: int
-    propensity: float
-    reward: float
 
 
 def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
@@ -90,9 +74,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __getitem__(self, i: int) -> LabeledExample:
-        return LabeledExample(self.features[i], int(self.labels[i]))
 
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -157,14 +138,6 @@ class LoggedDataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def __getitem__(self, i: int) -> LogRecord:
-        return LogRecord(
-            self.features[i],
-            int(self.actions[i]),
-            float(self.propensities[i]),
-            float(self.rewards[i]),
-        )
 
     def subset(self, indices) -> "LoggedDataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -375,8 +348,8 @@ def simulate_logs(
             f"policy dimension {logging_policy.d} does not match data {data.d}"
         )
     rng = np.random.default_rng(seed)
-    P = action_prob_matrix(logging_policy, data.features)
     logits = data.features @ logging_policy.weights.T + logging_policy.biases
+    P = _softmax_rows(logits)
     noise = gumbel_noise(rng, logits.shape)
     actions = np.argmax(logits + noise, axis=1)
     rows = np.arange(len(data))

@@ -19,8 +19,6 @@ order, keeping results independent of any caller-side parallelism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,7 +26,6 @@ from .datasets import LabeledDataset, LoggedDataset
 from .policies import SoftmaxPolicy, action_prob_matrix
 
 __all__ = [
-    "RiskEstimate",
     "ips_risk",
     "truncated_ips_risk",
     "mean_param_risk",
@@ -38,22 +35,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RiskEstimate:
-    """A risk value labeled with the estimator that produced it.
-
-    ``estimator_kind`` is one of ``ips``, ``truncated_ips``, ``mean_param``;
-    ``tau`` is the truncation level where applicable, else None.
-    """
-
-    value: float
-    estimator_kind: str
-    tau: Optional[float] = None
-
-
 def _compensated_mean(terms: np.ndarray) -> float:
     # fsum is exact compensated summation; division last keeps one rounding.
     return math.fsum(terms) / terms.shape[0]
+
+
+def _poem_statistic(
+    pi: np.ndarray, p: np.ndarray, r: np.ndarray, tau: float, moments: bool = True
+) -> tuple:
+    """Ratio-truncated weighted rewards and their sample moments.
+
+    Returns ``(ratio, u, mean_u, var_u)``: ratio = pi/p,
+    u = r·min(ratio, 1/tau), mean_u the compensated mean of u and var_u its
+    two-pass sample variance with divisor n − 1.  ``moments=False`` skips
+    both compensated sums and returns None for mean_u and var_u.
+    """
+    ratio = pi / p
+    u = r * np.minimum(ratio, 1.0 / tau)
+    if not moments:
+        return ratio, u, None, None
+    mean_u = _compensated_mean(u)
+    centered = u - mean_u
+    return ratio, u, mean_u, math.fsum(centered * centered) / (u.shape[0] - 1)
 
 
 def _matched_action_probs(policy: SoftmaxPolicy, data: LoggedDataset) -> np.ndarray:
@@ -175,10 +178,7 @@ def poem_sample_variance(policy: SoftmaxPolicy, data: LoggedDataset, tau: float)
     if data.n < 2:
         raise ValueError("sample variance needs at least two records")
     pi = _matched_action_probs(policy, data)
-    u = data.rewards * np.minimum(pi / data.propensities, 1.0 / tau)
-    mean_u = _compensated_mean(u)
-    centered = u - mean_u
-    return math.fsum(centered * centered) / (data.n - 1)
+    return _poem_statistic(pi, data.propensities, data.rewards, tau)[3]
 
 
 def expected_reward_stochastic(policy: SoftmaxPolicy, test: LabeledDataset) -> float:

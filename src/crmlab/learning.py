@@ -31,9 +31,7 @@ import csv
 import json
 import logging
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -41,8 +39,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .datasets import LoggedDataset, kfold_split
-from .estimators import mean_param_risk, truncated_ips_risk
-from .policies import MixedLogitSpec, SoftmaxPolicy, param_distance_sq, zero_policy
+from .estimators import (
+    _compensated_mean,
+    _poem_statistic,
+    mean_param_risk,
+    truncated_ips_risk,
+)
+from .policies import MixedLogitSpec, SoftmaxPolicy, _softmax_rows, param_distance_sq
 from .seeding import derive_seed
 
 __all__ = [
@@ -73,11 +76,6 @@ logger = logging.getLogger(__name__)
 OBJECTIVES = ("ips_lpr", "wnll_lpr", "ips_l2", "poem", "poem_l2", "logging_nll")
 LPR_FAMILY = frozenset({"ips_lpr", "wnll_lpr"})
 POEM_FAMILY = frozenset({"poem", "poem_l2"})
-
-
-def _fmean(terms: np.ndarray) -> float:
-    # Compensated summation; term magnitudes vary by orders of magnitude.
-    return math.fsum(terms) / terms.shape[0]
 
 
 @dataclass(frozen=True)
@@ -192,22 +190,13 @@ def _check_prior(objective: str, prior: Optional[SoftmaxPolicy]) -> None:
 def _probs_and_matched(
     W: np.ndarray, b: np.ndarray, X: np.ndarray, a: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    logits = X @ W.T + b
-    logits -= logits.max(axis=1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    return logits, logits[np.arange(X.shape[0]), a]
+    P = _softmax_rows(X @ W.T + b)
+    return P, P[np.arange(X.shape[0]), a]
 
 
 def _weights_penalty_sq(W: np.ndarray, W0: Optional[np.ndarray]) -> float:
     diff = W if W0 is None else W - W0
     return float(np.sum(diff * diff))
-
-
-def _poem_u(
-    pi: np.ndarray, p: np.ndarray, r: np.ndarray, tau: float
-) -> np.ndarray:
-    return r * np.minimum(pi / p, 1.0 / tau)
 
 
 def objective_value(
@@ -231,7 +220,7 @@ def objective_value(
     obj = config.objective
 
     if obj in ("ips_lpr", "ips_l2"):
-        data_term = _fmean(-r * pi / np.maximum(p, tau))
+        data_term = _compensated_mean(-r * pi / np.maximum(p, tau))
         W0 = prior.weights if obj == "ips_lpr" else None
         return data_term + lam * _weights_penalty_sq(W, W0)
     if obj == "wnll_lpr":
@@ -239,18 +228,15 @@ def objective_value(
         mask = r > 0.0
         with np.errstate(divide="ignore"):
             terms[mask] = -r[mask] * np.log(pi[mask]) / np.maximum(p[mask], tau)
-        return _fmean(terms) + lam * _weights_penalty_sq(W, prior.weights)
+        return _compensated_mean(terms) + lam * _weights_penalty_sq(W, prior.weights)
     if obj == "logging_nll":
         with np.errstate(divide="ignore"):
             terms = -np.log(pi)
-        return _fmean(terms) + lam * _weights_penalty_sq(W, None)
+        return _compensated_mean(terms) + lam * _weights_penalty_sq(W, None)
     if obj in POEM_FAMILY:
         if data.n < 2:
             raise ValueError("variance-regularized objectives need n >= 2")
-        u = _poem_u(pi, p, r, tau)
-        mean_u = _fmean(u)
-        centered = u - mean_u
-        var_u = math.fsum(centered * centered) / (data.n - 1)
+        _, _, mean_u, var_u = _poem_statistic(pi, p, r, tau)
         value = -mean_u + lam * math.sqrt(var_u / data.n)
         if obj == "poem_l2":
             value += config.lambda_l2 * _weights_penalty_sq(W, None)
@@ -263,61 +249,66 @@ def objective_value(
 # -----------------------------------------------------------------------
 
 
-def _grad_from_logit_grad(
-    G: np.ndarray, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    return G.T @ X, G.sum(axis=0)
-
-
-def _data_gradient(
-    objective: str,
+def _batch_gradient(
+    config: TrainConfig,
     W: np.ndarray,
     b: np.ndarray,
-    X: np.ndarray,
-    a: np.ndarray,
-    p: np.ndarray,
-    r: np.ndarray,
-    tau: float,
-    lam: float,
+    W0: Optional[np.ndarray],
+    data: LoggedDataset,
+    idx,
+    surrogate: Optional[PoemSurrogate] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the batch-averaged data term w.r.t. (W, b).
+    """Training gradient w.r.t. (W, b) on the mini-batch ``data[idx]``.
 
-    For the POEM objectives this is the exact gradient of
-    mean(-u) + lam·sqrt(S/m) treating the batch as the dataset; ratio-capped
-    records contribute zero through u (the flat side of the min).
+    Every data term has the per-record logit gradient c_i·(e_{a_i} − P_i),
+    so the objectives differ only in the coefficient c_i, which carries the
+    1/m batch average.  Given a ``surrogate`` the POEM objectives follow its
+    majorizer; otherwise they take the exact gradient of
+    mean(-u) + lam·sqrt(S/m) treating the batch as the dataset.
+    Ratio-capped records contribute zero through u (the flat side of the
+    min).  The weights-only penalty is added at full strength.
     """
+    X, a = data.features[idx], data.actions[idx]
+    p, r = data.propensities[idx], data.rewards[idx]
     m = X.shape[0]
     P, pi = _probs_and_matched(W, b, X, a)
     E_minus_P = -P
     E_minus_P[np.arange(m), a] += 1.0
+    obj, tau, lam = config.objective, config.tau, config.lam
 
-    if objective in ("ips_lpr", "ips_l2"):
-        coef = -r / np.maximum(p, tau) * pi / m
+    if obj == "logging_nll":
+        # c_i = -1/m for every record, applied as a division by -m: a
+        # multiplication by -1/m would round differently.
+        G = E_minus_P / -m
+    else:
+        if obj in ("ips_lpr", "ips_l2"):
+            coef = -r / np.maximum(p, tau) * pi / m
+        elif obj == "wnll_lpr":
+            coef = -r / np.maximum(p, tau) / m
+        else:
+            exact = surrogate is None
+            if exact and m < 2:
+                raise ValueError("variance-regularized gradients need a batch of >= 2")
+            ratio, u, mean_u, var_u = _poem_statistic(pi, p, r, tau, moments=exact)
+            du_dz = np.where(ratio >= 1.0 / tau, 0.0, r * ratio)
+            if exact:
+                dF_du = np.full(m, -1.0 / m)
+                if var_u > 0.0:
+                    dF_du += lam * (u - mean_u) / (math.sqrt(var_u / m) * m * (m - 1))
+                coef = dF_du * du_dz
+            else:
+                alpha, beta = surrogate.alpha[idx], surrogate.beta[idx]
+                coef = (2.0 * alpha * u + beta) * du_dz / m
         G = coef[:, None] * E_minus_P
-        return _grad_from_logit_grad(G, X)
-    if objective == "wnll_lpr":
-        coef = -r / np.maximum(p, tau) / m
-        G = coef[:, None] * E_minus_P
-        return _grad_from_logit_grad(G, X)
-    if objective == "logging_nll":
-        G = -E_minus_P / m
-        return _grad_from_logit_grad(G, X)
-    if objective in POEM_FAMILY:
-        if m < 2:
-            raise ValueError("variance-regularized gradients need a batch of >= 2")
-        ratio = pi / p
-        capped = ratio >= 1.0 / tau
-        u = r * np.minimum(ratio, 1.0 / tau)
-        mean_u = _fmean(u)
-        centered = u - mean_u
-        var_u = math.fsum(centered * centered) / (m - 1)
-        dF_du = np.full(m, -1.0 / m)
-        if var_u > 0.0:
-            dF_du += lam * centered / (math.sqrt(var_u / m) * m * (m - 1))
-        du_dz = np.where(capped, 0.0, r * ratio)
-        G = (dF_du * du_dz)[:, None] * E_minus_P
-        return _grad_from_logit_grad(G, X)
-    raise AssertionError(objective)
+    gW, gb = G.T @ X, G.sum(axis=0)
+
+    if obj in LPR_FAMILY:
+        gW += 2.0 * lam * (W - W0)
+    elif obj == "poem_l2":
+        gW += 2.0 * config.lambda_l2 * W
+    elif obj != "poem":
+        gW += 2.0 * lam * W
+    return gW, gb
 
 
 def objective_gradient(
@@ -336,25 +327,14 @@ def objective_gradient(
     _check_prior(config.objective, prior)
     if policy.d != batch.d:
         raise ValueError("policy and batch dimensions disagree")
-    gW, gb = _data_gradient(
-        config.objective,
+    return _batch_gradient(
+        config,
         policy.weights,
         policy.biases,
-        batch.features,
-        batch.actions,
-        batch.propensities,
-        batch.rewards,
-        config.tau,
-        config.lam,
+        None if prior is None else prior.weights,
+        batch,
+        slice(None),
     )
-    obj = config.objective
-    if obj == "ips_lpr" or obj == "wnll_lpr":
-        gW = gW + 2.0 * config.lam * (policy.weights - prior.weights)
-    elif obj == "ips_l2" or obj == "logging_nll":
-        gW = gW + 2.0 * config.lam * policy.weights
-    elif obj == "poem_l2":
-        gW = gW + 2.0 * config.lambda_l2 * policy.weights
-    return gW, gb
 
 
 # -----------------------------------------------------------------------
@@ -382,18 +362,17 @@ class PoemSurrogate:
     anchor_var_u: float
     degenerate: bool
 
-    def _u(self, policy: SoftmaxPolicy, data: LoggedDataset) -> np.ndarray:
-        _, pi = _probs_and_matched(
-            policy.weights, policy.biases, data.features, data.actions
-        )
-        return _poem_u(pi, data.propensities, data.rewards, self.tau)
-
     def value(self, policy: SoftmaxPolicy, data: LoggedDataset) -> float:
         """Surrogate value; ``data`` must be the dataset it was built on."""
         if data.n != self.alpha.shape[0]:
             raise ValueError("surrogate was built for a different dataset")
-        u = self._u(policy, data)
-        return _fmean(self.alpha * u * u + self.beta * u) + self.const
+        _, pi = _probs_and_matched(
+            policy.weights, policy.biases, data.features, data.actions
+        )
+        _, u, _, _ = _poem_statistic(
+            pi, data.propensities, data.rewards, self.tau, moments=False
+        )
+        return _compensated_mean(self.alpha * u * u + self.beta * u) + self.const
 
     def gradient(
         self,
@@ -405,40 +384,13 @@ class PoemSurrogate:
         (all records when None)."""
         if data.n != self.alpha.shape[0]:
             raise ValueError("surrogate was built for a different dataset")
-        if indices is None:
-            indices = np.arange(data.n)
-        X = data.features[indices]
-        a = data.actions[indices]
-        p = data.propensities[indices]
-        r = data.rewards[indices]
-        return _surrogate_batch_gradient(
-            policy.weights, policy.biases, X, a, p, r,
-            self.alpha[indices], self.beta[indices], self.tau,
+        # The surrogate majorizes the poem data term; poem_l2's ridge is not
+        # part of it.
+        return _batch_gradient(
+            TrainConfig(objective="poem", tau=self.tau),
+            policy.weights, policy.biases, None, data,
+            slice(None) if indices is None else indices, self,
         )
-
-
-def _surrogate_batch_gradient(
-    W: np.ndarray,
-    b: np.ndarray,
-    X: np.ndarray,
-    a: np.ndarray,
-    p: np.ndarray,
-    r: np.ndarray,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    tau: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    m = X.shape[0]
-    P, pi = _probs_and_matched(W, b, X, a)
-    E_minus_P = -P
-    E_minus_P[np.arange(m), a] += 1.0
-    ratio = pi / p
-    capped = ratio >= 1.0 / tau
-    u = r * np.minimum(ratio, 1.0 / tau)
-    ds_du = 2.0 * alpha * u + beta
-    du_dz = np.where(capped, 0.0, r * ratio)
-    G = (ds_du * du_dz / m)[:, None] * E_minus_P
-    return _grad_from_logit_grad(G, X)
 
 
 def poem_build_surrogate(
@@ -466,10 +418,7 @@ def poem_build_surrogate(
     _, pi = _probs_and_matched(
         policy_anchor.weights, policy_anchor.biases, data.features, data.actions
     )
-    u = _poem_u(pi, data.propensities, data.rewards, tau)
-    mean_u = _fmean(u)
-    centered = u - mean_u
-    var_u = math.fsum(centered * centered) / (n - 1)
+    _, _, mean_u, var_u = _poem_statistic(pi, data.propensities, data.rewards, tau)
     if lam == 0.0 or var_u <= 0.0:
         if lam > 0.0:
             logger.warning(
@@ -518,7 +467,7 @@ def closed_form_sigma(
         raise ValueError("B, sigma0, and d_effective must be positive")
     if data.n < 2:
         raise ValueError("need n >= 2")
-    M = _fmean(data.rewards / np.maximum(data.propensities, tau))
+    M = _compensated_mean(data.rewards / np.maximum(data.propensities, tau))
     if M <= 0.0:
         return sigma0
     unconstrained = 2.0 * d_effective / (B * B * tau * (data.n - 1) * M)
@@ -554,6 +503,7 @@ def train(
     state = AdaGradState.fresh(k, d)
     rng = np.random.default_rng(config.seed)
     is_poem = config.objective in POEM_FAMILY
+    surrogate = None
     W0 = prior.weights if prior is not None else None
     lr, smoothing = config.learning_rate, config.adagrad_smoothing
 
@@ -569,26 +519,7 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):
             for batch_index, start in enumerate(range(0, n, config.batch_size)):
                 idx = perm[start : start + config.batch_size]
-                if is_poem:
-                    gW, gb = _surrogate_batch_gradient(
-                        W, b,
-                        data.features[idx], data.actions[idx],
-                        data.propensities[idx], data.rewards[idx],
-                        surrogate.alpha[idx], surrogate.beta[idx], config.tau,
-                    )
-                    if config.objective == "poem_l2":
-                        gW += 2.0 * config.lambda_l2 * W
-                else:
-                    gW, gb = _data_gradient(
-                        config.objective, W, b,
-                        data.features[idx], data.actions[idx],
-                        data.propensities[idx], data.rewards[idx],
-                        config.tau, config.lam,
-                    )
-                    if config.objective in LPR_FAMILY:
-                        gW += 2.0 * config.lam * (W - W0)
-                    else:
-                        gW += 2.0 * config.lam * W
+                gW, gb = _batch_gradient(config, W, b, W0, data, idx, surrogate)
                 if not (np.all(np.isfinite(gW)) and np.all(np.isfinite(gb))):
                     raise DivergenceError(epoch, batch_index, float("nan"))
                 state.apply(W, b, gW, gb, lr, smoothing, config.train_biases)
@@ -720,10 +651,8 @@ def cross_validate(
     methods, the variance penalty for the POEM methods); ``poem_l2``'s
     ridge weight stays at ``config.lambda_l2``.
 
-    Independent (fold, value) jobs may run on a thread pool sized by the
-    ``CRM_LAB_THREADS`` environment variable; results are merged in
-    deterministic order and each job's seed depends only on its own
-    (value, fold) tag, so the outcome is identical at any thread count.
+    Jobs run in (value, fold) order, and each job's seed depends only on
+    its own (value, fold) tag.
     """
     if len(lambda_grid) == 0:
         raise ValueError("lambda_grid must be nonempty")
@@ -731,46 +660,20 @@ def cross_validate(
         raise ValueError("num_folds must be at least 2")
     if method not in OBJECTIVES or method == "logging_nll":
         raise ValueError(f"method must be a policy objective, got {method!r}")
-    if method in LPR_FAMILY:
-        if prior is None:
-            raise ValueError(f"method {method!r} requires a prior policy")
-    elif prior is not None:
-        raise ValueError(f"method {method!r} does not take a prior policy")
+    _check_prior(method, prior)
     folds = kfold_split(data.n, num_folds, derive_seed(seed, "cv-folds"))
-    jobs = []
-    for li, lam in enumerate(lambda_grid):
-        for fold in range(num_folds):
-            jobs.append(
-                (
-                    li,
-                    fold,
-                    lam,
-                    folds.train_indices(fold),
-                    folds.holdout_indices(fold),
-                    derive_seed(seed, f"cv:lam={lam!r}:fold={fold}"),
-                )
-            )
-
-    def run(job) -> tuple[tuple[int, int], float]:
-        li, fold, lam, tr, ho, job_seed = job
-        return (li, fold), _cv_job(data, method, lam, tr, ho, config, prior, job_seed)
-
-    threads = int(os.environ.get("CRM_LAB_THREADS", "1") or "1")
-    results: dict[tuple[int, int], float] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for key, score in pool.map(run, jobs):
-                results[key] = score
-    else:
-        for job in jobs:
-            key, score = run(job)
-            results[key] = score
-
     table: list[CVRow] = []
-    for li, lam in enumerate(lambda_grid):
-        scores = tuple(results[(li, fold)] for fold in range(num_folds))
+    for lam in lambda_grid:
+        scores = tuple(
+            _cv_job(
+                data, method, lam,
+                folds.train_indices(fold), folds.holdout_indices(fold),
+                config, prior, derive_seed(seed, f"cv:lam={lam!r}:fold={fold}"),
+            )
+            for fold in range(num_folds)
+        )
         table.append(CVRow(lam=lam, fold_scores=scores,
-                           mean_score=math.fsum(scores) / num_folds))
+                           mean_score=_compensated_mean(np.array(scores))))
     best = max(table, key=lambda row: (row.mean_score, -row.lam))
     return best.lam, table
 
@@ -834,7 +737,7 @@ def solve_logging_nll_exact(
         W = w_flat.reshape(k, d)
         P, pi = _probs_and_matched(W, np.zeros(k), X, a)
         with np.errstate(divide="ignore"):
-            value = _fmean(-np.log(pi)) + lam * float(np.sum(W * W))
+            value = _compensated_mean(-np.log(pi)) + lam * float(np.sum(W * W))
         G = P.copy()
         G[np.arange(n), a] -= 1.0
         gW = G.T @ X / n + 2.0 * lam * W

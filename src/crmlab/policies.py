@@ -309,28 +309,65 @@ def save_model(
     Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
 
 
+def _optional_number(path, doc: dict, key: str) -> Optional[float]:
+    value = doc.get(key)
+    if value is None:
+        return None
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and np.isfinite(value)):
+        raise ValueError(f"{path}: {key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def load_model(path) -> ModelFile:
-    """Read a model file written by :func:`save_model`."""
+    """Read a model file written by :func:`save_model`.
+
+    The whole schema is checked here: format and version, the required
+    keys, array shapes against the stored (k, d), and 0 < sigma <= sigma0
+    when both are present.  Every violation raises ValueError naming
+    ``path``.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
         raise ValueError(f"{path} is not a {_MODEL_FORMAT} file")
-    policy = SoftmaxPolicy(np.array(doc["weights"]), np.array(doc["biases"]))
-    if policy.d != doc["d"] or policy.k != doc["k"]:
-        raise ValueError(f"{path}: stored dimensions disagree with arrays")
-    prior = None
-    if doc.get("prior_weights") is not None:
-        prior_biases = doc.get("prior_biases")
-        if prior_biases is None:
-            prior_biases = np.zeros(policy.k)
-        prior = SoftmaxPolicy(np.array(doc["prior_weights"]), np.array(prior_biases))
+    if doc.get("version") != _MODEL_VERSION:
+        raise ValueError(
+            f"{path}: unsupported model version {doc.get('version')!r}, "
+            f"expected {_MODEL_VERSION}"
+        )
+    missing = [key for key in ("d", "k", "weights", "biases") if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
+    try:
+        policy = SoftmaxPolicy(np.array(doc["weights"]), np.array(doc["biases"]))
+        if policy.d != doc["d"] or policy.k != doc["k"]:
+            raise ValueError("stored dimensions disagree with arrays")
+        prior = None
+        if doc.get("prior_weights") is not None:
+            prior_weights = np.array(doc["prior_weights"])
+            if prior_weights.shape != policy.weights.shape:
+                raise ValueError(
+                    f"prior_weights has shape {prior_weights.shape}, "
+                    f"expected {policy.weights.shape}"
+                )
+            prior_biases = doc.get("prior_biases")
+            if prior_biases is None:
+                prior_biases = np.zeros(policy.k)
+            prior = SoftmaxPolicy(prior_weights, np.array(prior_biases))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    sigma = _optional_number(path, doc, "sigma")
+    sigma0 = _optional_number(path, doc, "sigma0")
+    if sigma is not None and sigma0 is not None and not (0.0 < sigma <= sigma0):
+        raise ValueError(f"{path}: sigma={sigma} must lie in (0, sigma0={sigma0}]")
     return ModelFile(
         policy=policy,
-        sigma=doc.get("sigma"),
-        sigma0=doc.get("sigma0"),
+        sigma=sigma,
+        sigma0=sigma0,
         prior=prior,
-        feature_norm_bound=doc.get("feature_norm_bound"),
+        feature_norm_bound=_optional_number(path, doc, "feature_norm_bound"),
         log_propensity_upper_bound=bool(doc.get("log_propensity_upper_bound", False)),
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .datasets import LabeledDataset, LoggedDataset
 from .learning import learn_logging_policy
-from .policies import SoftmaxPolicy, action_prob_matrix, gumbel_noise
+from .policies import SoftmaxPolicy, _softmax_rows, action_prob_matrix, gumbel_noise
 
 __all__ = [
     "EnumerableTask",
@@ -151,8 +151,8 @@ def task_logs(
     rng = np.random.default_rng(seed)
     ctx_idx = rng.choice(task.contexts.shape[0], size=n, p=task.context_probs)
     X = task.contexts[ctx_idx]
-    P = action_prob_matrix(policy, X)
     logits = X @ policy.weights.T + policy.biases
+    P = _softmax_rows(logits)
     actions = np.argmax(logits + gumbel_noise(rng, logits.shape), axis=1)
     rows = np.arange(n)
     return LoggedDataset(

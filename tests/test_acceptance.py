@@ -395,10 +395,8 @@ IMAGE_TUNE_GRID = tuple(10.0 ** e for e in range(-8, -2))
     "CRMLAB_FMNIST_DIR" not in os.environ,
     reason="set CRMLAB_FMNIST_DIR to a directory with train.csv and test.csv",
 )
-def test_image_benchmark_reproduces_method_ordering(monkeypatch):
+def test_image_benchmark_reproduces_method_ordering():
     t0 = time.perf_counter()
-    if "CRM_LAB_THREADS" not in os.environ:
-        monkeypatch.setenv("CRM_LAB_THREADS", str(min(8, os.cpu_count() or 1)))
     root = pathlib.Path(os.environ["CRMLAB_FMNIST_DIR"])
     pool = load_labeled(root / "train.csv", 10)
     test = load_labeled(root / "test.csv", 10)

@@ -392,6 +392,40 @@ class TestEvaluate:
         assert "d=2" in err and "d=4" in err
 
 
+BAD_MODEL_EDITS = {
+    "missing_weights": (lambda doc: doc.pop("weights"), "weights"),
+    "null_weights": (lambda doc: doc.update(weights=None), None),
+    "future_version": (lambda doc: doc.update(version=99), "version"),
+    "prior_shape": (lambda doc: doc.update(prior_weights=[[0.0] * 4] * 4),
+                    "prior_weights"),
+    "sigma_above_sigma0": (lambda doc: doc.update(sigma=2.0), "sigma"),
+    "sigma_zero": (lambda doc: doc.update(sigma=0.0), "sigma"),
+    "sigma_not_a_number": (lambda doc: doc.update(sigma="big"), "sigma"),
+}
+
+
+class TestModelSchema:
+    @pytest.mark.parametrize("case", sorted(BAD_MODEL_EDITS))
+    def test_bad_model_file_exits_two_with_one_line(self, ws, tmp_path,
+                                                    capsys, case):
+        edit, needle = BAD_MODEL_EDITS[case]
+        good = tmp_path / "good.model"
+        policy = load_model(ws / "logging.model").policy
+        save_model(good, policy, sigma=0.5, sigma0=1.0, prior=policy)
+        doc = json.loads(good.read_text())
+        edit(doc)
+        bad = tmp_path / f"{case}.model"
+        bad.write_text(json.dumps(doc))
+        rc, _, err = run(
+            capsys, "evaluate", "--model", bad, "--labeled", ws / "labeled.csv",
+        )
+        assert rc == 2
+        assert err.startswith("crmlab: error:") and err.count("\n") == 1
+        assert str(bad) in err
+        if needle is not None:
+            assert needle in err.replace(str(bad), "")
+
+
 @pytest.fixture(scope="module")
 def posterior_model(ws):
     logging_model = load_model(ws / "logging.model")

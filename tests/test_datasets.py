@@ -24,9 +24,6 @@ class TestLabeledDataset:
         data = LabeledDataset(X, np.array([0, 1, 2]), 3)
         assert data.d == 2
         assert len(data) == 3
-        ex = data[1]
-        np.testing.assert_array_equal(ex.features, [2.0, 3.0])
-        assert ex.label == 1
 
     def test_rejects_label_out_of_range(self):
         X = np.zeros((2, 2))
@@ -82,15 +79,6 @@ class TestLoggedDataset:
         assert sub.feature_norm_bound == data.feature_norm_bound
         assert sub.k == data.k
         assert sub.n == 2
-
-    def test_record_access(self):
-        rng = np.random.default_rng(1)
-        data = random_logged(rng, 5, 2, 3)
-        rec = data[3]
-        np.testing.assert_array_equal(rec.features, data.features[3])
-        assert rec.action == data.actions[3]
-        assert rec.propensity == data.propensities[3]
-        assert rec.reward == data.rewards[3]
 
 
 class TestCsvRoundTrips:

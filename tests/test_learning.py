@@ -273,6 +273,19 @@ class TestPoemSurrogate:
             err = np.linalg.norm(fdW - gW) / max(np.linalg.norm(fdW), 1e-8)
             assert err <= 1e-4
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("tau", [0.05, 0.3])
+    def test_gradient_equals_exact_gradient_at_anchor(self, lam, tau):
+        # Propensities reach 0.05, so at tau=0.3 some records hit the ratio
+        # cap and both gradients must zero them alike.
+        rng = np.random.default_rng(50)
+        data = random_logged(rng, 60, 3, 3)
+        anchor = SoftmaxPolicy(rng.normal(size=(3, 3)), rng.normal(size=3))
+        s = poem_build_surrogate(anchor, data, tau, lam)
+        exact = objective_gradient(cfg("poem", lam=lam, tau=tau), anchor,
+                                   None, data)
+        assert rel_gradient_error(s.gradient(anchor, data), exact) <= 1e-12
+
     def test_zero_variance_anchor_degenerates_with_warning(self, caplog):
         X = np.zeros((3, 1))
         data = LoggedDataset(X, np.zeros(3, dtype=int), np.full(3, 0.5),
@@ -590,17 +603,6 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(logs400, "ips_l2", [1e-3], 3, 0, cfg("ips_l2"),
                            prior=logging_policy)
-
-    def test_thread_pool_gives_identical_table(self, logs400, logging_policy,
-                                               monkeypatch):
-        args = (logs400, "ips_lpr", [1e-4, 1e-2], 3, 5,
-                cfg("ips_lpr", epochs=5))
-        monkeypatch.delenv("CRM_LAB_THREADS", raising=False)
-        best1, table1 = cross_validate(*args, prior=logging_policy)
-        monkeypatch.setenv("CRM_LAB_THREADS", "4")
-        best2, table2 = cross_validate(*args, prior=logging_policy)
-        assert best1 == best2
-        assert table1 == table2
 
 
 class TestNonconvexValue:
