@@ -1,7 +1,7 @@
 """Dataset containers, CSV ingestion, fold splitting, and log simulation.
 
-Two on-disk formats, both UTF-8 CSV with ``.`` as the decimal separator and
-no thousands separators:
+Two on-disk formats, both UTF-8 CSV with ``.`` as the decimal separator,
+no thousands separators and finite features:
 
 * labeled data:  header ``f0,...,f{d-1},label``; one multiclass example per
   row, label an integer in [0, k).
@@ -11,16 +11,28 @@ no thousands separators:
   in [0, 1].
 
 Floats are serialized with shortest round-trip repr, so write -> read is
-exact.  All containers are immutable after construction and safe to share
-across threads.  Simulation consumes a single sequential RNG stream per
-call, so a fixed seed reproduces logs exactly.
+exact.  Both formats go through one reader and one writer that work in
+blocks of ``_BLOCK_ROWS`` records, so at most one block of row strings is
+held at a time.  The reader converts a block column by column with the same
+``float``/``int`` a row-by-row parse would use and checks it with numpy;
+only when a block fails does it re-scan that block row by row, to raise a
+ValueError naming the path and line (blank lines count) of the first bad
+record.  Earlier blocks have passed, so that is the first bad record in the
+file.  The writer emits ``repr`` of Python floats and ints, the bytes
+``csv.writer`` gives for the same cells.
+
+All containers are immutable after construction and safe to share across
+threads.  Simulation consumes a single sequential RNG stream per call, so a
+fixed seed reproduces logs exactly.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass
-from pathlib import Path
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -180,72 +192,151 @@ class FoldAssignment:
 # CSV ingestion
 # -----------------------------------------------------------------------
 
+# Records parsed or written per block.  Bounds the row strings held at once.
+_BLOCK_ROWS = 2048
 
-def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+
+class _Column(NamedTuple):
+    """A non-feature CSV column: converter and accepted interval."""
+
+    name: str
+    parse: type  # float or int, applied to the cell text
+    interval: str  # for messages, e.g. "(0, 1]"
+    accepts: Callable  # elementwise on a Python scalar or a numpy array
+
+
+def _index_column(name: str, k: int) -> _Column:
+    return _Column(name, int, f"[0, {k})", lambda v: (0 <= v) & (v < k))
+
+
+_PROPENSITY = _Column("propensity", float, "(0, 1]", lambda v: (0 < v) & (v <= 1))
+_REWARD = _Column("reward", float, "[0, 1]", lambda v: (0 <= v) & (v <= 1))
+
+
+def _parse_cell(path, lineno: int, name: str, parse: type, text: str):
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{path} line {lineno}: invalid {name} {text!r}") from None
+
+
+def _raise_row_error(path, block, d: int, tail: tuple[_Column, ...]) -> NoReturn:
+    """Check ``block`` row by row and raise at its first defect."""
+    width = d + len(tail)
+    for lineno, row in block:
+        if len(row) != width:
+            raise ValueError(
+                f"{path} line {lineno}: expected {width} fields, got {len(row)}"
+            )
+        for j in range(d):
+            value = _parse_cell(path, lineno, f"f{j}", float, row[j])
+            if not math.isfinite(value):
+                raise ValueError(f"{path} line {lineno}: non-finite f{j} {row[j]!r}")
+        for column, text in zip(tail, row[d:]):
+            value = _parse_cell(path, lineno, column.name, column.parse, text)
+            if not column.accepts(value):
+                raise ValueError(
+                    f"{path} line {lineno}: {column.name} {value} "
+                    f"not in {column.interval}"
+                )
+    raise RuntimeError(f"{path}: block rejected but no row is malformed")
+
+
+def _convert_block(rows, d: int, tail: tuple[_Column, ...]):
+    """Column-wise conversion of one block; None if any check fails."""
+    if any(len(row) != d + len(tail) for row in rows):
+        return None
+    cols = list(zip(*rows))
+    m = len(rows)
+    try:
+        features = np.fromiter(
+            map(float, itertools.chain.from_iterable(cols[:d])), np.float64, m * d
+        ).reshape(d, m)
+        values = [
+            np.fromiter(
+                map(column.parse, text),
+                np.int64 if column.parse is int else np.float64,
+                m,
+            )
+            for column, text in zip(tail, cols[d:])
+        ]
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(features).all():
+        return None
+    if not all(column.accepts(v).all() for column, v in zip(tail, values)):
+        return None
+    return features, values
+
+
+def _read_table(
+    path, tail: tuple[_Column, ...]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Read ``f0,...,f{d-1}`` followed by the ``tail`` columns.
+
+    Returns the (n, d) feature matrix and one vector per tail column.
+    """
+    names = ",".join(column.name for column in tail)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: no header") from None
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
-    return header, rows
+        d = len(header) - len(tail)
+        if (
+            d < 1
+            or header[d:] != [column.name for column in tail]
+            or header[:d] != [f"f{i}" for i in range(d)]
+        ):
+            raise ValueError(f"{path}: expected header f0,...,f{{d-1}},{names}")
+        # Line numbers count blank lines, which csv.reader yields as [].
+        records = ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
+        feature_blocks, value_blocks = [], []
+        while block := list(itertools.islice(records, _BLOCK_ROWS)):
+            converted = _convert_block([row for _, row in block], d, tail)
+            if converted is None:
+                _raise_row_error(path, block, d, tail)
+            feature_blocks.append(converted[0])
+            value_blocks.append(converted[1])
+    if not feature_blocks:
+        raise ValueError(f"{path}: no records")
+    # Row-major, as the rest of the package expects (row norms, matmuls).
+    X = np.concatenate(feature_blocks, axis=1).T.copy()
+    return X, [np.concatenate(parts) for parts in zip(*value_blocks)]
 
 
-def _parse_float(path, lineno: int, column: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{path} line {lineno}: invalid {column} {text!r}") from None
+def _write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write one CSV line per row of ``columns`` (equal-length vectors).
 
-
-def _parse_int(path, lineno: int, column: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{path} line {lineno}: invalid {column} {text!r}") from None
+    Cells are ``repr`` of Python floats and ints, which ``csv.writer`` would
+    write unquoted, so the bytes match a ``csv.writer`` of the same rows.
+    """
+    n = columns[0].shape[0]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*block))
 
 
 def load_labeled(path, k: int) -> LabeledDataset:
     """Load a labeled CSV (header ``f0,...,f{d-1},label``).
 
     ``d`` is inferred from the header; row order is preserved.  Raises
-    ValueError naming the offending line for malformed rows, and for labels
-    outside [0, k).
+    ValueError naming the offending line for malformed rows, non-finite
+    features, and labels outside [0, k).
     """
-    header, rows = _read_rows(path)
-    if len(header) < 2 or header[-1] != "label":
-        raise ValueError(f"{path}: expected header f0,...,f{{d-1}},label")
-    d = len(header) - 1
-    if header[:d] != [f"f{i}" for i in range(d)]:
-        raise ValueError(f"{path}: expected header f0,...,f{{d-1}},label")
-    if not rows:
-        raise ValueError(f"{path}: no records")
-    X = np.empty((len(rows), d))
-    y = np.empty(len(rows), dtype=np.int64)
-    for out, (lineno, row) in enumerate(rows):
-        if len(row) != d + 1:
-            raise ValueError(
-                f"{path} line {lineno}: expected {d + 1} fields, got {len(row)}"
-            )
-        for j in range(d):
-            X[out, j] = _parse_float(path, lineno, f"f{j}", row[j])
-        label = _parse_int(path, lineno, "label", row[d])
-        if not (0 <= label < k):
-            raise ValueError(f"{path} line {lineno}: label {label} not in [0, {k})")
-        y[out] = label
+    X, (y,) = _read_table(path, (_index_column("label", k),))
     return LabeledDataset(X, y, k)
 
 
 def save_labeled(path, data: LabeledDataset) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{i}" for i in range(data.d)] + ["label"])
-        for i in range(len(data)):
-            writer.writerow(
-                [repr(float(v)) for v in data.features[i]]
-                + [int(data.labels[i])]
-            )
+    _write_table(
+        path,
+        [f"f{i}" for i in range(data.d)] + ["label"],
+        [*data.features.T, data.labels],
+    )
 
 
 def load_logged(path, k: int) -> LoggedDataset:
@@ -254,63 +345,17 @@ def load_logged(path, k: int) -> LoggedDataset:
     Validates propensities in (0, 1] (full-support requirement) and rewards
     in [0, 1]; ``feature_norm_bound`` is set to the max row norm.
     """
-    header, rows = _read_rows(path)
-    tail = ["action", "propensity", "reward"]
-    if len(header) < 4 or header[-3:] != tail:
-        raise ValueError(
-            f"{path}: expected header f0,...,f{{d-1}},action,propensity,reward"
-        )
-    d = len(header) - 3
-    if header[:d] != [f"f{i}" for i in range(d)]:
-        raise ValueError(
-            f"{path}: expected header f0,...,f{{d-1}},action,propensity,reward"
-        )
-    if not rows:
-        raise ValueError(f"{path}: no records")
-    X = np.empty((len(rows), d))
-    a = np.empty(len(rows), dtype=np.int64)
-    p = np.empty(len(rows))
-    r = np.empty(len(rows))
-    for out, (lineno, row) in enumerate(rows):
-        if len(row) != d + 3:
-            raise ValueError(
-                f"{path} line {lineno}: expected {d + 3} fields, got {len(row)}"
-            )
-        for j in range(d):
-            X[out, j] = _parse_float(path, lineno, f"f{j}", row[j])
-        action = _parse_int(path, lineno, "action", row[d])
-        if not (0 <= action < k):
-            raise ValueError(f"{path} line {lineno}: action {action} not in [0, {k})")
-        a[out] = action
-        prop = _parse_float(path, lineno, "propensity", row[d + 1])
-        if not (0.0 < prop <= 1.0):
-            raise ValueError(
-                f"{path} line {lineno}: propensity {prop} not in (0, 1]"
-            )
-        p[out] = prop
-        rew = _parse_float(path, lineno, "reward", row[d + 2])
-        if not (0.0 <= rew <= 1.0):
-            raise ValueError(f"{path} line {lineno}: reward {rew} not in [0, 1]")
-        r[out] = rew
+    X, (a, p, r) = _read_table(path, (_index_column("action", k), _PROPENSITY, _REWARD))
     B = float(np.sqrt((X * X).sum(axis=1).max()))
     return LoggedDataset(X, a, p, r, k, B)
 
 
 def save_logged(path, data: LoggedDataset) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [f"f{i}" for i in range(data.d)] + ["action", "propensity", "reward"]
-        )
-        for i in range(data.n):
-            writer.writerow(
-                [repr(float(v)) for v in data.features[i]]
-                + [
-                    int(data.actions[i]),
-                    repr(float(data.propensities[i])),
-                    repr(float(data.rewards[i])),
-                ]
-            )
+    _write_table(
+        path,
+        [f"f{i}" for i in range(data.d)] + ["action", "propensity", "reward"],
+        [*data.features.T, data.actions, data.propensities, data.rewards],
+    )
 
 
 # -----------------------------------------------------------------------

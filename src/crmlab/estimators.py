@@ -37,7 +37,7 @@ __all__ = [
 
 def _compensated_mean(terms: np.ndarray) -> float:
     # fsum is exact compensated summation; division last keeps one rounding.
-    return math.fsum(terms) / terms.shape[0]
+    return math.fsum(terms.tolist()) / terms.shape[0]
 
 
 def _poem_statistic(

@@ -288,10 +288,13 @@ def save_model(
     ``log_propensity_upper_bound`` records whether a deployment of this
     model as a stochastic-parameter logging policy should log the analytic
     upper bound of the action probability instead of the mean-policy
-    probability; it is carried as metadata and defaults to off.
+    probability; it is carried as metadata and defaults to off.  Raises
+    ValueError, before anything is written, unless 0 < sigma <= sigma0 when
+    both are given, so every file written here loads with :func:`load_model`.
     """
     if prior is not None and prior.weights.shape != policy.weights.shape:
         raise ValueError("prior dimensions must match the policy")
+    _check_sigma(path, sigma, sigma0)
     doc = {
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
@@ -307,6 +310,12 @@ def save_model(
         "log_propensity_upper_bound": bool(log_propensity_upper_bound),
     }
     Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+
+
+def _check_sigma(path, sigma: Optional[float], sigma0: Optional[float]) -> None:
+    """Require 0 < sigma <= sigma0 when both are given, as model files must."""
+    if sigma is not None and sigma0 is not None and not (0.0 < sigma <= sigma0):
+        raise ValueError(f"{path}: sigma={sigma} must lie in (0, sigma0={sigma0}]")
 
 
 def _optional_number(path, doc: dict, key: str) -> Optional[float]:
@@ -361,8 +370,7 @@ def load_model(path) -> ModelFile:
         raise ValueError(f"{path}: {exc}") from None
     sigma = _optional_number(path, doc, "sigma")
     sigma0 = _optional_number(path, doc, "sigma0")
-    if sigma is not None and sigma0 is not None and not (0.0 < sigma <= sigma0):
-        raise ValueError(f"{path}: sigma={sigma} must lie in (0, sigma0={sigma0}]")
+    _check_sigma(path, sigma, sigma0)
     return ModelFile(
         policy=policy,
         sigma=sigma,

@@ -391,6 +391,19 @@ class TestEvaluate:
         assert rc == 2
         assert "d=2" in err and "d=4" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e400"])
+    def test_non_finite_feature_names_line(self, tmp_path, capsys, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n0.5,{cell},1\n")
+        save_model(tmp_path / "uniform.model", zero_policy(2, 3))
+        rc, out, err = run(
+            capsys, "evaluate", "--model", tmp_path / "uniform.model",
+            "--labeled", path,
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == f"crmlab: error: {path} line 3: non-finite f1 {cell!r}\n"
+
 
 BAD_MODEL_EDITS = {
     "missing_weights": (lambda doc: doc.pop("weights"), "weights"),

@@ -1,6 +1,10 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
+import crmlab.datasets
 from crmlab import (
     LabeledDataset,
     LoggedDataset,
@@ -146,6 +150,165 @@ class TestCsvErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_logged(tmp_path / "nope.csv", 2)
+
+
+SMALL_BLOCK = 4
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(crmlab.datasets, "_BLOCK_ROWS", SMALL_BLOCK)
+
+
+def csv_writer_bytes(header, rows):
+    """Reference serialization: csv.writer over repr'd floats and ints."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue().encode("utf-8")
+
+
+def awkward_features(rng, n, d):
+    X = rng.normal(size=(n, d)) * np.pi
+    special = [-0.0, 5e-324, 1e-300, 1e16, -123456789.125, 0.1]
+    X.flat[: len(special)] = special[: X.size]
+    return X
+
+
+BLOCK_SIZES = [SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 1]
+
+
+class TestCsvBlocks:
+    """Reads and writes that cross the block boundary."""
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_labeled_round_trip_and_reference_bytes(self, small_blocks,
+                                                    tmp_path, n):
+        rng = np.random.default_rng(n)
+        data = LabeledDataset(awkward_features(rng, n, 3),
+                              rng.integers(0, 4, size=n), 4)
+        path = tmp_path / "labeled.csv"
+        save_labeled(path, data)
+        assert path.read_bytes() == csv_writer_bytes(
+            ["f0", "f1", "f2", "label"],
+            [[repr(float(v)) for v in data.features[i]] + [int(data.labels[i])]
+             for i in range(n)],
+        )
+        back = load_labeled(path, 4)
+        np.testing.assert_array_equal(back.features, data.features)
+        assert np.signbit(back.features).tolist() == \
+            np.signbit(data.features).tolist()
+        np.testing.assert_array_equal(back.labels, data.labels)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_logged_round_trip_and_reference_bytes(self, small_blocks,
+                                                   tmp_path, n):
+        rng = np.random.default_rng(100 + n)
+        X = awkward_features(rng, n, 2)
+        p = rng.uniform(0.05, 1.0, size=n)
+        p[-1] = 1.0
+        r = rng.uniform(0.0, 1.0, size=n)
+        r[0] = 0.0
+        B = float(np.sqrt((X * X).sum(axis=1).max()))
+        data = LoggedDataset(X, rng.integers(0, 3, size=n), p, r, 3, B)
+        path = tmp_path / "logs.csv"
+        save_logged(path, data)
+        assert path.read_bytes() == csv_writer_bytes(
+            ["f0", "f1", "action", "propensity", "reward"],
+            [[repr(float(v)) for v in data.features[i]]
+             + [int(data.actions[i]), repr(float(data.propensities[i])),
+                repr(float(data.rewards[i]))]
+             for i in range(n)],
+        )
+        back = load_logged(path, 3)
+        np.testing.assert_array_equal(back.features, data.features)
+        assert back.features.flags.c_contiguous
+        np.testing.assert_array_equal(back.actions, data.actions)
+        np.testing.assert_array_equal(back.propensities, data.propensities)
+        np.testing.assert_array_equal(back.rewards, data.rewards)
+        assert back.feature_norm_bound == data.feature_norm_bound
+
+    # (format, malformed row, message after "line N: "); the row lands on
+    # line 7, the second record of the second block.
+    DEFECTS = {
+        "bad_float": ("logged", "0.5,x,1,0.5,1.0", "invalid f1 'x'"),
+        "too_few_fields": ("logged", "0.5,1,0.5,1.0", "expected 5 fields, got 4"),
+        "too_many_fields": ("labeled", "0.5,-1.25,1,0", "expected 3 fields, got 4"),
+        "bad_label": ("labeled", "0.5,-1.25,one", "invalid label 'one'"),
+        "label_range": ("labeled", "0.5,-1.25,3", "label 3 not in [0, 3)"),
+        "action_range": ("logged", "0.5,-1.25,-1,0.5,1.0",
+                         "action -1 not in [0, 3)"),
+        "action_20_digits": ("logged", "0.5,-1.25,12345678901234567890,0.5,1.0",
+                             "action 12345678901234567890 not in [0, 3)"),
+        "propensity_zero": ("logged", "0.5,-1.25,1,0,1.0",
+                            "propensity 0.0 not in (0, 1]"),
+        "propensity_nan": ("logged", "0.5,-1.25,1,nan,1.0",
+                           "propensity nan not in (0, 1]"),
+        "reward_above_one": ("logged", "0.5,-1.25,1,0.5,1.5",
+                             "reward 1.5 not in [0, 1]"),
+        "non_finite_feature": ("labeled", "0.5,inf,1", "non-finite f1 'inf'"),
+    }
+    GOOD = {"labeled": "0.5,-1.25,1", "logged": "0.5,-1.25,1,0.5,1.0"}
+    HEADER = {"labeled": "f0,f1,label",
+              "logged": "f0,f1,action,propensity,reward"}
+
+    def write(self, tmp_path, fmt, lines):
+        path = tmp_path / f"{fmt}.csv"
+        path.write_text("\n".join([self.HEADER[fmt], *lines]) + "\n")
+        return path
+
+    def load(self, fmt, path):
+        return (load_labeled if fmt == "labeled" else load_logged)(path, 3)
+
+    @pytest.mark.parametrize("case", sorted(DEFECTS))
+    def test_defect_in_second_block_names_its_line(self, small_blocks,
+                                                   tmp_path, case):
+        fmt, bad, message = self.DEFECTS[case]
+        lines = [self.GOOD[fmt]] * (2 * SMALL_BLOCK + 1)
+        lines[5] = bad
+        path = self.write(tmp_path, fmt, lines)
+        with pytest.raises(ValueError) as err:
+            self.load(fmt, path)
+        assert str(err.value) == f"{path} line 7: {message}"
+
+    def test_blank_lines_count_toward_line_numbers(self, small_blocks,
+                                                   tmp_path):
+        lines = [self.GOOD["logged"]] * (2 * SMALL_BLOCK + 1)
+        lines[5] = "0.5,-1.25,1,0.5,1.5"
+        lines[4:4] = ["", ""]
+        path = self.write(tmp_path, "logged", lines)
+        with pytest.raises(ValueError) as err:
+            load_logged(path, 3)
+        assert str(err.value) == f"{path} line 9: reward 1.5 not in [0, 1]"
+
+    def test_first_defect_in_file_order_wins(self, small_blocks, tmp_path):
+        lines = [self.GOOD["logged"]] * (3 * SMALL_BLOCK)
+        lines[6] = "0.5,-1.25,1,0.5,1.5"
+        lines[7] = "0.5,x,1,0.5,1.0"
+        lines[9] = "0.5,-1.25,9,0.5,1.0"
+        path = self.write(tmp_path, "logged", lines)
+        with pytest.raises(ValueError) as err:
+            load_logged(path, 3)
+        assert str(err.value) == f"{path} line 8: reward 1.5 not in [0, 1]"
+
+    def test_quoted_fields_and_crlf_load(self, small_blocks, tmp_path):
+        n = 2 * SMALL_BLOCK + 1
+        X = np.arange(2.0 * n).reshape(n, 2) / 8.0
+        rows = [f'"{x0!r}",{x1!r},"{i % 3}",0.5,"1.0"' for i, (x0, x1)
+                in enumerate(X.tolist())]
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(("\r\n".join(
+            ['"f0",f1,action,"propensity",reward', *rows]) + "\r\n").encode())
+        back = load_logged(path, 3)
+        np.testing.assert_array_equal(back.features, X)
+        np.testing.assert_array_equal(back.actions, np.arange(n) % 3)
+        np.testing.assert_array_equal(back.propensities, np.full(n, 0.5))
+        np.testing.assert_array_equal(back.rewards, np.ones(n))
+
+    def test_header_without_records(self, tmp_path):
+        path = self.write(tmp_path, "labeled", ["", ""])
+        with pytest.raises(ValueError) as err:
+            load_labeled(path, 3)
+        assert str(err.value) == f"{path}: no records"
 
 
 class TestKfoldSplit:

@@ -330,6 +330,16 @@ class TestModelFile:
         assert loaded.sigma0 is None
         assert loaded.prior is None
 
+    @pytest.mark.parametrize("sigma,sigma0", [(2.0, 1.0), (0.0, 1.0), (-0.5, 1.0)])
+    def test_save_rejects_sigma_outside_prior_scale(self, tmp_path, sigma, sigma0):
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError) as err:
+            save_model(path, zero_policy(2, 3), sigma=sigma, sigma0=sigma0)
+        assert str(err.value) == (
+            f"{path}: sigma={sigma} must lie in (0, sigma0={sigma0}]"
+        )
+        assert not path.exists()
+
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"hello": 1}')
