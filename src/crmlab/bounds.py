@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .datasets import LoggedDataset
-from .estimators import mean_param_risk
+from .estimators import _check_tau, mean_param_risk
 from .policies import MixedLogitSpec, SoftmaxPolicy, param_distance_sq
 
 __all__ = [
@@ -52,8 +52,7 @@ class BoundInputs:
             raise ValueError("n must be at least 2")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError("tau must lie in (0, 1)")
+        _check_tau(self.tau)
         if not (math.isfinite(self.kl_term) and self.kl_term >= 0.0):
             raise ValueError("kl_term must be finite and nonnegative")
         floor = 1.0 - 1.0 / self.tau

@@ -19,9 +19,8 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,11 +29,10 @@ from .bounds import (
     StabilityParams,
     c_term,
     crm_bound_all_tau,
+    crm_bound_fixed_tau,
     data_dep_c_term,
-    data_dep_risk_bound,
     gaussian_kl_bound,
     gaussian_kl_exact,
-    mixed_logit_risk_bound,
 )
 from .datasets import load_labeled, load_logged, save_logged, simulate_logs, temper
 from .estimators import (
@@ -55,43 +53,13 @@ from .learning import (
     save_train_report,
     train,
 )
-from .policies import (
-    MixedLogitSpec,
-    SoftmaxPolicy,
-    load_model,
-    param_distance_sq,
-    save_model,
-)
+from .policies import SoftmaxPolicy, load_model, param_distance_sq, save_model
 from .seeding import derive_seed
 
-__all__ = ["ExperimentConfig", "main"]
+__all__ = ["main"]
 
 DEFAULT_LPR_GRID = tuple(10.0 ** e for e in range(-8, -2))
 DEFAULT_VARIANCE_GRID = tuple(10.0 ** e for e in range(-3, 3))
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved run parameters: subcommand flags plus output placement."""
-
-    run_id: str
-    output_dir: Path
-
-    def resolve(self, path: Optional[str]) -> Optional[Path]:
-        """Resolve an output path against ``output_dir`` (absolute paths
-        pass through)."""
-        if path is None:
-            return None
-        p = Path(path)
-        return p if p.is_absolute() else self.output_dir / p
-
-
-def _experiment_config(ns: argparse.Namespace) -> ExperimentConfig:
-    out_dir = Path(getattr(ns, "output_dir", "."))
-    if not out_dir.exists():
-        raise ValueError(f"output directory does not exist: {out_dir}")
-    run_id = getattr(ns, "run_id", None) or ns.command
-    return ExperimentConfig(run_id=run_id, output_dir=out_dir)
 
 
 # ---------------------------------------------------------------------
@@ -161,18 +129,26 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _load_prior(ns: argparse.Namespace, objective: str) -> Optional[SoftmaxPolicy]:
+    if (objective in LPR_FAMILY) != (ns.prior_model is not None):
+        raise ValueError(
+            "--prior-model is required for ips_lpr/wnll_lpr and "
+            "rejected for every other objective"
+        )
+    return None if ns.prior_model is None else load_model(ns.prior_model).policy
+
+
 # ---------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------
 
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
-    cfg = _experiment_config(ns)
     model = load_model(ns.model)
     policy = temper(model.policy, ns.kappa)
     labeled = load_labeled(ns.labeled, k=policy.k)
     logs = simulate_logs(policy, labeled, derive_seed(ns.seed, "simulate"))
-    out = cfg.resolve(ns.out)
+    out = ns.output_dir / ns.out
     save_logged(out, logs)
     print(f"n={logs.n}")
     print(f"k={logs.k}")
@@ -184,7 +160,6 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 
 
 def cmd_learn_logging(ns: argparse.Namespace) -> int:
-    cfg = _experiment_config(ns)
     logs = load_logged(ns.logged, k=ns.k)
     policy = learn_logging_policy(
         logs,
@@ -194,7 +169,7 @@ def cmd_learn_logging(ns: argparse.Namespace) -> int:
         learning_rate=ns.lr,
         seed=derive_seed(ns.seed, "learn-logging"),
     )
-    out = cfg.resolve(ns.out)
+    out = ns.output_dir / ns.out
     save_model(out, policy, feature_norm_bound=logs.feature_norm_bound)
     logits = logs.features @ policy.weights.T + policy.biases
     logits -= logits.max(axis=1, keepdims=True)
@@ -206,21 +181,8 @@ def cmd_learn_logging(ns: argparse.Namespace) -> int:
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
-    cfg = _experiment_config(ns)
     logs = load_logged(ns.logged, k=ns.k)
-    prior = None
-    if ns.prior_model is not None:
-        prior_file = load_model(ns.prior_model)
-        prior = prior_file.policy
-        if prior.k != ns.k:
-            raise ValueError(
-                f"prior model has k={prior.k} but --k is {ns.k}"
-            )
-    if (ns.objective in LPR_FAMILY) != (prior is not None):
-        raise ValueError(
-            "--prior-model is required for ips_lpr/wnll_lpr and "
-            "rejected for every other objective"
-        )
+    prior = _load_prior(ns, ns.objective)
     config = TrainConfig(
         objective=ns.objective,
         lam=ns.lam,
@@ -249,7 +211,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
         raise ValueError(
             f"sigma={sigma} must not exceed sigma0={config.sigma0}"
         )
-    out = cfg.resolve(ns.out)
+    out = ns.output_dir / ns.out
     save_model(
         out,
         report.final_policy,
@@ -258,10 +220,10 @@ def cmd_train(ns: argparse.Namespace) -> int:
         prior=prior,
         feature_norm_bound=logs.feature_norm_bound,
     )
-    report_path = cfg.resolve(ns.report) if ns.report else Path(str(out) + ".report.json")
+    report_path = ns.output_dir / ns.report if ns.report else Path(str(out) + ".report.json")
     save_train_report(report_path, report, config)
     if ns.trace is not None:
-        save_trace_csv(cfg.resolve(ns.trace), report)
+        save_trace_csv(ns.output_dir / ns.trace, report)
     final = report.objective_trace[-1] if report.objective_trace else float("nan")
     print(f"objective={ns.objective}")
     print(f"final_objective={_fmt(final)}")
@@ -277,16 +239,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 
 def cmd_tune(ns: argparse.Namespace) -> int:
-    cfg = _experiment_config(ns)
     logs = load_logged(ns.logged, k=ns.k)
-    prior = None
-    if ns.prior_model is not None:
-        prior = load_model(ns.prior_model).policy
-    if (ns.method in LPR_FAMILY) != (prior is not None):
-        raise ValueError(
-            "--prior-model is required for ips_lpr/wnll_lpr and "
-            "rejected for every other method"
-        )
+    prior = _load_prior(ns, ns.method)
     if ns.grid is not None:
         grid = ns.grid
     elif ns.method in ("poem", "poem_l2"):
@@ -318,27 +272,21 @@ def cmd_tune(ns: argparse.Namespace) -> int:
         + [_fmt(row.mean_score), int(row.lam == best)]
         for row in table
     ]
-    _write_csv(cfg.resolve(ns.out), header, rows)
+    _write_csv(ns.output_dir / ns.out, header, rows)
     print(f"best_lambda={_fmt(best)}")
     return 0
 
 
 def cmd_evaluate(ns: argparse.Namespace) -> int:
-    cfg = _experiment_config(ns)
     model = load_model(ns.model)
     test = load_labeled(ns.labeled, k=model.policy.k)
-    if test.features.shape[1] != model.policy.d:
-        raise ValueError(
-            f"model expects d={model.policy.d} features, test data has "
-            f"d={test.features.shape[1]}"
-        )
     reward = expected_reward_stochastic(model.policy, test)
     accuracy = argmax_accuracy(model.policy, test)
     print(f"stochastic_reward={_fmt(reward)}")
     print(f"argmax_accuracy={_fmt(accuracy)}")
     if ns.out is not None:
         _write_csv(
-            cfg.resolve(ns.out),
+            ns.output_dir / ns.out,
             ["metric", "value"],
             [["stochastic_reward", _fmt(reward)],
              ["argmax_accuracy", _fmt(accuracy)]],
@@ -347,7 +295,6 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
 
 
 def cmd_bound(ns: argparse.Namespace) -> int:
-    cfg = _experiment_config(ns)
     model = load_model(ns.model)
     logs = load_logged(ns.logged, k=model.policy.k)
     sigma = ns.sigma if ns.sigma is not None else model.sigma
@@ -368,10 +315,6 @@ def cmd_bound(ns: argparse.Namespace) -> int:
     if model.feature_norm_bound is not None:
         B = max(B, model.feature_norm_bound)
     d_eff = model.policy.k * model.policy.d
-    spec = MixedLogitSpec(
-        mean=model.policy, variance=sigma, prior_mean=prior,
-        prior_variance=sigma0,
-    )
     emp = mean_param_risk(model.policy, sigma, B, logs, ns.tau)
     kl_exact = gaussian_kl_exact(model.policy, sigma, prior, sigma0, d_eff)
     kl_bound = gaussian_kl_bound(model.policy, sigma, prior, sigma0, d_eff)
@@ -382,38 +325,37 @@ def cmd_bound(ns: argparse.Namespace) -> int:
         "emp_risk", "kl_exact", "kl_bound", "c_term", "value",
     ]
 
-    def row(kind: str, c_value: float, value: float) -> list[str]:
+    def row(
+        kind: str, bound: Callable[[BoundInputs], float], delta: float,
+        c_value: float,
+    ) -> list[str]:
+        # The value is the bound of exactly the numbers printed beside it.
+        value = bound(BoundInputs(
+            n=logs.n, delta=delta, tau=ns.tau, kl_term=0.5 * c_value,
+            emp_risk=emp,
+        ))
         return [
             kind, str(logs.n), _fmt(ns.tau), _fmt(ns.delta), _fmt(sigma),
             _fmt(sigma0), _fmt(emp), _fmt(kl_exact), _fmt(kl_bound),
             _fmt(c_value), _fmt(value),
         ]
 
-    rows = [row(
-        "fixed_tau", c, mixed_logit_risk_bound(spec, logs, ns.tau, ns.delta)
-    )]
+    rows = [row("fixed_tau", crm_bound_fixed_tau, ns.delta, c)]
     if ns.all_tau:
-        inputs = BoundInputs(
-            n=logs.n, delta=ns.delta, tau=ns.tau, kl_term=0.5 * c,
-            emp_risk=emp,
-        )
-        rows.append(row("all_tau", c, crm_bound_all_tau(inputs)))
+        rows.append(row("all_tau", crm_bound_all_tau, ns.delta, c))
     if ns.learned_prior is not None:
         w_hat = load_model(ns.learned_prior).policy
         lipschitz = ns.lipschitz if ns.lipschitz is not None else 2.0 * B
         stability = StabilityParams(
             lipschitz=lipschitz, lam=ns.rerm_lambda, n=logs.n, delta=ns.delta
         )
-        spec_hat = MixedLogitSpec(
-            mean=model.policy, variance=sigma, prior_mean=w_hat,
-            prior_variance=sigma0,
-        )
         c_hat = data_dep_c_term(
             model.policy, sigma, w_hat, sigma0, stability, d_eff
         )
-        value = data_dep_risk_bound(spec_hat, logs, ns.tau, ns.delta, stability)
-        rows.append(row("learned_prior", c_hat, value))
-    _write_csv(cfg.resolve(ns.out), header, rows)
+        # Halving delta gives the ln(2n/delta) log terms this bound requires.
+        rows.append(row("learned_prior", crm_bound_fixed_tau, 0.5 * ns.delta, c_hat))
+    out = None if ns.out is None else ns.output_dir / ns.out
+    _write_csv(out, header, rows)
     return 0
 
 
@@ -425,11 +367,8 @@ def cmd_bound(ns: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument(
-        "--output-dir", default=".",
+        "--output-dir", type=Path, default=Path("."),
         help="directory for relative output paths (default: current)",
-    )
-    parser.add_argument(
-        "--run-id", default=None, help="label recorded for this run"
     )
 
 
@@ -579,6 +518,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        if not ns.output_dir.exists():
+            raise ValueError(f"output directory does not exist: {ns.output_dir}")
         return ns.func(ns)
     except DivergenceError as exc:
         print(f"crmlab: numeric failure: {exc}", file=sys.stderr)

@@ -18,7 +18,9 @@ held at a time.  The reader converts a block column by column with the same
 only when a block fails does it re-scan that block row by row, to raise a
 ValueError naming the path and line (blank lines count) of the first bad
 record.  Earlier blocks have passed, so that is the first bad record in the
-file.  The writer emits ``repr`` of Python floats and ints, the bytes
+file.  A ``csv.Error`` (such as a field over the csv module's size limit)
+becomes a ValueError naming the path and line, and a UTF-8 decode error one
+naming the path.  The writer emits ``repr`` of Python floats and ints, the bytes
 ``csv.writer`` gives for the same cells.
 
 All containers are immutable after construction and safe to share across
@@ -32,7 +34,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -269,6 +271,20 @@ def _convert_block(rows, d: int, tail: tuple[_Column, ...]):
     return features, values
 
 
+def _records(path, fh) -> Iterator[list[str]]:
+    """``csv.reader`` records of ``fh``; csv and decode errors name ``path``.
+
+    A decode error names no line: the decoder reads the file in chunks.
+    """
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_table(
     path, tail: tuple[_Column, ...]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -278,7 +294,7 @@ def _read_table(
     """
     names = ",".join(column.name for column in tail)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _records(path, fh)
         try:
             header = next(reader)
         except StopIteration:

@@ -59,11 +59,15 @@ def _poem_statistic(
     return ratio, u, mean_u, math.fsum(centered * centered) / (u.shape[0] - 1)
 
 
-def _matched_action_probs(policy: SoftmaxPolicy, data: LoggedDataset) -> np.ndarray:
+def _check_dims(
+    policy: SoftmaxPolicy, data: LoggedDataset | LabeledDataset
+) -> None:
     if policy.d != data.d:
-        raise ValueError(
-            f"policy dimension {policy.d} does not match data dimension {data.d}"
-        )
+        raise ValueError(f"policy has d={policy.d} features, data has d={data.d}")
+
+
+def _matched_action_probs(policy: SoftmaxPolicy, data: LoggedDataset) -> np.ndarray:
+    _check_dims(policy, data)
     P = action_prob_matrix(policy, data.features)
     return P[np.arange(data.n), data.actions]
 
@@ -195,10 +199,7 @@ def expected_reward_stochastic(policy: SoftmaxPolicy, test: LabeledDataset) -> f
         ``(1/n) sum_i pi(label_i | x_i)``, the expected reward of the
         stochastic policy under 0/1 match rewards.
     """
-    if policy.d != test.d:
-        raise ValueError(
-            f"policy dimension {policy.d} does not match data dimension {test.d}"
-        )
+    _check_dims(policy, test)
     P = action_prob_matrix(policy, test.features)
     return _compensated_mean(P[np.arange(len(test)), test.labels])
 
@@ -209,9 +210,6 @@ def argmax_accuracy(policy: SoftmaxPolicy, test: LabeledDataset) -> float:
     Ties in the logits resolve to the lowest action index, matching
     :func:`crmlab.policies.argmax_action`.
     """
-    if policy.d != test.d:
-        raise ValueError(
-            f"policy dimension {policy.d} does not match data dimension {test.d}"
-        )
+    _check_dims(policy, test)
     logits = test.features @ policy.weights.T + policy.biases
     return float(np.mean(np.argmax(logits, axis=1) == test.labels))

@@ -40,6 +40,7 @@ import numpy as np
 
 from .datasets import LoggedDataset, kfold_split
 from .estimators import (
+    _check_tau,
     _compensated_mean,
     _poem_statistic,
     mean_param_risk,
@@ -106,10 +107,9 @@ class TrainConfig:
             raise ValueError(
                 f"unknown objective {self.objective!r}; pick one of {OBJECTIVES}"
             )
-        if self.lam < 0.0 or self.lambda_l2 < 0.0:
+        if not (self.lam >= 0.0 and self.lambda_l2 >= 0.0):
             raise ValueError("regularization weights must be nonnegative")
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError("tau must lie in (0, 1)")
+        _check_tau(self.tau)
         if not (self.sigma0 > 0.0):
             raise ValueError("sigma0 must be positive")
         if self.epochs < 0:
@@ -412,8 +412,7 @@ def poem_build_surrogate(
         raise ValueError("variance-regularized objectives need n >= 2")
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
-    if not (0.0 < tau < 1.0):
-        raise ValueError("tau must lie in (0, 1)")
+    _check_tau(tau)
     n = data.n
     _, pi = _probs_and_matched(
         policy_anchor.weights, policy_anchor.biases, data.features, data.actions
@@ -461,8 +460,7 @@ def closed_form_sigma(
     unconstrained solution is infinite and the constrained minimizer sits
     at the boundary sigma0.
     """
-    if not (0.0 < tau < 1.0):
-        raise ValueError("tau must lie in (0, 1)")
+    _check_tau(tau)
     if not (B > 0.0 and sigma0 > 0.0 and d_effective > 0):
         raise ValueError("B, sigma0, and d_effective must be positive")
     if data.n < 2:
@@ -494,8 +492,11 @@ def train(
     :class:`DivergenceError` the moment anything non-finite appears.
     """
     _check_prior(config.objective, prior)
-    if prior is not None and prior.d != data.d:
-        raise ValueError("prior and data dimensions disagree")
+    if prior is not None and prior.weights.shape != (data.k, data.d):
+        raise ValueError(
+            f"prior weights have shape {prior.weights.shape}, "
+            f"data needs {(data.k, data.d)}"
+        )
     t0 = time.perf_counter()
     n, d, k = data.n, data.d, data.k
     W = np.zeros((k, d))
@@ -695,8 +696,7 @@ def nonconvex_bcrm_value(
     """
     if not (0.0 < spec.variance <= spec.prior_variance):
         raise ValueError("variance must lie in (0, prior_variance]")
-    if not (0.0 < tau < 1.0):
-        raise ValueError("tau must lie in (0, 1)")
+    _check_tau(tau)
     if data.n < 2:
         raise ValueError("need n >= 2")
     d_eff = spec.mean.k * spec.mean.d

@@ -338,7 +338,7 @@ def load_model(path) -> ModelFile:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
         raise ValueError(f"{path} is not a {_MODEL_FORMAT} file")

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from crmlab import (
+    BoundInputs,
     LabeledDataset,
     SoftmaxPolicy,
+    crm_bound_all_tau,
+    crm_bound_fixed_tau,
     load_logged,
     load_model,
     save_labeled,
@@ -335,6 +338,17 @@ class TestTune:
         )
         assert rc == 2 and "prior-model" in err
 
+    def test_k_mismatched_prior_names_both_shapes(self, ws, tmp_path, capsys):
+        save_model(tmp_path / "k2.model", zero_policy(4, 2))
+        rc, out, err = run(
+            capsys, "tune", "--logged", ws / "logs.csv", "--k", "3",
+            "--method", "ips_lpr", "--prior-model", tmp_path / "k2.model",
+            "--folds", "3", "--epochs", "2", "--out", tmp_path / "cv.csv",
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith("crmlab: error:") and err.count("\n") == 1
+        assert "prior" in err and "(2, 4)" in err and "(3, 4)" in err
+
     def test_rerun_is_byte_identical(self, ws, tmp_path, capsys):
         paths = [tmp_path / "cv_a.csv", tmp_path / "cv_b.csv"]
         for p in paths:
@@ -403,6 +417,36 @@ class TestEvaluate:
         assert rc == 2
         assert out == ""
         assert err == f"crmlab: error: {path} line 3: non-finite f1 {cell!r}\n"
+
+
+UNREADABLE_INPUTS = {
+    # One cell over the csv module's 131072-character field limit.
+    "oversized_cell": ("labeled", b"f0,f1,label\n1.0,2.0,0\n1." + b"0" * 200000
+                       + b",2.0,1\n", "line 3:"),
+    "labeled_not_utf8": ("labeled", b"f0,f1,label\n1.0,2.0,0\n0.5,\xff,1\n",
+                         "utf-8"),
+    "model_not_utf8": ("model", b'{"format": "\xff"}', "utf-8"),
+}
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+    def test_exits_two_with_one_line_naming_file(self, tmp_path, capsys,
+                                                 case):
+        role, content, needle = UNREADABLE_INPUTS[case]
+        paths = {"model": tmp_path / "uniform.model",
+                 "labeled": tmp_path / "t.csv"}
+        save_model(paths["model"], zero_policy(2, 3))
+        save_labeled(paths["labeled"],
+                     LabeledDataset(np.eye(2), np.array([0, 1]), 3))
+        paths[role].write_bytes(content)
+        rc, out, err = run(
+            capsys, "evaluate", "--model", paths["model"],
+            "--labeled", paths["labeled"],
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith("crmlab: error:") and err.count("\n") == 1
+        assert str(paths[role]) in err and needle in err
 
 
 BAD_MODEL_EDITS = {
@@ -527,6 +571,35 @@ class TestBound:
         assert rc == 0
         header = out.strip().splitlines()[0]
         assert header.startswith("bound,n,tau,delta,sigma,sigma0,emp_risk")
+
+    def test_each_value_bounds_its_printed_numbers(self, ws, posterior_model,
+                                                    tmp_path, capsys):
+        # The model's feature-norm bound exceeds the log's (1.0), so the
+        # printed emp_risk uses the model's.
+        model = load_model(posterior_model)
+        path = tmp_path / "wide.model"
+        save_model(path, model.policy, sigma=model.sigma, sigma0=model.sigma0,
+                   prior=model.prior, feature_norm_bound=3.0)
+        rc, _, _ = run(
+            capsys, "bound", "--model", path, "--logged", ws / "logs.csv",
+            "--tau", "0.05", "--all-tau",
+            "--learned-prior", ws / "logging.model",
+            "--out", tmp_path / "b.csv",
+        )
+        assert rc == 0
+        rows = {r["bound"]: r for r in read_rows(tmp_path / "b.csv")}
+        bounds = {"fixed_tau": (crm_bound_fixed_tau, 1.0),
+                  "all_tau": (crm_bound_all_tau, 1.0),
+                  "learned_prior": (crm_bound_fixed_tau, 0.5)}
+        assert set(rows) == set(bounds)
+        for kind, (bound, delta_scale) in bounds.items():
+            r = rows[kind]
+            expected = bound(BoundInputs(
+                n=int(r["n"]), delta=delta_scale * float(r["delta"]),
+                tau=float(r["tau"]), kl_term=0.5 * float(r["c_term"]),
+                emp_risk=float(r["emp_risk"]),
+            ))
+            assert float(r["value"]) == expected, kind
 
     def test_model_without_sigma_needs_flags(self, ws, tmp_path, capsys):
         policy = load_model(ws / "logging.model").policy

@@ -70,6 +70,8 @@ class TestTrainConfig:
             {"batch_size": 0},
             {"learning_rate": 0.0},
             {"adagrad_smoothing": 0.0},
+            {"lam": float("nan")},
+            {"lambda_l2": float("nan")},
         ],
     )
     def test_rejects_bad_fields(self, bad):
