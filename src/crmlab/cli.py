@@ -138,6 +138,16 @@ def _load_prior(ns: argparse.Namespace, objective: str) -> Optional[SoftmaxPolic
     return None if ns.prior_model is None else load_model(ns.prior_model).policy
 
 
+def _load_bound_prior(path: str, shape: tuple[int, int]) -> SoftmaxPolicy:
+    prior = load_model(path).policy
+    if prior.weights.shape != shape:
+        raise ValueError(
+            f"{path}: prior weights have shape {prior.weights.shape}, "
+            f"model has {shape}"
+        )
+    return prior
+
+
 # ---------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------
@@ -162,12 +172,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 def cmd_learn_logging(ns: argparse.Namespace) -> int:
     logs = load_logged(ns.logged, k=ns.k)
     policy = learn_logging_policy(
-        logs,
-        ns.lam,
-        epochs=ns.epochs,
-        batch_size=ns.batch_size,
-        learning_rate=ns.lr,
-        seed=derive_seed(ns.seed, "learn-logging"),
+        logs, ns.lam, epochs=ns.epochs, seed=derive_seed(ns.seed, "learn-logging")
     )
     out = ns.output_dir / ns.out
     save_model(out, policy, feature_norm_bound=logs.feature_norm_bound)
@@ -190,11 +195,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
         tau=ns.tau,
         sigma0=ns.sigma0,
         epochs=ns.epochs,
-        batch_size=ns.batch_size,
-        learning_rate=ns.lr,
-        adagrad_smoothing=ns.adagrad_smoothing,
         seed=derive_seed(ns.seed, "train"),
-        train_biases=not ns.freeze_biases,
     )
     report = train(config, logs, prior=prior)
     if ns.sigma is not None:
@@ -252,9 +253,6 @@ def cmd_tune(ns: argparse.Namespace) -> int:
         lambda_l2=ns.lambda_l2,
         tau=ns.tau,
         epochs=ns.epochs,
-        batch_size=ns.batch_size,
-        learning_rate=ns.lr,
-        adagrad_smoothing=ns.adagrad_smoothing,
         seed=0,
     )
     best, table = cross_validate(
@@ -305,12 +303,15 @@ def cmd_bound(ns: argparse.Namespace) -> int:
         )
     prior = model.prior
     if ns.prior_model is not None:
-        prior = load_model(ns.prior_model).policy
+        prior = _load_bound_prior(ns.prior_model, model.policy.weights.shape)
     if prior is None:
         raise ValueError(
             "no prior available: embed one in the model file or pass "
             "--prior-model"
         )
+    w_hat = None
+    if ns.learned_prior is not None:
+        w_hat = _load_bound_prior(ns.learned_prior, model.policy.weights.shape)
     B = logs.feature_norm_bound
     if model.feature_norm_bound is not None:
         B = max(B, model.feature_norm_bound)
@@ -343,11 +344,11 @@ def cmd_bound(ns: argparse.Namespace) -> int:
     rows = [row("fixed_tau", crm_bound_fixed_tau, ns.delta, c)]
     if ns.all_tau:
         rows.append(row("all_tau", crm_bound_all_tau, ns.delta, c))
-    if ns.learned_prior is not None:
-        w_hat = load_model(ns.learned_prior).policy
-        lipschitz = ns.lipschitz if ns.lipschitz is not None else 2.0 * B
+    if w_hat is not None:
+        # L = 2B bounds the refit loss's gradient norm when every context
+        # has norm <= B.
         stability = StabilityParams(
-            lipschitz=lipschitz, lam=ns.rerm_lambda, n=logs.n, delta=ns.delta
+            lipschitz=2.0 * B, lam=ns.rerm_lambda, n=logs.n, delta=ns.delta
         )
         c_hat = data_dep_c_term(
             model.policy, sigma, w_hat, sigma0, stability, d_eff
@@ -364,20 +365,12 @@ def cmd_bound(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+def _add_common(parser: argparse.ArgumentParser, *, seed: bool) -> None:
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument(
         "--output-dir", type=Path, default=Path("."),
         help="directory for relative output paths (default: current)",
-    )
-
-
-def _add_optimizer_flags(parser: argparse.ArgumentParser, epochs: int) -> None:
-    parser.add_argument("--epochs", type=_nonneg_int, default=epochs)
-    parser.add_argument("--batch-size", type=_positive_int, default=100)
-    parser.add_argument("--lr", type=_positive_float, default=0.1)
-    parser.add_argument(
-        "--adagrad-smoothing", type=_positive_float, default=1.0
     )
 
 
@@ -402,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="inverse temperature applied to the model (0 gives uniform)",
     )
     p.add_argument("--out", required=True, help="logged CSV output path")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
@@ -414,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_positive_float, default=0.01,
                    help="ridge weight (must be positive)")
     p.add_argument("--out", required=True, help="model file output path")
-    _add_optimizer_flags(p, epochs=100)
-    _add_common(p)
+    p.add_argument("--epochs", type=_nonneg_int, default=100)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_learn_logging)
 
     p = sub.add_parser("train", help="train a policy on logged data")
@@ -437,15 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sigma", type=_positive_float, default=None,
                    help="explicit posterior variance (overrides --sigma-mode)")
-    p.add_argument("--freeze-biases", action="store_true",
-                   help="keep biases at zero during training")
     p.add_argument("--out", required=True, help="model file output path")
     p.add_argument("--report", default=None,
                    help="training report path (default: <out>.report.json)")
     p.add_argument("--trace", default=None,
                    help="optional per-epoch objective trace CSV")
-    _add_optimizer_flags(p, epochs=500)
-    _add_common(p)
+    p.add_argument("--epochs", type=_nonneg_int, default=500)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
@@ -469,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior-model", default=None,
                    help="prior model file (LPR methods only)")
     p.add_argument("--out", required=True, help="per-lambda report CSV path")
-    _add_optimizer_flags(p, epochs=100)
-    _add_common(p)
+    p.add_argument("--epochs", type=_nonneg_int, default=100)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser(
@@ -479,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model file path")
     p.add_argument("--labeled", required=True, help="labeled test CSV path")
     p.add_argument("--out", default=None, help="optional metrics CSV path")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser(
@@ -504,11 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rerm-lambda", type=_positive_float, default=0.01,
                    help="ridge weight used when learning the prior")
-    p.add_argument("--lipschitz", type=_positive_float, default=None,
-                   help="loss Lipschitz constant (default 2B)")
     p.add_argument("--out", default=None,
                    help="bound report CSV path (default: stdout)")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_bound)
 
     return parser

@@ -16,9 +16,10 @@ The additive constant one of the risk estimators is omitted from the IPS
 objectives; it moves no gradient.  All parameter norms are weights-only:
 biases are trained but never penalized.
 
-Protocol defaults: zero initialization, AdaGrad with per-parameter update
-theta -= lr·g/(smoothing + sqrt(acc)), learning rate 0.1, smoothing 1,
-mini-batches of 100 drawn by seeded per-epoch shuffling.  Mini-batch
+Protocol, the same for every objective: zero initialization, AdaGrad with
+per-parameter update theta -= lr·g/(smoothing + sqrt(acc)), learning rate
+``_LEARNING_RATE`` = 0.1, smoothing ``_ADAGRAD_SMOOTHING`` = 1, mini-batches
+of ``_BATCH_SIZE`` = 100 drawn by seeded per-epoch shuffling.  Mini-batch
 gradients average the data term over the batch while the penalty term is
 applied at full strength every step.  The variance-regularized objectives
 rebuild a majorizing surrogate at the start of every epoch and descend the
@@ -53,7 +54,6 @@ __all__ = [
     "OBJECTIVES",
     "LPR_FAMILY",
     "TrainConfig",
-    "AdaGradState",
     "TrainReport",
     "DivergenceError",
     "PoemSurrogate",
@@ -74,6 +74,11 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# The training protocol of the module docstring.
+_BATCH_SIZE = 100
+_LEARNING_RATE = 0.1
+_ADAGRAD_SMOOTHING = 1.0
+
 OBJECTIVES = ("ips_lpr", "wnll_lpr", "ips_l2", "poem", "poem_l2", "logging_nll")
 LPR_FAMILY = frozenset({"ips_lpr", "wnll_lpr"})
 POEM_FAMILY = frozenset({"poem", "poem_l2"})
@@ -81,10 +86,12 @@ POEM_FAMILY = frozenset({"poem", "poem_l2"})
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Objective choice plus every protocol knob.
+    """Objective, penalty weights, truncation, prior scale and run length.
 
-    ``lam`` is the main regularization weight (distance penalty for the LPR
-    and L2 objectives, variance penalty for the POEM objectives);
+    The optimizer settings are not configurable: every run uses the
+    protocol of the module docstring.  ``lam`` is the main regularization
+    weight (distance penalty for the LPR and L2 objectives, variance
+    penalty for the POEM objectives);
     ``lambda_l2`` is the extra ridge term of ``poem_l2`` only.
     ``train_biases=False`` freezes biases at zero, which the strongly convex
     logging-policy fit needs for a unique minimizer.
@@ -96,9 +103,6 @@ class TrainConfig:
     tau: float = 0.01
     sigma0: float = 1.0
     epochs: int = 500
-    batch_size: int = 100
-    learning_rate: float = 0.1
-    adagrad_smoothing: float = 1.0
     seed: int = 0
     train_biases: bool = True
 
@@ -110,44 +114,10 @@ class TrainConfig:
         if not (self.lam >= 0.0 and self.lambda_l2 >= 0.0):
             raise ValueError("regularization weights must be nonnegative")
         _check_tau(self.tau)
-        if not (self.sigma0 > 0.0):
-            raise ValueError("sigma0 must be positive")
+        if not (0.0 < self.sigma0 < math.inf):
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if not (self.learning_rate > 0.0 and self.adagrad_smoothing > 0.0):
-            raise ValueError("learning_rate and adagrad_smoothing must be positive")
-
-
-@dataclass
-class AdaGradState:
-    """Per-parameter squared-gradient accumulators; monotone nondecreasing."""
-
-    acc_weights: np.ndarray
-    acc_biases: np.ndarray
-    step_count: int = 0
-
-    @staticmethod
-    def fresh(k: int, d: int) -> "AdaGradState":
-        return AdaGradState(np.zeros((k, d)), np.zeros(k))
-
-    def apply(
-        self,
-        W: np.ndarray,
-        b: np.ndarray,
-        gW: np.ndarray,
-        gb: np.ndarray,
-        lr: float,
-        smoothing: float,
-        train_biases: bool,
-    ) -> None:
-        self.acc_weights += gW * gW
-        W -= lr * gW / (smoothing + np.sqrt(self.acc_weights))
-        if train_biases:
-            self.acc_biases += gb * gb
-            b -= lr * gb / (smoothing + np.sqrt(self.acc_biases))
-        self.step_count += 1
 
 
 @dataclass(frozen=True)
@@ -501,12 +471,13 @@ def train(
     n, d, k = data.n, data.d, data.k
     W = np.zeros((k, d))
     b = np.zeros(k)
-    state = AdaGradState.fresh(k, d)
+    # AdaGrad's squared-gradient accumulators.
+    acc_W = np.zeros((k, d))
+    acc_b = np.zeros(k)
     rng = np.random.default_rng(config.seed)
     is_poem = config.objective in POEM_FAMILY
     surrogate = None
     W0 = prior.weights if prior is not None else None
-    lr, smoothing = config.learning_rate, config.adagrad_smoothing
 
     trace: list[float] = []
     epoch_times: list[float] = []
@@ -518,12 +489,16 @@ def train(
         # Non-finite values inside a batch are not a condition numpy should
         # warn about: they are detected and raised as DivergenceError.
         with np.errstate(over="ignore", invalid="ignore"):
-            for batch_index, start in enumerate(range(0, n, config.batch_size)):
-                idx = perm[start : start + config.batch_size]
+            for batch_index, start in enumerate(range(0, n, _BATCH_SIZE)):
+                idx = perm[start : start + _BATCH_SIZE]
                 gW, gb = _batch_gradient(config, W, b, W0, data, idx, surrogate)
                 if not (np.all(np.isfinite(gW)) and np.all(np.isfinite(gb))):
                     raise DivergenceError(epoch, batch_index, float("nan"))
-                state.apply(W, b, gW, gb, lr, smoothing, config.train_biases)
+                acc_W += gW * gW
+                W -= _LEARNING_RATE * gW / (_ADAGRAD_SMOOTHING + np.sqrt(acc_W))
+                if config.train_biases:
+                    acc_b += gb * gb
+                    b -= _LEARNING_RATE * gb / (_ADAGRAD_SMOOTHING + np.sqrt(acc_b))
         value = objective_value(config, SoftmaxPolicy(W, b), prior, data)
         if not math.isfinite(value):
             raise DivergenceError(epoch, None, value)
@@ -550,9 +525,6 @@ def learn_logging_policy(
     lam: float = 0.01,
     *,
     epochs: int = 100,
-    batch_size: int = 100,
-    learning_rate: float = 0.1,
-    adagrad_smoothing: float = 1.0,
     seed: int = 0,
 ) -> SoftmaxPolicy:
     """Estimate the logging policy from its own logs.
@@ -566,13 +538,7 @@ def learn_logging_policy(
     if not (lam > 0.0):
         raise ValueError("lam must be positive for the regularized fit")
     config = TrainConfig(
-        objective="logging_nll",
-        lam=lam,
-        epochs=epochs,
-        batch_size=batch_size,
-        learning_rate=learning_rate,
-        adagrad_smoothing=adagrad_smoothing,
-        seed=seed,
+        objective="logging_nll", lam=lam, epochs=epochs, seed=seed,
         train_biases=False,
     )
     return train(config, data).final_policy
@@ -691,8 +657,9 @@ def nonconvex_bcrm_value(
 
     mean_param_risk(mean, σ) + ‖mean−prior‖²/(σ0·τ·(n−1)) − d·ln(σ)/(τ·(n−1)).
 
-    Reported alongside training runs; parameters are never optimized
-    through it (the convex paths do that).  Requires 0 < σ ≤ σ0.
+    A library function for comparing candidate (mean, σ) pairs; no
+    training path or subcommand calls it, and parameters are never
+    optimized through it (the convex paths do that).  Requires 0 < σ ≤ σ0.
     """
     if not (0.0 < spec.variance <= spec.prior_variance):
         raise ValueError("variance must lie in (0, prior_variance]")
@@ -784,9 +751,9 @@ def save_train_report(path, report: TrainReport, config: TrainConfig) -> None:
         "tau": config.tau,
         "sigma0": config.sigma0,
         "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "learning_rate": config.learning_rate,
-        "adagrad_smoothing": config.adagrad_smoothing,
+        "batch_size": _BATCH_SIZE,
+        "learning_rate": _LEARNING_RATE,
+        "adagrad_smoothing": _ADAGRAD_SMOOTHING,
         "seed": config.seed,
         "train_biases": config.train_biases,
         "final_objective": report.objective_trace[-1] if report.objective_trace else None,

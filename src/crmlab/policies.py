@@ -19,7 +19,7 @@ ties break toward the lowest action index.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -270,7 +270,6 @@ class ModelFile:
     sigma0: Optional[float] = None
     prior: Optional[SoftmaxPolicy] = None
     feature_norm_bound: Optional[float] = None
-    log_propensity_upper_bound: bool = field(default=False)
 
 
 def save_model(
@@ -281,19 +280,20 @@ def save_model(
     sigma0: Optional[float] = None,
     prior: Optional[SoftmaxPolicy] = None,
     feature_norm_bound: Optional[float] = None,
-    log_propensity_upper_bound: bool = False,
 ) -> None:
     """Write a policy (and optional posterior/prior metadata) to ``path``.
 
-    ``log_propensity_upper_bound`` records whether a deployment of this
-    model as a stochastic-parameter logging policy should log the analytic
-    upper bound of the action probability instead of the mean-policy
-    probability; it is carried as metadata and defaults to off.  Raises
-    ValueError, before anything is written, unless 0 < sigma <= sigma0 when
-    both are given, so every file written here loads with :func:`load_model`.
+    Raises ValueError, before anything is written, unless sigma, sigma0 and
+    feature_norm_bound are finite numbers or None and 0 < sigma <= sigma0
+    when both are given, so every file written here loads with
+    :func:`load_model`.  The file's ``log_propensity_upper_bound`` key is
+    always false; :func:`load_model` ignores it.
     """
     if prior is not None and prior.weights.shape != policy.weights.shape:
         raise ValueError("prior dimensions must match the policy")
+    for key, value in (("sigma", sigma), ("sigma0", sigma0),
+                       ("feature_norm_bound", feature_norm_bound)):
+        _optional_number(path, key, value)
     _check_sigma(path, sigma, sigma0)
     doc = {
         "format": _MODEL_FORMAT,
@@ -307,7 +307,7 @@ def save_model(
         "prior_weights": None if prior is None else prior.weights.tolist(),
         "prior_biases": None if prior is None else prior.biases.tolist(),
         "feature_norm_bound": feature_norm_bound,
-        "log_propensity_upper_bound": bool(log_propensity_upper_bound),
+        "log_propensity_upper_bound": False,
     }
     Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
 
@@ -318,8 +318,8 @@ def _check_sigma(path, sigma: Optional[float], sigma0: Optional[float]) -> None:
         raise ValueError(f"{path}: sigma={sigma} must lie in (0, sigma0={sigma0}]")
 
 
-def _optional_number(path, doc: dict, key: str) -> Optional[float]:
-    value = doc.get(key)
+def _optional_number(path, key: str, value) -> Optional[float]:
+    """``value`` as a float, or None; anything but a finite number raises."""
     if value is None:
         return None
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -368,14 +368,15 @@ def load_model(path) -> ModelFile:
             prior = SoftmaxPolicy(prior_weights, np.array(prior_biases))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    sigma = _optional_number(path, doc, "sigma")
-    sigma0 = _optional_number(path, doc, "sigma0")
+    sigma = _optional_number(path, "sigma", doc.get("sigma"))
+    sigma0 = _optional_number(path, "sigma0", doc.get("sigma0"))
     _check_sigma(path, sigma, sigma0)
     return ModelFile(
         policy=policy,
         sigma=sigma,
         sigma0=sigma0,
         prior=prior,
-        feature_norm_bound=_optional_number(path, doc, "feature_norm_bound"),
-        log_propensity_upper_bound=bool(doc.get("log_propensity_upper_bound", False)),
+        feature_norm_bound=_optional_number(
+            path, "feature_norm_bound", doc.get("feature_norm_bound")
+        ),
     )

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -17,7 +18,7 @@ from crmlab import (
     save_model,
     zero_policy,
 )
-from crmlab.cli import main
+from crmlab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -234,6 +235,18 @@ class TestTrain:
         )
         assert rc == 2
         assert "must not exceed" in err
+
+    def test_infinite_sigma0_writes_no_model(self, ws, tmp_path, capsys):
+        model = tmp_path / "inf.model"
+        rc, out, err = run(
+            capsys, "train", "--logged", ws / "logs.csv", "--k", "3",
+            "--objective", "ips_l2", "--epochs", "1", "--sigma0", "inf",
+            "--out", model,
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith("crmlab: error:") and err.count("\n") == 1
+        assert "sigma0" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_divergence_exits_three(self, ws, tmp_path, capsys):
         rc, _, err = run(
@@ -601,6 +614,26 @@ class TestBound:
             ))
             assert float(r["value"]) == expected, kind
 
+    @pytest.mark.parametrize(
+        "flag,k,d",
+        [("--prior-model", 2, 4), ("--learned-prior", 2, 4),
+         ("--learned-prior", 3, 2), ("--prior-model", 3, 2)],
+    )
+    def test_prior_shape_mismatch_names_file_and_shapes(
+        self, ws, posterior_model, tmp_path, capsys, flag, k, d
+    ):
+        prior = tmp_path / "mismatched.model"
+        save_model(prior, zero_policy(d, k))
+        rc, out, err = run(
+            capsys, "bound", "--model", posterior_model,
+            "--logged", ws / "logs.csv", flag, prior,
+        )
+        assert rc == 2 and out == ""
+        assert err == (
+            f"crmlab: error: {prior}: prior weights have shape {(k, d)}, "
+            f"model has (3, 4)\n"
+        )
+
     def test_model_without_sigma_needs_flags(self, ws, tmp_path, capsys):
         policy = load_model(ws / "logging.model").policy
         save_model(tmp_path / "bare.model", policy)
@@ -628,6 +661,61 @@ class TestBound:
         )
         assert rc == 2
         assert err.startswith("crmlab: error:")
+
+
+class _ReadRecorder(argparse.Namespace):
+    """Namespace that records the name of every public attribute read."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestFlagsAreRead:
+    def test_every_parsed_flag_is_read_by_its_handler(
+        self, ws, posterior_model, tmp_path
+    ):
+        # One run per subcommand; together they reach every branch that
+        # reads a flag (bound's --learned-prior branch reads --rerm-lambda).
+        runs = {
+            "simulate": ["--labeled", ws / "labeled.csv",
+                         "--model", ws / "logging.model",
+                         "--out", tmp_path / "s.csv"],
+            "learn-logging": ["--logged", ws / "logs.csv", "--k", "3",
+                              "--epochs", "1", "--out", tmp_path / "l.model"],
+            "train": ["--logged", ws / "logs.csv", "--k", "3",
+                      "--objective", "ips_l2", "--epochs", "1",
+                      "--out", tmp_path / "t.model"],
+            "tune": ["--logged", ws / "logs.csv", "--k", "3",
+                     "--method", "ips_l2", "--grid", "1e-3", "--folds", "2",
+                     "--epochs", "1", "--out", tmp_path / "cv.csv"],
+            "evaluate": ["--model", ws / "logging.model",
+                         "--labeled", ws / "labeled.csv",
+                         "--out", tmp_path / "e.csv"],
+            "bound": ["--model", posterior_model, "--logged", ws / "logs.csv",
+                      "--learned-prior", ws / "logging.model",
+                      "--out", tmp_path / "b.csv"],
+        }
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert set(runs) == set(subparsers.choices)
+        unread = {}
+        for command, argv in runs.items():
+            parsed = parser.parse_args([command] + [str(a) for a in argv])
+            ns = _ReadRecorder(**vars(parsed))
+            assert ns.func(ns) == 0, command
+            dests = {action.dest for action in subparsers.choices[command]._actions
+                     if not isinstance(action, argparse._HelpAction)}
+            missing = sorted(dests - ns._reads)
+            if missing:
+                unread[command] = missing
+        assert unread == {}
 
 
 class TestOutputDir:

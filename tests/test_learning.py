@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from crmlab import learning
 from crmlab import (
-    AdaGradState,
     DivergenceError,
     LoggedDataset,
     MixedLogitSpec,
@@ -48,9 +48,9 @@ def cfg(objective, **kw):
 class TestTrainConfig:
     def test_protocol_defaults(self):
         c = cfg("ips_l2")
-        assert c.learning_rate == 0.1
-        assert c.adagrad_smoothing == 1.0
-        assert c.batch_size == 100
+        assert learning._LEARNING_RATE == 0.1
+        assert learning._ADAGRAD_SMOOTHING == 1.0
+        assert learning._BATCH_SIZE == 100
         assert c.tau == 0.01
         assert c.epochs == 500
 
@@ -67,11 +67,9 @@ class TestTrainConfig:
             {"tau": 1.0},
             {"sigma0": 0.0},
             {"epochs": -1},
-            {"batch_size": 0},
-            {"learning_rate": 0.0},
-            {"adagrad_smoothing": 0.0},
             {"lam": float("nan")},
             {"lambda_l2": float("nan")},
+            {"sigma0": float("inf")},
         ],
     )
     def test_rejects_bad_fields(self, bad):
@@ -356,34 +354,6 @@ class TestClosedFormSigma:
             closed_form_sigma(data, 0.1, 0.0, 2, 1.0)
         with pytest.raises(ValueError):
             closed_form_sigma(one_record(0.5, 1.0), 0.1, 1.0, 2, 1.0)
-
-
-class TestAdaGradState:
-    def test_update_formula_and_monotone_accumulators(self):
-        rng = np.random.default_rng(51)
-        state = AdaGradState.fresh(2, 3)
-        W = np.zeros((2, 3))
-        b = np.zeros(2)
-        prev_acc = state.acc_weights.copy()
-        for _ in range(5):
-            gW = rng.normal(size=(2, 3))
-            gb = rng.normal(size=2)
-            W_before = W.copy()
-            acc_expected = state.acc_weights + gW * gW
-            step_expected = 0.1 * gW / (1.0 + np.sqrt(acc_expected))
-            state.apply(W, b, gW, gb, 0.1, 1.0, True)
-            np.testing.assert_allclose(W, W_before - step_expected, rtol=1e-15)
-            assert np.all(state.acc_weights >= prev_acc)
-            prev_acc = state.acc_weights.copy()
-        assert state.step_count == 5
-
-    def test_frozen_biases(self):
-        state = AdaGradState.fresh(2, 2)
-        W = np.zeros((2, 2))
-        b = np.zeros(2)
-        state.apply(W, b, np.ones((2, 2)), np.ones(2), 0.1, 1.0, False)
-        assert np.all(b == 0.0)
-        assert np.all(W != 0.0)
 
 
 class TestTrain:

@@ -340,6 +340,20 @@ class TestModelFile:
         )
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("sigma", float("inf")), ("sigma0", float("inf")),
+         ("feature_norm_bound", float("inf")), ("feature_norm_bound", float("nan"))],
+    )
+    def test_save_rejects_non_finite_number(self, tmp_path, key, value):
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError) as err:
+            save_model(path, zero_policy(2, 3), **{key: value})
+        assert str(err.value) == (
+            f"{path}: {key} must be a finite number, got {value!r}"
+        )
+        assert not path.exists()
+
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"hello": 1}')
