@@ -67,9 +67,11 @@ class TestTrainConfig:
             {"tau": 1.0},
             {"sigma0": 0.0},
             {"epochs": -1},
+            {"sigma0": float("inf")},
+            {"sigma0": float("nan")},
+            {"tau": float("nan")},
             {"lam": float("nan")},
             {"lambda_l2": float("nan")},
-            {"sigma0": float("inf")},
         ],
     )
     def test_rejects_bad_fields(self, bad):
