@@ -4,180 +4,27 @@ Train softmax and Gaussian-weight (mixed logit) policies against logged
 (context, action, propensity, reward) records, estimate truncated
 importance-weighted risk, compute computable risk bounds, and run the whole
 pipeline reproducibly from the command line.
+
+The public names are those in the ``__all__`` of each module below.
 """
 
-from .bounds import (
-    BoundInputs,
-    StabilityParams,
-    c_term,
-    crm_bound_all_tau,
-    crm_bound_fixed_tau,
-    data_dep_c_term,
-    data_dep_risk_bound,
-    gaussian_kl_bound,
-    gaussian_kl_exact,
-    mcallester_bound,
-    mixed_logit_risk_bound,
-    stability_constant,
-    trpo_kl_upper,
-)
-from .datasets import (
-    FoldAssignment,
-    LabeledDataset,
-    LoggedDataset,
-    kfold_split,
-    load_labeled,
-    load_logged,
-    save_labeled,
-    save_logged,
-    simulate_logs,
-    temper,
-)
-from .estimators import (
-    argmax_accuracy,
-    expected_reward_stochastic,
-    ips_risk,
-    mean_param_risk,
-    poem_sample_variance,
-    truncated_ips_risk,
-)
-from .learning import (
-    LPR_FAMILY,
-    OBJECTIVES,
-    POEM_FAMILY,
-    CVRow,
-    DivergenceError,
-    PoemSurrogate,
-    TrainConfig,
-    TrainReport,
-    closed_form_sigma,
-    cross_validate,
-    learn_logging_policy,
-    nonconvex_bcrm_value,
-    objective_gradient,
-    objective_value,
-    poem_build_surrogate,
-    save_trace_csv,
-    save_train_report,
-    solve_logging_nll_exact,
-    train,
-    two_step_learned_lpr,
-)
-from .policies import (
-    MixedLogitSpec,
-    ModelFile,
-    SoftmaxPolicy,
-    action_prob_matrix,
-    action_probs,
-    argmax_action,
-    gumbel_noise,
-    load_model,
-    mixed_logit_prob_bounds,
-    mixed_logit_prob_mc,
-    param_distance_sq,
-    sample_action,
-    save_model,
-    zero_policy,
-)
-from .seeding import derive_seed
-from .synthetic import (
-    BlobTask,
-    EnumerableTask,
-    blob_task,
-    default_logging_policy,
-    enumerable_task,
-    exact_risk,
-    exact_risk_of_probs,
-    sample_labeled,
-    split_for_logging,
-    supervised_policy,
-    task_logs,
-)
+from . import bounds, datasets, estimators, learning, policies, seeding, synthetic
+from .bounds import *
+from .datasets import *
+from .estimators import *
+from .learning import *
+from .policies import *
+from .seeding import *
+from .synthetic import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
-    # policies
-    "SoftmaxPolicy",
-    "MixedLogitSpec",
-    "ModelFile",
-    "zero_policy",
-    "action_probs",
-    "action_prob_matrix",
-    "gumbel_noise",
-    "sample_action",
-    "argmax_action",
-    "mixed_logit_prob_mc",
-    "mixed_logit_prob_bounds",
-    "param_distance_sq",
-    "save_model",
-    "load_model",
-    # datasets
-    "LabeledDataset",
-    "LoggedDataset",
-    "FoldAssignment",
-    "load_labeled",
-    "load_logged",
-    "save_labeled",
-    "save_logged",
-    "kfold_split",
-    "simulate_logs",
-    "temper",
-    # estimators
-    "ips_risk",
-    "truncated_ips_risk",
-    "mean_param_risk",
-    "poem_sample_variance",
-    "expected_reward_stochastic",
-    "argmax_accuracy",
-    # bounds
-    "BoundInputs",
-    "StabilityParams",
-    "mcallester_bound",
-    "crm_bound_fixed_tau",
-    "crm_bound_all_tau",
-    "gaussian_kl_exact",
-    "gaussian_kl_bound",
-    "c_term",
-    "mixed_logit_risk_bound",
-    "stability_constant",
-    "data_dep_c_term",
-    "data_dep_risk_bound",
-    "trpo_kl_upper",
-    # learning
-    "OBJECTIVES",
-    "LPR_FAMILY",
-    "POEM_FAMILY",
-    "TrainConfig",
-    "TrainReport",
-    "DivergenceError",
-    "PoemSurrogate",
-    "CVRow",
-    "objective_value",
-    "objective_gradient",
-    "poem_build_surrogate",
-    "closed_form_sigma",
-    "train",
-    "learn_logging_policy",
-    "two_step_learned_lpr",
-    "cross_validate",
-    "nonconvex_bcrm_value",
-    "solve_logging_nll_exact",
-    "save_train_report",
-    "save_trace_csv",
-    # synthetic tasks
-    "EnumerableTask",
-    "BlobTask",
-    "enumerable_task",
-    "default_logging_policy",
-    "exact_risk",
-    "exact_risk_of_probs",
-    "task_logs",
-    "blob_task",
-    "sample_labeled",
-    "supervised_policy",
-    "split_for_logging",
-    # seeding
-    "derive_seed",
+    *bounds.__all__,
+    *datasets.__all__,
+    *estimators.__all__,
+    *learning.__all__,
+    *policies.__all__,
+    *seeding.__all__,
+    *synthetic.__all__,
 ]

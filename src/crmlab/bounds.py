@@ -25,10 +25,8 @@ __all__ = [
     "gaussian_kl_bound",
     "c_term",
     "mixed_logit_risk_bound",
-    "stability_constant",
     "data_dep_c_term",
     "data_dep_risk_bound",
-    "trpo_kl_upper",
 ]
 
 
@@ -191,11 +189,6 @@ def mixed_logit_risk_bound(
     )
 
 
-def stability_constant(params: StabilityParams) -> float:
-    """Max parameter movement from one-record replacement: L/(λn)."""
-    return params.lipschitz / (params.lam * params.n)
-
-
 def data_dep_c_term(
     theta_hat: SoftmaxPolicy,
     sigma: float,
@@ -245,10 +238,3 @@ def data_dep_risk_bound(
             n=data.n, delta=0.5 * delta, tau=tau, kl_term=0.5 * C_hat, emp_risk=emp
         )
     )
-
-
-def trpo_kl_upper(theta: SoftmaxPolicy, theta0: SoftmaxPolicy, B: float) -> float:
-    """Uniform-over-contexts bound on KL(π_{θ0}(·|x) ‖ π_θ(·|x)) for context
-    norms ≤ B: 2·B·‖θ−θ0‖.  Valid when both policies share one bias vector.
-    """
-    return 2.0 * B * math.sqrt(param_distance_sq(theta, theta0))

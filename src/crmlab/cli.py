@@ -129,16 +129,7 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _load_prior(ns: argparse.Namespace, objective: str) -> Optional[SoftmaxPolicy]:
-    if (objective in LPR_FAMILY) != (ns.prior_model is not None):
-        raise ValueError(
-            "--prior-model is required for ips_lpr/wnll_lpr and "
-            "rejected for every other objective"
-        )
-    return None if ns.prior_model is None else load_model(ns.prior_model).policy
-
-
-def _load_bound_prior(path: str, shape: tuple[int, int]) -> SoftmaxPolicy:
+def _load_prior_file(path: str, shape: tuple[int, int]) -> SoftmaxPolicy:
     prior = load_model(path).policy
     if prior.weights.shape != shape:
         raise ValueError(
@@ -146,6 +137,19 @@ def _load_bound_prior(path: str, shape: tuple[int, int]) -> SoftmaxPolicy:
             f"model has {shape}"
         )
     return prior
+
+
+def _load_prior(
+    ns: argparse.Namespace, objective: str, shape: tuple[int, int]
+) -> Optional[SoftmaxPolicy]:
+    if (objective in LPR_FAMILY) != (ns.prior_model is not None):
+        raise ValueError(
+            "--prior-model is required for ips_lpr/wnll_lpr and "
+            "rejected for every other objective"
+        )
+    if ns.prior_model is None:
+        return None
+    return _load_prior_file(ns.prior_model, shape)
 
 
 # ---------------------------------------------------------------------
@@ -187,7 +191,7 @@ def cmd_learn_logging(ns: argparse.Namespace) -> int:
 
 def cmd_train(ns: argparse.Namespace) -> int:
     logs = load_logged(ns.logged, k=ns.k)
-    prior = _load_prior(ns, ns.objective)
+    prior = _load_prior(ns, ns.objective, (logs.k, logs.d))
     config = TrainConfig(
         objective=ns.objective,
         lam=ns.lam,
@@ -241,7 +245,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 def cmd_tune(ns: argparse.Namespace) -> int:
     logs = load_logged(ns.logged, k=ns.k)
-    prior = _load_prior(ns, ns.method)
+    prior = _load_prior(ns, ns.method, (logs.k, logs.d))
     if ns.grid is not None:
         grid = ns.grid
     elif ns.method in ("poem", "poem_l2"):
@@ -259,6 +263,10 @@ def cmd_tune(ns: argparse.Namespace) -> int:
         logs, ns.method, grid, ns.folds, derive_seed(ns.seed, "tune"), config,
         prior=prior,
     )
+    if all(row.mean_score == -math.inf for row in table):
+        raise FloatingPointError(
+            "training diverged for every grid value; no lambda to select"
+        )
     header = (
         ["lambda"]
         + [f"fold{i}" for i in range(ns.folds)]
@@ -293,6 +301,9 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
 
 
 def cmd_bound(ns: argparse.Namespace) -> int:
+    for flag, value in (("--sigma", ns.sigma), ("--sigma0", ns.sigma0)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     model = load_model(ns.model)
     logs = load_logged(ns.logged, k=model.policy.k)
     sigma = ns.sigma if ns.sigma is not None else model.sigma
@@ -303,7 +314,7 @@ def cmd_bound(ns: argparse.Namespace) -> int:
         )
     prior = model.prior
     if ns.prior_model is not None:
-        prior = _load_bound_prior(ns.prior_model, model.policy.weights.shape)
+        prior = _load_prior_file(ns.prior_model, model.policy.weights.shape)
     if prior is None:
         raise ValueError(
             "no prior available: embed one in the model file or pass "
@@ -311,7 +322,7 @@ def cmd_bound(ns: argparse.Namespace) -> int:
         )
     w_hat = None
     if ns.learned_prior is not None:
-        w_hat = _load_bound_prior(ns.learned_prior, model.policy.weights.shape)
+        w_hat = _load_prior_file(ns.learned_prior, model.policy.weights.shape)
     B = logs.feature_norm_bound
     if model.feature_norm_bound is not None:
         B = max(B, model.feature_norm_bound)
@@ -510,7 +521,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not ns.output_dir.exists():
             raise ValueError(f"output directory does not exist: {ns.output_dir}")
         return ns.func(ns)
-    except DivergenceError as exc:
+    except (DivergenceError, FloatingPointError) as exc:
         print(f"crmlab: numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

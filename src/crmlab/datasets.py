@@ -43,7 +43,6 @@ from .policies import SoftmaxPolicy, _softmax_rows, gumbel_noise
 __all__ = [
     "LabeledDataset",
     "LoggedDataset",
-    "FoldAssignment",
     "load_labeled",
     "save_labeled",
     "load_logged",
@@ -166,7 +165,7 @@ class LoggedDataset:
 
 
 @dataclass(frozen=True)
-class FoldAssignment:
+class _FoldAssignment:
     """Record-to-fold map; fold sizes differ by at most one."""
 
     fold_of: np.ndarray
@@ -379,7 +378,7 @@ def save_logged(path, data: LoggedDataset) -> None:
 # -----------------------------------------------------------------------
 
 
-def kfold_split(n: int, num_folds: int, seed: int) -> FoldAssignment:
+def kfold_split(n: int, num_folds: int, seed: int) -> _FoldAssignment:
     """Assign records to folds: seeded permutation, then striping.
 
     Deterministic for a fixed seed; fold sizes differ by at most one.
@@ -391,7 +390,7 @@ def kfold_split(n: int, num_folds: int, seed: int) -> FoldAssignment:
     perm = np.random.default_rng(seed).permutation(n)
     fold_of = np.empty(n, dtype=np.int64)
     fold_of[perm] = np.arange(n) % num_folds
-    return FoldAssignment(fold_of, num_folds)
+    return _FoldAssignment(fold_of, num_folds)
 
 
 def simulate_logs(

@@ -207,8 +207,7 @@ def expected_reward_stochastic(policy: SoftmaxPolicy, test: LabeledDataset) -> f
 def argmax_accuracy(policy: SoftmaxPolicy, test: LabeledDataset) -> float:
     """Fraction of labeled examples where the argmax action is the label.
 
-    Ties in the logits resolve to the lowest action index, matching
-    :func:`crmlab.policies.argmax_action`.
+    Ties in the logits resolve to the lowest action index.
     """
     _check_dims(policy, test)
     logits = test.features @ policy.weights.T + policy.biases

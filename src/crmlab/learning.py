@@ -44,10 +44,9 @@ from .estimators import (
     _check_tau,
     _compensated_mean,
     _poem_statistic,
-    mean_param_risk,
     truncated_ips_risk,
 )
-from .policies import MixedLogitSpec, SoftmaxPolicy, _softmax_rows, param_distance_sq
+from .policies import SoftmaxPolicy, _softmax_rows
 from .seeding import derive_seed
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "two_step_learned_lpr",
     "cross_validate",
     "CVRow",
-    "nonconvex_bcrm_value",
     "solve_logging_nll_exact",
     "save_train_report",
     "save_trace_csv",
@@ -573,11 +571,6 @@ class CVRow:
     mean_score: float
 
 
-def _cv_epochs(config: TrainConfig) -> int:
-    # Tuning budget is capped at 100 epochs.
-    return min(config.epochs, 100)
-
-
 def _cv_job(
     data: LoggedDataset,
     method: str,
@@ -588,8 +581,7 @@ def _cv_job(
     prior: Optional[SoftmaxPolicy],
     seed: int,
 ) -> float:
-    cfg = replace(config, objective=method, lam=lam, seed=seed,
-                  epochs=_cv_epochs(config))
+    cfg = replace(config, objective=method, lam=lam, seed=seed)
     job_prior = prior if method in LPR_FAMILY else None
     try:
         report = train(cfg, data.subset(train_idx), prior=job_prior)
@@ -610,13 +602,13 @@ def cross_validate(
 ) -> tuple[float, list[CVRow]]:
     """Grid-search a regularization weight by k-fold cross-validation.
 
-    Each grid value trains on k−1 folds (100-epoch budget) and is scored by
-    the truncated importance-weighted reward estimate on the held-out fold;
-    scores are averaged over folds.  Returns the winning value (ties break
-    toward the smaller one; runs that diverge score −inf) and the full
-    table.  The grid always drives ``lam`` (the distance penalty for LPR/L2
-    methods, the variance penalty for the POEM methods); ``poem_l2``'s
-    ridge weight stays at ``config.lambda_l2``.
+    Each grid value trains on k−1 folds for ``config.epochs`` epochs and is
+    scored by the truncated importance-weighted reward estimate on the
+    held-out fold; scores are averaged over folds.  Returns the winning
+    value (ties break toward the smaller one; runs that diverge score −inf)
+    and the full table.  The grid always drives ``lam`` (the distance
+    penalty for LPR/L2 methods, the variance penalty for the POEM methods);
+    ``poem_l2``'s ridge weight stays at ``config.lambda_l2``.
 
     Jobs run in (value, fold) order, and each job's seed depends only on
     its own (value, fold) tag.
@@ -643,38 +635,6 @@ def cross_validate(
                            mean_score=_compensated_mean(np.array(scores))))
     best = max(table, key=lambda row: (row.mean_score, -row.lam))
     return best.lam, table
-
-
-# -----------------------------------------------------------------------
-# Variance-aware evaluation objective
-# -----------------------------------------------------------------------
-
-
-def nonconvex_bcrm_value(
-    spec: MixedLogitSpec, data: LoggedDataset, tau: float
-) -> float:
-    """Evaluation-only objective trading empirical risk against complexity:
-
-    mean_param_risk(mean, σ) + ‖mean−prior‖²/(σ0·τ·(n−1)) − d·ln(σ)/(τ·(n−1)).
-
-    A library function for comparing candidate (mean, σ) pairs; no
-    training path or subcommand calls it, and parameters are never
-    optimized through it (the convex paths do that).  Requires 0 < σ ≤ σ0.
-    """
-    if not (0.0 < spec.variance <= spec.prior_variance):
-        raise ValueError("variance must lie in (0, prior_variance]")
-    _check_tau(tau)
-    if data.n < 2:
-        raise ValueError("need n >= 2")
-    d_eff = spec.mean.k * spec.mean.d
-    scale = tau * (data.n - 1)
-    emp = mean_param_risk(
-        spec.mean, spec.variance, data.feature_norm_bound, data, tau
-    )
-    dist_sq = param_distance_sq(spec.mean, spec.prior_mean)
-    return emp + dist_sq / (spec.prior_variance * scale) - d_eff * math.log(
-        spec.variance
-    ) / scale
 
 
 # -----------------------------------------------------------------------

@@ -32,8 +32,6 @@ __all__ = [
     "zero_policy",
     "action_probs",
     "action_prob_matrix",
-    "sample_action",
-    "argmax_action",
     "mixed_logit_prob_mc",
     "mixed_logit_prob_bounds",
     "param_distance_sq",
@@ -158,24 +156,6 @@ def gumbel_noise(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard Gumbel variates via −ln(−ln u), u clamped inside (0, 1)."""
     u = np.clip(rng.uniform(size=shape), _U_LO, _U_HI)
     return -np.log(-np.log(u))
-
-
-def sample_action(
-    policy: SoftmaxPolicy, x: np.ndarray, rng: np.random.Generator
-) -> int:
-    """Sample an action by perturbing logits with Gumbel noise.
-
-    argmax_a (logit_a + γ_a) with γ_a i.i.d. standard Gumbel is distributed
-    exactly as the softmax probabilities of ``action_probs``.
-    """
-    x = _validate_context(policy, x)
-    return int(np.argmax(policy.logits(x) + gumbel_noise(rng, policy.k)))
-
-
-def argmax_action(policy: SoftmaxPolicy, x: np.ndarray) -> int:
-    """Index of the maximum logit; ties break toward the lowest index."""
-    x = _validate_context(policy, x)
-    return int(np.argmax(policy.logits(x)))
 
 
 def mixed_logit_prob_mc(

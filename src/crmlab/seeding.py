@@ -10,6 +10,8 @@ seed with a splitmix64 finalizer.  The derivation is a pure function of
 
 from __future__ import annotations
 
+__all__ = ["derive_seed"]
+
 _MASK = (1 << 64) - 1
 
 _FNV_OFFSET = 0xCBF29CE484222325

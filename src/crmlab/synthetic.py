@@ -14,7 +14,6 @@ Two task families back the experiment harness:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -250,32 +249,15 @@ def supervised_policy(
 
 
 def split_for_logging(
-    data: LabeledDataset,
-    num_train: int,
-    seed: int,
-    disjoint_trial: Optional[int] = None,
+    data: LabeledDataset, num_train: int, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Split labeled data into (logging-policy train slice, bandit slice).
 
-    Default mode draws an independent seeded permutation and takes the
-    first ``num_train`` examples for the supervised fit, leaving the rest
-    for bandit conversion.  Passing ``disjoint_trial=t`` instead reuses one
-    permutation (fixed by ``seed``) and takes the t-th disjoint block of
-    ``num_train`` examples, so successive trials never share fit data.
+    Draws a seeded permutation and takes the first ``num_train`` examples
+    for the supervised fit, leaving the rest for bandit conversion.
     """
     n = len(data)
     if not (0 < num_train < n):
         raise ValueError("num_train must lie strictly between 0 and n")
     perm = np.random.default_rng(seed).permutation(n)
-    if disjoint_trial is None:
-        head = perm[:num_train]
-        rest = perm[num_train:]
-    else:
-        t = disjoint_trial
-        if t < 0 or (t + 1) * num_train > n:
-            raise ValueError("disjoint_trial block exceeds the dataset")
-        head = perm[t * num_train : (t + 1) * num_train]
-        mask = np.ones(n, dtype=bool)
-        mask[head] = False
-        rest = perm[mask[perm]]
-    return data.subset(head), data.subset(rest)
+    return data.subset(perm[:num_train]), data.subset(perm[num_train:])

@@ -8,7 +8,6 @@ from crmlab import (
     MixedLogitSpec,
     SoftmaxPolicy,
     StabilityParams,
-    action_probs,
     c_term,
     crm_bound_all_tau,
     crm_bound_fixed_tau,
@@ -19,8 +18,6 @@ from crmlab import (
     mcallester_bound,
     mean_param_risk,
     mixed_logit_risk_bound,
-    stability_constant,
-    trpo_kl_upper,
     zero_policy,
 )
 from conftest import random_logged
@@ -223,15 +220,6 @@ class TestMixedLogitRiskBound:
 
 
 class TestStability:
-    def test_hand_values(self):
-        assert stability_constant(StabilityParams(1.0, 0.01, 100, 0.1)) == 1.0
-        assert stability_constant(StabilityParams(2.0, 0.1, 1000, 0.1)) == 0.02
-
-    def test_doubling_n_halves(self):
-        a = stability_constant(StabilityParams(1.5, 0.05, 200, 0.1))
-        b = stability_constant(StabilityParams(1.5, 0.05, 400, 0.1))
-        assert a == 2.0 * b
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             StabilityParams(0.0, 0.1, 10, 0.1)
@@ -285,33 +273,6 @@ class TestDataDepRiskBound:
         learned = data_dep_risk_bound(spec, logs400, 0.05, 0.1, params)
         known = mixed_logit_risk_bound(spec, logs400, 0.05, 0.1)
         assert learned > known
-
-
-class TestTrpoKlUpper:
-    def test_identical_policies(self):
-        pol = zero_policy(2, 3)
-        assert trpo_kl_upper(pol, pol, 5.0) == 0.0
-
-    def test_hand_value(self):
-        a, b = policy_with_distance_sq(1.0)
-        assert trpo_kl_upper(a, b, 3.0) == pytest.approx(6.0, rel=1e-15)
-
-    def test_bounds_empirical_max_kl(self):
-        rng = np.random.default_rng(35)
-        B = 2.0
-        for _ in range(10):
-            k, d = 3, 2
-            a = SoftmaxPolicy(rng.normal(size=(k, d)), np.zeros(k))
-            b = SoftmaxPolicy(rng.normal(size=(k, d)), np.zeros(k))
-            cap = trpo_kl_upper(a, b, B)
-            worst = 0.0
-            for _ in range(100):
-                x = rng.normal(size=d)
-                x = x / np.linalg.norm(x) * float(rng.uniform(0, B))
-                p = action_probs(b, x)
-                q = action_probs(a, x)
-                worst = max(worst, float(np.sum(p * np.log(p / q))))
-            assert worst <= cap + 1e-12
 
 
 class TestBoundMonotonicity:

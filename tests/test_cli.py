@@ -226,6 +226,22 @@ class TestTrain:
         )
         assert rc == 2 and "prior-model" in err
 
+    def test_k_mismatched_prior_names_file_and_shapes(self, ws, tmp_path,
+                                                       capsys):
+        prior = tmp_path / "k2.model"
+        save_model(prior, zero_policy(4, 2))
+        rc, out, err = run(
+            capsys, "train", "--logged", ws / "logs.csv", "--k", "3",
+            "--objective", "ips_lpr", "--prior-model", prior, "--epochs", "1",
+            "--out", tmp_path / "x.model",
+        )
+        assert rc == 2 and out == ""
+        assert err == (
+            f"crmlab: error: {prior}: prior weights have shape (2, 4), "
+            f"model has (3, 4)\n"
+        )
+        assert list(tmp_path.iterdir()) == [prior]
+
     def test_sigma_above_sigma0_rejected(self, ws, tmp_path, capsys):
         rc, _, err = run(
             capsys, "train", "--logged", ws / "logs.csv", "--k", "3",
@@ -361,6 +377,22 @@ class TestTune:
         assert rc == 2 and out == ""
         assert err.startswith("crmlab: error:") and err.count("\n") == 1
         assert "prior" in err and "(2, 4)" in err and "(3, 4)" in err
+        assert err == (
+            f"crmlab: error: {tmp_path / 'k2.model'}: prior weights have "
+            f"shape (2, 4), model has (3, 4)\n"
+        )
+
+    def test_every_grid_value_diverged_exits_three(self, ws, tmp_path,
+                                                   capsys):
+        rc, out, err = run(
+            capsys, "tune", "--logged", ws / "logs.csv", "--k", "3",
+            "--method", "ips_l2", "--grid", "inf", "--folds", "2",
+            "--epochs", "2", "--out", tmp_path / "cv.csv",
+        )
+        assert rc == 3 and out == ""
+        assert err.startswith("crmlab: numeric failure:")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_rerun_is_byte_identical(self, ws, tmp_path, capsys):
         paths = [tmp_path / "cv_a.csv", tmp_path / "cv_b.csv"]
@@ -661,6 +693,16 @@ class TestBound:
         )
         assert rc == 2
         assert err.startswith("crmlab: error:")
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--sigma0"])
+    def test_infinite_variance_flag_named(self, ws, posterior_model, capsys,
+                                          flag):
+        rc, out, err = run(
+            capsys, "bound", "--model", posterior_model,
+            "--logged", ws / "logs.csv", flag, "inf",
+        )
+        assert rc == 2 and out == ""
+        assert err == f"crmlab: error: {flag} must be finite, got inf\n"
 
 
 class _ReadRecorder(argparse.Namespace):

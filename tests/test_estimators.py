@@ -203,6 +203,20 @@ class TestSupervisedMetrics:
         expected = float(np.mean(labeled10.labels == 0))
         assert argmax_accuracy(zero_policy(10, 10), labeled10) == expected
 
+    def test_argmax_tie_breaks_to_lowest_index(self):
+        # Actions 1 and 2 share the largest logit; action 1 is chosen.
+        data = LabeledDataset(np.zeros((2, 1)), np.array([1, 2]), 3)
+        pol = SoftmaxPolicy(np.zeros((3, 1)), np.array([0.0, 1.0, 1.0]))
+        assert argmax_accuracy(pol, data) == 0.5
+
+    def test_argmax_invariant_under_positive_tempering(self, labeled10):
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            pol = SoftmaxPolicy(rng.normal(size=(10, 10)), rng.normal(size=10))
+            base = argmax_accuracy(pol, labeled10)
+            for kappa in (0.3, 1.0, 2.5, 17.0):
+                assert argmax_accuracy(temper(pol, kappa), labeled10) == base
+
     def test_temper_zero_makes_stochastic_reward_uniform(self, labeled10):
         rng = np.random.default_rng(25)
         pol = SoftmaxPolicy(rng.normal(size=(10, 10)), rng.normal(size=10))

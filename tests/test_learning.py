@@ -9,14 +9,12 @@ from crmlab import learning
 from crmlab import (
     DivergenceError,
     LoggedDataset,
-    MixedLogitSpec,
     SoftmaxPolicy,
     TrainConfig,
     closed_form_sigma,
     cross_validate,
     derive_seed,
     learn_logging_policy,
-    nonconvex_bcrm_value,
     objective_gradient,
     objective_value,
     param_distance_sq,
@@ -564,6 +562,21 @@ class TestCrossValidate:
                                                 0.01)
             assert row.fold_scores[fold] == expected
 
+    def test_jobs_train_the_configured_epochs(self, logs400):
+        # Each job trains config.epochs epochs, 101 here, with no cap.
+        _, table = cross_validate(
+            logs400, "ips_l2", [1e-3], 2, 7, cfg("ips_l2", epochs=101),
+        )
+        from crmlab import kfold_split
+
+        folds = kfold_split(logs400.n, 2, derive_seed(7, "cv-folds"))
+        job_cfg = cfg("ips_l2", lam=1e-3, epochs=101,
+                      seed=derive_seed(7, f"cv:lam={1e-3!r}:fold=0"))
+        report = train(job_cfg, logs400.subset(folds.train_indices(0)))
+        holdout = logs400.subset(folds.holdout_indices(0))
+        assert table[0].fold_scores[0] == 1.0 - truncated_ips_risk(
+            report.final_policy, holdout, 0.01)
+
     def test_validation(self, logs400, logging_policy):
         with pytest.raises(ValueError):
             cross_validate(logs400, "ips_l2", [], 3, 0, cfg("ips_l2"))
@@ -577,67 +590,6 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(logs400, "ips_l2", [1e-3], 3, 0, cfg("ips_l2"),
                            prior=logging_policy)
-
-
-class TestNonconvexValue:
-    def test_boundary_hand_value(self):
-        # theta=prior, sigma=sigma0, zero rewards: mean_param_risk is 1 and
-        # the distance term vanishes.
-        X = np.zeros((6, 1))
-        data = LoggedDataset(X, np.zeros(6, dtype=int), np.ones(6),
-                             np.zeros(6), 2, 0.0)
-        pol = zero_policy(1, 2)
-        sigma0 = 0.25
-        spec = MixedLogitSpec(pol, sigma0, pol, sigma0)
-        tau = 0.1
-        expected = 1.0 - 2 * math.log(sigma0) / (tau * 5)
-        assert nonconvex_bcrm_value(spec, data, tau) == pytest.approx(
-            expected, rel=1e-14
-        )
-
-    def test_distance_term_vanishes_at_prior(self, logs400, logging_policy):
-        spec = MixedLogitSpec(logging_policy, 0.3, logging_policy, 1.0)
-        from crmlab import mean_param_risk
-
-        tau = 0.05
-        d_eff = logs400.k * logs400.d
-        expected = mean_param_risk(
-            logging_policy, 0.3, logs400.feature_norm_bound, logs400, tau
-        ) - d_eff * math.log(0.3) / (tau * (logs400.n - 1))
-        assert nonconvex_bcrm_value(spec, logs400, tau) == pytest.approx(
-            expected, rel=1e-12
-        )
-
-    def test_closed_form_sigma_wins_grid_at_boundary_regime(self, logs400,
-                                                            logging_policy):
-        # With sigma0 well below the unconstrained optimum the sub-objective
-        # is decreasing on (0, sigma0], so the clamped closed form is the
-        # grid winner.
-        tau = 0.05
-        sigma0 = 0.01
-        d_eff = logs400.k * logs400.d
-        star = closed_form_sigma(logs400, tau, logs400.feature_norm_bound,
-                                 d_eff, sigma0)
-        assert star == sigma0
-        best = nonconvex_bcrm_value(
-            MixedLogitSpec(logging_policy, star, logging_policy, sigma0),
-            logs400, tau,
-        )
-        rng = np.random.default_rng(56)
-        for sigma in rng.uniform(1e-4, sigma0, size=10):
-            other = nonconvex_bcrm_value(
-                MixedLogitSpec(logging_policy, float(sigma), logging_policy,
-                               sigma0),
-                logs400, tau,
-            )
-            assert best <= other
-
-    def test_rejects_sigma_outside_domain(self, logs400, logging_policy):
-        with pytest.raises(ValueError):
-            nonconvex_bcrm_value(
-                MixedLogitSpec(logging_policy, 0.0, logging_policy, 1.0),
-                logs400, 0.05,
-            )
 
 
 class TestWnllConvexity:

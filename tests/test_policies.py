@@ -9,17 +9,14 @@ from crmlab import (
     SoftmaxPolicy,
     action_prob_matrix,
     action_probs,
-    argmax_action,
-    gumbel_noise,
     load_model,
     mixed_logit_prob_bounds,
     mixed_logit_prob_mc,
     param_distance_sq,
-    sample_action,
     save_model,
-    temper,
     zero_policy,
 )
+from crmlab.policies import gumbel_noise
 
 
 def bias_policy(biases, d=1):
@@ -74,32 +71,11 @@ class TestActionProbs:
 
 
 class TestSampling:
-    def test_single_action_policy(self):
-        rng = np.random.default_rng(0)
-        pol = zero_policy(2, 1)
-        assert all(sample_action(pol, np.zeros(2), rng) == 0 for _ in range(20))
-
-    def test_uniform_frequencies(self):
-        rng = np.random.default_rng(42)
-        pol = zero_policy(1, 4)
-        x = np.zeros(1)
-        counts = np.zeros(4)
-        for _ in range(100_000):
-            counts[sample_action(pol, x, rng)] += 1
-        np.testing.assert_allclose(counts / 100_000, 0.25, atol=0.006)
-
-    def test_matches_softmax_frequency(self):
-        rng = np.random.default_rng(43)
-        pol = bias_policy([1.0, 0.0])
-        x = np.zeros(1)
-        hits = sum(sample_action(pol, x, rng) == 0 for _ in range(100_000))
-        assert abs(hits / 100_000 - 0.731) < 0.006
-
     def test_goodness_of_fit(self):
         """Gumbel-argmax draws follow the softmax distribution.
 
-        Uses the same perturb-and-argmax rule as sample_action, batched so
-        that 10 policies x 100,000 draws stay fast.
+        Uses the perturb-and-argmax rule of simulate_logs and task_logs,
+        batched so that 10 policies x 100,000 draws stay fast.
         """
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -112,26 +88,6 @@ class TestSampling:
             expected = 100_000 * action_probs(pol, x)
             result = scipy.stats.chisquare(counts, expected)
             assert result.pvalue > 0.001
-
-
-class TestArgmax:
-    def test_unique_max(self):
-        assert argmax_action(bias_policy([0.0, 0.0, 1.0]), np.zeros(1)) == 2
-
-    def test_tie_breaks_to_lowest_index(self):
-        assert argmax_action(zero_policy(1, 3), np.zeros(1)) == 0
-
-    def test_negative_logits(self):
-        assert argmax_action(bias_policy([-5.0, -1.0]), np.zeros(1)) == 1
-
-    def test_invariant_under_positive_tempering(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            pol = SoftmaxPolicy(rng.normal(size=(4, 3)), rng.normal(size=4))
-            x = rng.normal(size=3)
-            base = argmax_action(pol, x)
-            for kappa in (0.3, 1.0, 2.5, 17.0):
-                assert argmax_action(temper(pol, kappa), x) == base
 
 
 class TestMixedLogitSpec:
