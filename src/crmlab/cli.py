@@ -263,10 +263,6 @@ def cmd_tune(ns: argparse.Namespace) -> int:
         logs, ns.method, grid, ns.folds, derive_seed(ns.seed, "tune"), config,
         prior=prior,
     )
-    if all(row.mean_score == -math.inf for row in table):
-        raise FloatingPointError(
-            "training diverged for every grid value; no lambda to select"
-        )
     header = (
         ["lambda"]
         + [f"fold{i}" for i in range(ns.folds)]

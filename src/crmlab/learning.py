@@ -24,6 +24,15 @@ gradients average the data term over the batch while the penalty term is
 applied at full strength every step.  The variance-regularized objectives
 rebuild a majorizing surrogate at the start of every epoch and descend the
 surrogate within the epoch.  Any non-finite objective aborts the run.
+
+Each epoch gathers its shuffled records once; mini-batches are slices of
+that gather.  :func:`train` evaluates the exact objective on the full data
+after every epoch and keeps it as the trace.  Callers that keep only the
+final policy (cross-validation jobs and :func:`learn_logging_policy`) run
+trace-free: at each epoch end a cheap certificate (see
+:func:`_objective_certified`) proves the objective finite, and the full
+objective is evaluated only when the certificate fails.  Both paths raise
+the same :class:`DivergenceError` at the same point.
 """
 
 from __future__ import annotations
@@ -156,15 +165,39 @@ def _check_prior(objective: str, prior: Optional[SoftmaxPolicy]) -> None:
 
 
 def _probs_and_matched(
-    W: np.ndarray, b: np.ndarray, X: np.ndarray, a: np.ndarray
+    W: np.ndarray,
+    b: np.ndarray,
+    X: np.ndarray,
+    a: np.ndarray,
+    rows: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax rows of the records and their logged-action entries.
+
+    ``rows`` is ``np.arange(n)`` for the n records, or None to build it.
+    """
     P = _softmax_rows(X @ W.T + b)
-    return P, P[np.arange(X.shape[0]), a]
+    return P, P[np.arange(X.shape[0]) if rows is None else rows, a]
 
 
 def _weights_penalty_sq(W: np.ndarray, W0: Optional[np.ndarray]) -> float:
     diff = W if W0 is None else W - W0
     return float(np.sum(diff * diff))
+
+
+def _ridge_penalty(
+    config: TrainConfig, W: np.ndarray, W0: Optional[np.ndarray]
+) -> float:
+    """The objective's weights-only penalty: lam·‖W−W0‖² for LPR,
+    lam·‖W‖² for ``ips_l2`` and ``logging_nll``, lambda_l2·‖W‖² for
+    ``poem_l2`` and 0 for ``poem``."""
+    obj = config.objective
+    if obj in LPR_FAMILY:
+        return config.lam * _weights_penalty_sq(W, W0)
+    if obj == "poem":
+        return 0.0
+    if obj == "poem_l2":
+        return config.lambda_l2 * _weights_penalty_sq(W, None)
+    return config.lam * _weights_penalty_sq(W, None)
 
 
 def objective_value(
@@ -182,34 +215,74 @@ def objective_value(
     if policy.d != data.d:
         raise ValueError("policy and data dimensions disagree")
     W, b = policy.weights, policy.biases
+    W0 = None if prior is None else prior.weights
     _, pi = _probs_and_matched(W, b, data.features, data.actions)
     p, r = data.propensities, data.rewards
-    tau, lam = config.tau, config.lam
+    tau = config.tau
     obj = config.objective
 
     if obj in ("ips_lpr", "ips_l2"):
         data_term = _compensated_mean(-r * pi / np.maximum(p, tau))
-        W0 = prior.weights if obj == "ips_lpr" else None
-        return data_term + lam * _weights_penalty_sq(W, W0)
+        return data_term + _ridge_penalty(config, W, W0)
     if obj == "wnll_lpr":
         terms = np.zeros(data.n)
         mask = r > 0.0
         with np.errstate(divide="ignore"):
             terms[mask] = -r[mask] * np.log(pi[mask]) / np.maximum(p[mask], tau)
-        return _compensated_mean(terms) + lam * _weights_penalty_sq(W, prior.weights)
+        return _compensated_mean(terms) + _ridge_penalty(config, W, W0)
     if obj == "logging_nll":
         with np.errstate(divide="ignore"):
             terms = -np.log(pi)
-        return _compensated_mean(terms) + lam * _weights_penalty_sq(W, None)
+        return _compensated_mean(terms) + _ridge_penalty(config, W, W0)
     if obj in POEM_FAMILY:
         if data.n < 2:
             raise ValueError("variance-regularized objectives need n >= 2")
         _, _, mean_u, var_u = _poem_statistic(pi, p, r, tau)
-        value = -mean_u + lam * math.sqrt(var_u / data.n)
+        value = -mean_u + config.lam * math.sqrt(var_u / data.n)
         if obj == "poem_l2":
-            value += config.lambda_l2 * _weights_penalty_sq(W, None)
+            value += _ridge_penalty(config, W, W0)
         return value
     raise AssertionError(obj)
+
+
+# Epoch-end certificate of the trace-free fit.  The logit bound keeps exp()
+# and ln(pi) far from overflow and underflow; the term bound keeps every
+# per-record term, its square and their sums over any in-memory dataset far
+# below the float maximum, and the penalty bound leaves room to add them.
+_LOGIT_BOUND = 300.0
+_TERM_BOUND = 1e100
+_PENALTY_BOUND = 1e300
+
+
+def _objective_certified(
+    config: TrainConfig,
+    W: np.ndarray,
+    b: np.ndarray,
+    W0: Optional[np.ndarray],
+    data: LoggedDataset,
+) -> bool:
+    """True only when :func:`objective_value` at (W, b) on ``data`` is
+    certainly finite, at O(k·d) cost.
+
+    With B = ``data.feature_norm_bound`` ≥ every ‖x_i‖ and
+    S = ‖W‖_F·B + ‖b‖_∞, every logit lies in [−S, S], so the softmax gives
+    pi ≥ exp(−2S)/k > 0 and |ln pi| ≤ 2S + ln k.  Rewards lie in [0, 1], so
+    every per-record data term (and every POEM u) is at most
+    (2S + ln k + 1)/tau, and the POEM variance term lam·sqrt(S_u/n) is at
+    most lam/tau.  The ridge penalty is computed exactly as
+    :func:`objective_value` computes it.  Anything NaN or infinite fails the
+    certificate; a failure only means "evaluate the objective".
+    """
+    S = math.sqrt(_weights_penalty_sq(W, None)) * data.feature_norm_bound
+    S += float(np.max(np.abs(b)))
+    if not S < _LOGIT_BOUND:
+        return False
+    if not (2.0 * S + math.log(data.k) + 1.0) / config.tau < _TERM_BOUND:
+        return False
+    penalty = _ridge_penalty(config, W, W0)
+    if config.objective in POEM_FAMILY:
+        penalty += config.lam / config.tau
+    return penalty < _PENALTY_BOUND
 
 
 # -----------------------------------------------------------------------
@@ -217,31 +290,53 @@ def objective_value(
 # -----------------------------------------------------------------------
 
 
+def _coefficient_columns(
+    config: TrainConfig,
+    data: LoggedDataset,
+    surrogate: Optional[PoemSurrogate] = None,
+) -> tuple[np.ndarray, ...]:
+    """The per-record arrays, in record order, that the objective's gradient
+    coefficient reads: the weighted reward −r/max(p, tau) for the IPS and
+    WNLL objectives, (p, r) for the POEM objectives followed by the
+    ``surrogate``'s (alpha, beta) when one is given, and none for
+    ``logging_nll``."""
+    obj = config.objective
+    if obj == "logging_nll":
+        return ()
+    p, r = data.propensities, data.rewards
+    if obj in POEM_FAMILY:
+        if surrogate is None:
+            return (p, r)
+        return (p, r, surrogate.alpha, surrogate.beta)
+    return (-r / np.maximum(p, config.tau),)
+
+
 def _batch_gradient(
     config: TrainConfig,
     W: np.ndarray,
     b: np.ndarray,
     W0: Optional[np.ndarray],
-    data: LoggedDataset,
-    idx,
-    surrogate: Optional[PoemSurrogate] = None,
+    X: np.ndarray,
+    a: np.ndarray,
+    columns: tuple[np.ndarray, ...],
+    rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Training gradient w.r.t. (W, b) on the mini-batch ``data[idx]``.
+    """Training gradient w.r.t. (W, b) on the gathered mini-batch (X, a).
 
-    Every data term has the per-record logit gradient c_i·(e_{a_i} − P_i),
-    so the objectives differ only in the coefficient c_i, which carries the
-    1/m batch average.  Given a ``surrogate`` the POEM objectives follow its
-    majorizer; otherwise they take the exact gradient of
-    mean(-u) + lam·sqrt(S/m) treating the batch as the dataset.
+    ``columns`` are the batch's entries of :func:`_coefficient_columns`,
+    gathered in the order of ``X``, and ``rows`` is ``np.arange(m)`` for
+    the m batch records.  Every data term has the per-record logit gradient
+    c_i·(e_{a_i} − P_i), so the objectives differ only in the coefficient
+    c_i, which carries the 1/m batch average.  Given surrogate columns the
+    POEM objectives follow the majorizer; otherwise they take the exact
+    gradient of mean(-u) + lam·sqrt(S/m) treating the batch as the dataset.
     Ratio-capped records contribute zero through u (the flat side of the
     min).  The weights-only penalty is added at full strength.
     """
-    X, a = data.features[idx], data.actions[idx]
-    p, r = data.propensities[idx], data.rewards[idx]
     m = X.shape[0]
-    P, pi = _probs_and_matched(W, b, X, a)
+    P, pi = _probs_and_matched(W, b, X, a, rows)
     E_minus_P = -P
-    E_minus_P[np.arange(m), a] += 1.0
+    E_minus_P[rows, a] += 1.0
     obj, tau, lam = config.objective, config.tau, config.lam
 
     if obj == "logging_nll":
@@ -250,11 +345,14 @@ def _batch_gradient(
         G = E_minus_P / -m
     else:
         if obj in ("ips_lpr", "ips_l2"):
-            coef = -r / np.maximum(p, tau) * pi / m
+            (weighted_reward,) = columns
+            coef = weighted_reward * pi / m
         elif obj == "wnll_lpr":
-            coef = -r / np.maximum(p, tau) / m
+            (weighted_reward,) = columns
+            coef = weighted_reward / m
         else:
-            exact = surrogate is None
+            p, r, *majorizer = columns
+            exact = not majorizer
             if exact and m < 2:
                 raise ValueError("variance-regularized gradients need a batch of >= 2")
             ratio, u, mean_u, var_u = _poem_statistic(pi, p, r, tau, moments=exact)
@@ -265,7 +363,7 @@ def _batch_gradient(
                     dF_du += lam * (u - mean_u) / (math.sqrt(var_u / m) * m * (m - 1))
                 coef = dF_du * du_dz
             else:
-                alpha, beta = surrogate.alpha[idx], surrogate.beta[idx]
+                alpha, beta = majorizer
                 coef = (2.0 * alpha * u + beta) * du_dz / m
         G = coef[:, None] * E_minus_P
     gW, gb = G.T @ X, G.sum(axis=0)
@@ -300,8 +398,10 @@ def objective_gradient(
         policy.weights,
         policy.biases,
         None if prior is None else prior.weights,
-        batch,
-        slice(None),
+        batch.features,
+        batch.actions,
+        _coefficient_columns(config, batch),
+        np.arange(batch.n),
     )
 
 
@@ -354,10 +454,13 @@ class PoemSurrogate:
             raise ValueError("surrogate was built for a different dataset")
         # The surrogate majorizes the poem data term; poem_l2's ridge is not
         # part of it.
+        config = TrainConfig(objective="poem", tau=self.tau)
+        idx = slice(None) if indices is None else indices
+        X, a = data.features[idx], data.actions[idx]
+        columns = tuple(c[idx] for c in _coefficient_columns(config, data, self))
         return _batch_gradient(
-            TrainConfig(objective="poem", tau=self.tau),
-            policy.weights, policy.biases, None, data,
-            slice(None) if indices is None else indices, self,
+            config, policy.weights, policy.biases, None, X, a, columns,
+            np.arange(X.shape[0]),
         )
 
 
@@ -449,6 +552,8 @@ def train(
     config: TrainConfig,
     data: LoggedDataset,
     prior: Optional[SoftmaxPolicy] = None,
+    *,
+    _trace: bool = True,
 ) -> TrainReport:
     """Run the full seeded protocol and return the trained policy.
 
@@ -457,7 +562,15 @@ def train(
     dataset at the end of every epoch.  POEM-family runs rebuild their
     surrogate at each epoch start and follow surrogate gradients; all other
     objectives follow their exact mini-batch gradients.  Raises
-    :class:`DivergenceError` the moment anything non-finite appears.
+    :class:`DivergenceError` the moment anything non-finite appears: a
+    non-finite batch gradient names its epoch and batch, a non-finite
+    epoch-end objective its epoch.
+
+    The private ``_trace=False`` is for callers inside this module that keep
+    only the final policy.  Such a run returns an empty trace and detects a
+    non-finite epoch-end objective through :func:`_objective_certified`,
+    evaluating the objective only where the certificate fails; the final
+    policy and every raise are those of the traced run.
     """
     _check_prior(config.objective, prior)
     if prior is not None and prior.weights.shape != (data.k, data.d):
@@ -474,34 +587,49 @@ def train(
     acc_b = np.zeros(k)
     rng = np.random.default_rng(config.seed)
     is_poem = config.objective in POEM_FAMILY
-    surrogate = None
     W0 = prior.weights if prior is not None else None
+    columns = _coefficient_columns(config, data)
+    rows = np.arange(_BATCH_SIZE)
 
     trace: list[float] = []
     epoch_times: list[float] = []
     for epoch in range(config.epochs):
+        epoch_columns = columns
         if is_poem:
-            anchor = SoftmaxPolicy(W, b)
-            surrogate = poem_build_surrogate(anchor, data, config.tau, config.lam)
+            surrogate = poem_build_surrogate(
+                SoftmaxPolicy(W, b), data, config.tau, config.lam
+            )
+            epoch_columns = columns + (surrogate.alpha, surrogate.beta)
         perm = rng.permutation(n)
+        X, a = data.features[perm], data.actions[perm]
+        epoch_columns = tuple(c[perm] for c in epoch_columns)
         # Non-finite values inside a batch are not a condition numpy should
         # warn about: they are detected and raised as DivergenceError.
         with np.errstate(over="ignore", invalid="ignore"):
             for batch_index, start in enumerate(range(0, n, _BATCH_SIZE)):
-                idx = perm[start : start + _BATCH_SIZE]
-                gW, gb = _batch_gradient(config, W, b, W0, data, idx, surrogate)
-                if not (np.all(np.isfinite(gW)) and np.all(np.isfinite(gb))):
+                batch = slice(start, start + _BATCH_SIZE)
+                gW, gb = _batch_gradient(
+                    config, W, b, W0, X[batch], a[batch],
+                    tuple(c[batch] for c in epoch_columns), rows[: n - start],
+                )
+                # The sum is non-finite whenever an entry is; a sum of finite
+                # entries that overflows is re-checked entry by entry.
+                if not math.isfinite(gW.sum() + gb.sum()) and not (
+                    np.isfinite(gW).all() and np.isfinite(gb).all()
+                ):
                     raise DivergenceError(epoch, batch_index, float("nan"))
                 acc_W += gW * gW
                 W -= _LEARNING_RATE * gW / (_ADAGRAD_SMOOTHING + np.sqrt(acc_W))
                 if config.train_biases:
                     acc_b += gb * gb
                     b -= _LEARNING_RATE * gb / (_ADAGRAD_SMOOTHING + np.sqrt(acc_b))
-        value = objective_value(config, SoftmaxPolicy(W, b), prior, data)
-        if not math.isfinite(value):
-            raise DivergenceError(epoch, None, value)
-        trace.append(value)
-        epoch_times.append(time.perf_counter() - t0)
+        if _trace or not _objective_certified(config, W, b, W0, data):
+            value = objective_value(config, SoftmaxPolicy(W, b), prior, data)
+            if not math.isfinite(value):
+                raise DivergenceError(epoch, None, value)
+            if _trace:
+                trace.append(value)
+                epoch_times.append(time.perf_counter() - t0)
 
     if config.objective == "logging_nll":
         sigma_star: Optional[float] = None
@@ -539,7 +667,7 @@ def learn_logging_policy(
         objective="logging_nll", lam=lam, epochs=epochs, seed=seed,
         train_biases=False,
     )
-    return train(config, data).final_policy
+    return train(config, data, _trace=False).final_policy
 
 
 def two_step_learned_lpr(data: LoggedDataset, config: TrainConfig) -> TrainReport:
@@ -584,7 +712,7 @@ def _cv_job(
     cfg = replace(config, objective=method, lam=lam, seed=seed)
     job_prior = prior if method in LPR_FAMILY else None
     try:
-        report = train(cfg, data.subset(train_idx), prior=job_prior)
+        report = train(cfg, data.subset(train_idx), prior=job_prior, _trace=False)
     except DivergenceError:
         return float("-inf")
     holdout = data.subset(holdout_idx)
@@ -606,9 +734,11 @@ def cross_validate(
     scored by the truncated importance-weighted reward estimate on the
     held-out fold; scores are averaged over folds.  Returns the winning
     value (ties break toward the smaller one; runs that diverge score −inf)
-    and the full table.  The grid always drives ``lam`` (the distance
-    penalty for LPR/L2 methods, the variance penalty for the POEM methods);
-    ``poem_l2``'s ridge weight stays at ``config.lambda_l2``.
+    and the full table, or raises ``FloatingPointError`` when every grid
+    value scores −inf, since there is then no value to select.  The grid
+    always drives ``lam`` (the distance penalty for LPR/L2 methods, the
+    variance penalty for the POEM methods); ``poem_l2``'s ridge weight stays
+    at ``config.lambda_l2``.
 
     Jobs run in (value, fold) order, and each job's seed depends only on
     its own (value, fold) tag.
@@ -633,6 +763,10 @@ def cross_validate(
         )
         table.append(CVRow(lam=lam, fold_scores=scores,
                            mean_score=_compensated_mean(np.array(scores))))
+    if all(row.mean_score == -math.inf for row in table):
+        raise FloatingPointError(
+            "training diverged for every grid value; no lambda to select"
+        )
     best = max(table, key=lambda row: (row.mean_score, -row.lam))
     return best.lam, table
 

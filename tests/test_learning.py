@@ -7,6 +7,8 @@ import pytest
 
 from crmlab import learning
 from crmlab import (
+    LPR_FAMILY,
+    OBJECTIVES,
     DivergenceError,
     LoggedDataset,
     SoftmaxPolicy,
@@ -23,6 +25,7 @@ from crmlab import (
     save_train_report,
     solve_logging_nll_exact,
     simulate_logs,
+    task_logs,
     train,
     truncated_ips_risk,
     two_step_learned_lpr,
@@ -356,6 +359,32 @@ class TestClosedFormSigma:
             closed_form_sigma(one_record(0.5, 1.0), 0.1, 1.0, 2, 1.0)
 
 
+def count_objective_calls(monkeypatch):
+    """Record every objective_value call that training makes from now on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return objective_value(*args, **kwargs)
+
+    monkeypatch.setattr(learning, "objective_value", counted)
+    return calls
+
+
+def equal_u_logged():
+    """Logs where the zero policy gives every record the same POEM u.
+
+    Rewards and propensities are constant and k=2, so at the zero policy the
+    sample variance of u is exactly zero and the surrogate drops the variance
+    penalty, while the varied contexts still move the weights.
+    """
+    rng = np.random.default_rng(58)
+    X = rng.normal(size=(120, 3))
+    return LoggedDataset(X, rng.integers(0, 2, size=120), np.full(120, 0.5),
+                         np.ones(120), 2,
+                         float(np.sqrt((X * X).sum(axis=1).max())))
+
+
 class TestTrain:
     def test_zero_epochs_returns_zero_policy(self, logs400):
         report = train(cfg("ips_l2", epochs=0), logs400)
@@ -395,6 +424,77 @@ class TestTrain:
         assert err.value.epoch == 0
         assert err.value.batch == 0
 
+    @pytest.mark.parametrize("train_biases", [True, False])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_trace_free_fit_matches_traced(self, logs400, logging_policy,
+                                           monkeypatch, objective,
+                                           train_biases):
+        # 350 records: three full batches and a partial one of 50.
+        data = logs400.subset(range(350))
+        config = cfg(objective, lam=1e-3, lambda_l2=1e-3, epochs=4, seed=5,
+                     train_biases=train_biases)
+        prior = logging_policy if objective in LPR_FAMILY else None
+        traced = train(config, data, prior)
+        calls = count_objective_calls(monkeypatch)
+        lean = train(config, data, prior, _trace=False)
+        np.testing.assert_array_equal(lean.final_policy.weights,
+                                      traced.final_policy.weights)
+        np.testing.assert_array_equal(lean.final_policy.biases,
+                                      traced.final_policy.biases)
+        assert len(traced.objective_trace) == 4
+        assert lean.objective_trace == []
+        # The certificate holds on a well-conditioned run, so the trace-free
+        # fit never evaluates the full objective.
+        assert calls == []
+
+    def test_failed_certificate_consults_objective(self, logs400,
+                                                   monkeypatch):
+        # A feature-norm bound of 1e300 is valid but makes the logit bound
+        # S = ‖W‖·B + ‖b‖ useless once W moves, so every epoch falls back.
+        wide = LoggedDataset(logs400.features, logs400.actions,
+                             logs400.propensities, logs400.rewards,
+                             logs400.k, 1e300)
+        config = cfg("wnll_lpr", lam=1e-3, epochs=3, seed=4)
+        prior = zero_policy(wide.d, wide.k)
+        traced = train(config, wide, prior)
+        calls = count_objective_calls(monkeypatch)
+        lean = train(config, wide, prior, _trace=False)
+        assert len(calls) == 3
+        np.testing.assert_array_equal(lean.final_policy.weights,
+                                      traced.final_policy.weights)
+
+    def test_nonfinite_epoch_objective_raises_on_both_paths(self,
+                                                            monkeypatch):
+        data = equal_u_logged()
+        config = cfg("poem", lam=math.inf, epochs=2, seed=0)
+        with pytest.raises(DivergenceError) as traced:
+            train(config, data)
+        calls = count_objective_calls(monkeypatch)
+        with pytest.raises(DivergenceError) as lean:
+            train(config, data, _trace=False)
+        assert len(calls) == 1
+        for err in (traced, lean):
+            assert err.value.epoch == 0
+            assert err.value.batch is None
+        assert str(lean.value) == str(traced.value)
+
+    def test_overflowing_gradient_sum_does_not_abort(self):
+        # Two equal records at propensity and tau 1e-300: every gradient
+        # entry is finite, but two of them sum past the float maximum.
+        x = np.array([[5e8, 5e8]] * 2)
+        data = LoggedDataset(x, np.array([0, 0]), np.full(2, 1e-300),
+                             np.ones(2), 2, float(np.linalg.norm(x[0])))
+        config = cfg("ips_l2", tau=1e-300, epochs=2)
+        gW, gb = objective_gradient(config, zero_policy(2, 2), None, data)
+        assert np.isfinite(gW).all() and np.isfinite(gb).all()
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(gW.sum() + gb.sum())
+        report = train(config, data)
+        assert all(math.isfinite(v) for v in report.objective_trace)
+        lean = train(config, data, _trace=False)
+        np.testing.assert_array_equal(lean.final_policy.weights,
+                                      report.final_policy.weights)
+
     def test_trace_length_equals_epochs(self, logs400):
         report = train(cfg("poem", lam=0.5, epochs=7, seed=1), logs400)
         assert len(report.objective_trace) == 7
@@ -414,6 +514,46 @@ class TestTrain:
             train(cfg("ips_lpr", epochs=1), logs400)
         with pytest.raises(ValueError):
             train(cfg("poem", epochs=1), logs400, prior=logging_policy)
+
+
+class TestObjectiveCertificate:
+    """The trace-free fit's epoch-end check: True only where the exact
+    objective is certainly finite, and False (never an error) otherwise."""
+
+    @staticmethod
+    def certified(config, data, W, b=None, W0=None):
+        b = np.zeros(W.shape[0]) if b is None else b
+        return learning._objective_certified(config, W, b, W0, data)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_holds_near_the_zero_policy(self, logs400, objective):
+        W = np.full((logs400.k, logs400.d), 0.1)
+        W0 = np.zeros_like(W) if objective in LPR_FAMILY else None
+        assert self.certified(cfg(objective, lam=1.0), logs400, W, W0=W0)
+
+    def test_fails_on_large_logits(self, logs400):
+        W = np.full((logs400.k, logs400.d), 1e3)
+        assert not self.certified(cfg("ips_l2"), logs400, W)
+        b = np.full(logs400.k, 1e3)
+        assert not self.certified(cfg("ips_l2"), logs400, 0.0 * W, b)
+
+    def test_fails_on_nan_norm_bound(self, logs400):
+        # A NaN bound passes dataset validation; it must not pass here.
+        data = LoggedDataset(logs400.features, logs400.actions,
+                             logs400.propensities, logs400.rewards,
+                             logs400.k, float("nan"))
+        assert not self.certified(cfg("ips_l2"), data,
+                                  np.zeros((data.k, data.d)))
+
+    def test_fails_on_unbounded_data_terms(self, logs400):
+        W = np.zeros((logs400.k, logs400.d))
+        assert not self.certified(cfg("ips_l2", tau=1e-200), logs400, W)
+
+    def test_fails_on_unbounded_penalties(self, logs400):
+        W = np.ones((logs400.k, logs400.d))
+        assert not self.certified(cfg("ips_l2", lam=1e308), logs400, W)
+        assert not self.certified(cfg("poem", lam=math.inf), logs400, 0 * W)
+        assert not self.certified(cfg("poem_l2", lambda_l2=1e308), logs400, W)
 
 
 class TestLearnLoggingPolicy:
@@ -531,6 +671,25 @@ class TestCrossValidate:
         assert best == 1e-3
         assert table[1].mean_score == float("-inf")
         assert math.isfinite(table[0].mean_score)
+
+    def test_every_value_diverged_raises(self, task, logging_policy):
+        logs = task_logs(task, logging_policy, 60, 1)
+        with pytest.raises(FloatingPointError,
+                           match="diverged for every grid value"):
+            cross_validate(logs, "ips_l2", [math.inf], 2, 0,
+                           cfg("ips_l2", epochs=2))
+
+    def test_epoch_end_divergence_scores_minus_inf(self, monkeypatch):
+        calls = count_objective_calls(monkeypatch)
+        best, table = cross_validate(
+            equal_u_logged(), "poem", [1e-3, math.inf], 2, 5,
+            cfg("poem", epochs=2),
+        )
+        assert best == 1e-3
+        assert math.isfinite(table[0].mean_score)
+        assert table[1].fold_scores == (float("-inf"),) * 2
+        # Only the lam=inf jobs fail the certificate, once each at epoch 0.
+        assert len(calls) == 2
 
     def test_ties_break_to_smaller_lambda(self, logs400, logging_policy):
         # A zero-epoch budget makes every grid value train to the same zero
