@@ -128,6 +128,10 @@ class LoggedDataset:
             raise ValueError("propensities must lie in (0, 1]")
         if np.any(r < 0.0) or np.any(r > 1.0):
             raise ValueError("rewards must lie in [0, 1]")
+        if not np.isfinite(self.feature_norm_bound):
+            raise ValueError(
+                f"feature_norm_bound must be finite, got {self.feature_norm_bound}"
+            )
         max_norm = float(np.sqrt((X * X).sum(axis=1).max()))
         # Tolerate 1 ulp of slack: bounds recomputed from serialized norms
         # must not fail on round-off.

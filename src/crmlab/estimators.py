@@ -35,9 +35,22 @@ __all__ = [
 ]
 
 
-def _compensated_mean(terms: np.ndarray) -> float:
-    # fsum is exact compensated summation; division last keeps one rounding.
-    return math.fsum(terms.tolist()) / terms.shape[0]
+def _compensated_mean(terms: np.ndarray, ddof: int = 0) -> float:
+    """Exactly rounded sum of ``terms`` divided by ``len(terms) - ddof``.
+
+    ``math.fsum`` raises OverflowError when finite terms sum past the float
+    maximum.  The terms are then summed scaled by a power of two that keeps
+    every partial sum in range, and the quotient is scaled back: the same
+    value the unscaled sum would give with an unbounded exponent, and ±inf
+    only when the quotient itself is out of range.  Scaling is exact except
+    for terms below ``4·len(terms)`` times the smallest normal float.
+    """
+    count = terms.shape[0] - ddof
+    try:
+        return math.fsum(terms.tolist()) / count
+    except OverflowError:
+        shift = 2.0 ** (terms.shape[0].bit_length() + 1)
+        return math.fsum((terms / shift).tolist()) / count * shift
 
 
 def _poem_statistic(
@@ -56,7 +69,7 @@ def _poem_statistic(
         return ratio, u, None, None
     mean_u = _compensated_mean(u)
     centered = u - mean_u
-    return ratio, u, mean_u, math.fsum(centered * centered) / (u.shape[0] - 1)
+    return ratio, u, mean_u, _compensated_mean(centered * centered, ddof=1)
 
 
 def _check_dims(

@@ -15,10 +15,12 @@ from crmlab import (
     load_logged,
     load_model,
     save_labeled,
+    save_logged,
     save_model,
     zero_policy,
 )
 from crmlab.cli import build_parser, main
+from conftest import floor_propensity_logged
 
 
 def run(capsys, *argv):
@@ -274,6 +276,22 @@ class TestTrain:
         assert rc == 3
         assert err.startswith("crmlab: numeric failure:")
         assert "epoch 0" in err
+
+    @pytest.mark.parametrize("objective", ["ips_l2", "poem"])
+    def test_record_terms_summing_past_float_max(self, tmp_path, capsys,
+                                                 objective):
+        # Every propensity and tau are 1e-307: the per-record terms are
+        # finite and their sum passes the float maximum.
+        save_logged(tmp_path / "floor.csv", floor_propensity_logged())
+        rc, out, err = run(
+            capsys, "train", "--logged", tmp_path / "floor.csv", "--k", "3",
+            "--objective", objective, "--tau", "1e-307", "--epochs", "1",
+            "--out", tmp_path / "x.model",
+        )
+        assert rc == 0 and err == ""
+        report = json.loads((tmp_path / "x.model.report.json").read_text())
+        assert math.isfinite(report["final_objective"])
+        load_model(tmp_path / "x.model")
 
     def test_model_bytes_deterministic(self, ws, tmp_path, capsys):
         paths = [tmp_path / "m1.model", tmp_path / "m2.model"]

@@ -76,6 +76,12 @@ class TestLoggedDataset:
         with pytest.raises(ValueError):
             LoggedDataset(X, np.array([0]), np.array([0.5]), np.array([0.0]), 2, 4.9)
 
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_bound(self, bound):
+        X = np.array([[3.0, 4.0]])
+        with pytest.raises(ValueError, match="feature_norm_bound"):
+            LoggedDataset(X, np.array([0]), np.array([0.5]), np.array([0.0]), 2, bound)
+
     def test_subset_inherits_bound(self):
         rng = np.random.default_rng(0)
         data = random_logged(rng, 10, 3, 2)

@@ -16,6 +16,7 @@ from crmlab import (
     truncated_ips_risk,
     zero_policy,
 )
+from crmlab.estimators import _compensated_mean
 from conftest import one_record, random_logged
 
 
@@ -175,6 +176,28 @@ class TestPoemSampleVariance:
             u = data.rewards * np.minimum(pi / data.propensities, 1.0 / tau)
             reference = float(np.var(u, ddof=1))
             assert abs(poem_sample_variance(pol, data, tau) - reference) <= 1e-10
+
+
+class TestCompensatedMean:
+    def test_exact_when_partial_sums_overflow(self):
+        big = np.array([1e308, 1e308, -1e308, -1e308, 3.0])
+        assert _compensated_mean(big) == 0.6
+        assert _compensated_mean(np.full(4, 1.5e308)) == 1.5e308
+        assert _compensated_mean(np.array([-1.7e308, -1.7e308])) == -1.7e308
+
+    def test_out_of_range_quotient_is_infinite(self):
+        assert _compensated_mean(np.full(2, 1.5e308), ddof=1) == math.inf
+        assert _compensated_mean(np.full(2, -1.5e308), ddof=1) == -math.inf
+
+    def test_nonfinite_terms_after_overflow(self):
+        assert _compensated_mean(np.array([1e308, 1e308, math.inf])) == math.inf
+        assert math.isnan(_compensated_mean(np.array([1e308, 1e308, math.nan])))
+
+    def test_matches_unscaled_sum_in_range(self):
+        rng = np.random.default_rng(5)
+        terms = rng.normal(size=1000) * 10.0 ** rng.integers(-300, 300, 1000)
+        assert _compensated_mean(terms) == math.fsum(terms.tolist()) / 1000
+        assert _compensated_mean(terms, ddof=1) == math.fsum(terms.tolist()) / 999
 
 
 class TestSupervisedMetrics:

@@ -34,6 +34,7 @@ from crmlab import (
 )
 from conftest import (
     fd_gradient,
+    floor_propensity_logged,
     golden_section_min,
     one_record,
     random_logged,
@@ -495,6 +496,19 @@ class TestTrain:
         np.testing.assert_array_equal(lean.final_policy.weights,
                                       report.final_policy.weights)
 
+    @pytest.mark.parametrize("objective", ["ips_l2", "poem", "poem_l2"])
+    def test_record_terms_summing_past_float_max(self, objective):
+        # Each record term is near 1/tau = 1e307; their sum overflows but
+        # every mean is representable, so training ends in a result.
+        config = cfg(objective, tau=1e-307, epochs=2)
+        data = floor_propensity_logged()
+        report = train(config, data)
+        assert len(report.objective_trace) == 2
+        assert all(math.isfinite(v) for v in report.objective_trace)
+        lean = train(config, data, _trace=False)
+        np.testing.assert_array_equal(lean.final_policy.weights,
+                                      report.final_policy.weights)
+
     def test_trace_length_equals_epochs(self, logs400):
         report = train(cfg("poem", lam=0.5, epochs=7, seed=1), logs400)
         assert len(report.objective_trace) == 7
@@ -538,10 +552,14 @@ class TestObjectiveCertificate:
         assert not self.certified(cfg("ips_l2"), logs400, 0.0 * W, b)
 
     def test_fails_on_nan_norm_bound(self, logs400):
-        # A NaN bound passes dataset validation; it must not pass here.
-        data = LoggedDataset(logs400.features, logs400.actions,
-                             logs400.propensities, logs400.rewards,
-                             logs400.k, float("nan"))
+        # Dataset validation rejects a NaN bound; a dataset that carries one
+        # anyway (set past validation here) must not pass the certificate.
+        with pytest.raises(ValueError, match="feature_norm_bound"):
+            LoggedDataset(logs400.features, logs400.actions,
+                          logs400.propensities, logs400.rewards,
+                          logs400.k, float("nan"))
+        data = logs400.subset(np.arange(logs400.n))
+        object.__setattr__(data, "feature_norm_bound", float("nan"))
         assert not self.certified(cfg("ips_l2"), data,
                                   np.zeros((data.k, data.d)))
 
@@ -690,6 +708,18 @@ class TestCrossValidate:
         assert table[1].fold_scores == (float("-inf"),) * 2
         # Only the lam=inf jobs fail the certificate, once each at epoch 0.
         assert len(calls) == 2
+
+    def test_record_terms_summing_past_float_max(self):
+        # The finite lambda's jobs overflow only inside the record sum and
+        # score a finite value; the infinite lambda's jobs diverge and score
+        # -inf.  Neither aborts the grid.
+        best, table = cross_validate(
+            floor_propensity_logged(), "ips_l2", [1e-3, math.inf], 2, 0,
+            cfg("ips_l2", tau=1e-307, epochs=2),
+        )
+        assert best == 1e-3
+        assert all(math.isfinite(s) for s in table[0].fold_scores)
+        assert table[1].fold_scores == (float("-inf"),) * 2
 
     def test_ties_break_to_smaller_lambda(self, logs400, logging_policy):
         # A zero-epoch budget makes every grid value train to the same zero

@@ -16,7 +16,7 @@ from crmlab import (
     save_model,
     zero_policy,
 )
-from crmlab.policies import gumbel_noise
+from crmlab.policies import _softmax_rows, gumbel_noise
 
 
 def bias_policy(biases, d=1):
@@ -153,6 +153,42 @@ class TestMixedLogitMC:
         spec = MixedLogitSpec(pol, 0.5, pol, 1.0)
         with pytest.raises(ValueError):
             mixed_logit_prob_mc(spec, np.ones(1), 0, 0, np.random.default_rng(2))
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    @pytest.mark.parametrize("samples", [1, 2, 7, 200_000])
+    def test_bit_identical_to_row_major_reference(self, k, samples):
+        # The estimate must equal, bit for bit, the plain row-major
+        # expression on an identically seeded generator, and leave that
+        # generator in the same state.
+        rng = np.random.default_rng(100 * k + samples)
+        d = 3
+        W = rng.normal(size=(k, d))
+        b = rng.normal(size=k)
+        x = rng.normal(size=d)
+        for weight_scale, variance in [(1.0, 0.5), (1.0, 0.0), (300.0, 0.7)]:
+            pol = SoftmaxPolicy(weight_scale * W, b)
+            spec = MixedLogitSpec(pol, variance, pol, 1.0)
+            mu = pol.logits(x)
+            scale = float(np.sqrt(variance) * np.linalg.norm(x))
+            for a in (0, k - 1):
+                seed = 7 * k + samples + a
+                got_rng = np.random.default_rng(seed)
+                ref_rng = np.random.default_rng(seed)
+                est, se = mixed_logit_prob_mc(spec, x, a, samples, got_rng)
+                z = mu + scale * ref_rng.standard_normal((samples, k))
+                p = _softmax_rows(z)[:, a]
+                ref_est = float(p.mean())
+                ref_se = (
+                    float(p.std(ddof=1) / np.sqrt(samples))
+                    if samples > 1
+                    else float("nan")
+                )
+                assert est == ref_est
+                if samples == 1:
+                    assert math.isnan(se)
+                else:
+                    assert se == ref_se
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSandwichBounds:
