@@ -7,6 +7,11 @@ promises identical outputs must show.  The only masked values are wall
 times: the ``wall_time=`` line of ``train``, the report's ``wall_time``
 field and the trace's wall-time column.
 
+The ``k10.`` entries repeat the training digests at the pipeline's shape
+(k=10, d=20, 450 records, so every epoch ends in a 50-record batch).  From
+k=8 numpy sums each softmax row pairwise rather than in sequence, so only
+these entries pin the row-sum order the pipeline actually runs.
+
 The table was taken with numpy 2.4.6 on OpenBLAS 0.3.31 (DYNAMIC_ARCH).
 Another numpy or BLAS build may round differently; the failure message
 prints the running versions so such a mismatch can be told apart from a
@@ -78,6 +83,44 @@ GOLDEN = {
         "b6dbf4bbf5243087be588c400c36a71684cc55d4a1dac2534e09279c25c33b14",
     "cross_validate":
         "6b56fc444004370eb9e4a6317a559e241739cccc83a92cbe67a92375a12b175e",
+    "k10.train.ips_lpr":
+        "e0b0da263265c2c16aeb18607a013e890666537f8bf2241a6bfee8d1cd74abf3",
+    "k10.train.wnll_lpr":
+        "0a1055ae4aff9b0cbeb6d26123c7cc3911bb846c4a270f51f905350f46f209ce",
+    "k10.train.ips_l2":
+        "e894412e5a582fdf60cd835cc3509700bb8fde7561402ec3c77f171fcb66f194",
+    "k10.train.poem":
+        "4b81c329f7f1994b4cc22d557307eacefe7c3a1c72cbdfe507af8a10142b541a",
+    "k10.train.poem_l2":
+        "20c2b4674c29f89636141a3e7885b2800b33c78546dfbd8757e5fc111522d27e",
+    "k10.train.logging_nll":
+        "ad0d29142d92d644323c2485c482b46038ba57a6f101abcb73bb41f6f61b6b32",
+    "k10.train_trace_free.ips_lpr":
+        "e140cecdbe94086b34825e9098fd43d40b3ca795fa9cf2ded8bda4d33843c1de",
+    "k10.train_trace_free.wnll_lpr":
+        "0eba1186e2f5ddfe8bd679708609f4e3cb4265f698753546d2ec7c66908fc242",
+    "k10.train_trace_free.ips_l2":
+        "5d395e05413ada74a8adecaf0fd14efafd89b3e92f1581f2b7769b5791f77675",
+    "k10.train_trace_free.poem":
+        "e575ed83617024baa70e6e0f1621ea348ccb3a746549874f8261f164286b552a",
+    "k10.train_trace_free.poem_l2":
+        "ffa2714262e572437b0c1f0238f418f32907504d36eacd54ed7fbbae0f803246",
+    "k10.train_trace_free.logging_nll":
+        "7c09605cced04b0057cf3a6f2fa05c093cdd4bb848a7f69d7464b966f8d08fed",
+    "k10.objective_gradient.ips_lpr":
+        "4a4b6d34dc511281ceeb358432b16dbb3acaa646a36238c662b6e7f54728746d",
+    "k10.objective_gradient.wnll_lpr":
+        "71efad5d3433c986fa42d9e18a7062114c2f49cc04e9a86801cd06dc8b4c5e4f",
+    "k10.objective_gradient.ips_l2":
+        "158695e5fe244e3fc1ea59f408bd09e3a5d24d666b76f0c2852724326b13bec7",
+    "k10.objective_gradient.poem":
+        "fb524e5293b3e4e5910d32e679150459db2a9158f8303f1a136457567f8b0b87",
+    "k10.objective_gradient.poem_l2":
+        "925bab9c01ab85f831967205b8cbdd803e5025adacc29656a48084055497a52f",
+    "k10.objective_gradient.logging_nll":
+        "1cabd07a1836c9e6464719c3aba30b218d821c36bfc286061fb1a6bc134d1aa9",
+    "k10.PoemSurrogate.gradient":
+        "7295c8b55c27e6c1886182d6781e7f5a2fc0b1b7361330f238a85dabaa1b7d66",
     "cli.simulate.stdout":
         "ab3cb8125dbb8a0aac4b3ae68eae3a4d9021ac669e08f8d6b763ced5e7bc14dc",
     "cli.simulate:logs.csv":
@@ -144,7 +187,9 @@ def _digest(*parts) -> str:
     return hashlib.sha256(b"".join(_encode(p) for p in parts)).hexdigest()
 
 
-def _config(objective: str, epochs: int = 8) -> TrainConfig:
+def _config(
+    objective: str, epochs: int = 8, train_biases: bool = True
+) -> TrainConfig:
     return TrainConfig(
         objective=objective,
         lam=LAMBDAS[objective],
@@ -153,14 +198,16 @@ def _config(objective: str, epochs: int = 8) -> TrainConfig:
         sigma0=10.0,
         epochs=epochs,
         seed=31,
+        train_biases=train_biases,
     )
 
 
-def _blob_setup():
-    """A k=6, d=8 blob task: its class centers, a logging policy, the 1000
-    labeled rows it logs at inverse temperature 2, those logs, a test set."""
-    task = blob_task(6, 8, noise=0.5, seed=3)
-    pool = sample_labeled(task, 1100, seed=4)
+def _blob_setup(k: int = 6, d: int = 8, n: int = 1000):
+    """A k-action, d-feature blob task: its class centers, a logging policy,
+    the n labeled rows it logs at inverse temperature 2, those logs, a test
+    set."""
+    task = blob_task(k, d, noise=0.5, seed=3)
+    pool = sample_labeled(task, n + 100, seed=4)
     head, rest = split_for_logging(pool, 100, seed=5)
     logging = supervised_policy(head, 1e-3, epochs=300, seed=0)
     logs = simulate_logs(temper(logging, 2.0), rest, seed=6)
@@ -208,6 +255,40 @@ def library_digests() -> dict[str, str]:
     )
     out["cross_validate"] = _digest(
         best, [(row.lam, row.fold_scores, row.mean_score) for row in table]
+    )
+    return out
+
+
+def pipeline_shape_digests() -> dict[str, str]:
+    """Training digests at k=10, d=20 with a partial last batch."""
+    centers, logging, _, logs, _ = _blob_setup(10, 20, 450)
+    out = {}
+    for objective in OBJECTIVES:
+        prior = logging if objective in ("ips_lpr", "wnll_lpr") else None
+        for name, trace in (("train", True), ("train_trace_free", False)):
+            reports = [
+                train(_config(objective, train_biases=biases), logs,
+                      prior=prior, _trace=trace)
+                for biases in (True, False)
+            ]
+            out[f"k10.{name}.{objective}"] = _digest(*(
+                (r.final_policy.weights, r.final_policy.biases,
+                 r.objective_trace, r.sigma_star)
+                for r in reports
+            ))
+
+    rng = np.random.default_rng(9)
+    policy = SoftmaxPolicy(6.0 * centers, 0.3 * rng.normal(size=10))
+    batch = logs.subset(np.arange(150))
+    for objective in OBJECTIVES:
+        prior = logging if objective in ("ips_lpr", "wnll_lpr") else None
+        out[f"k10.objective_gradient.{objective}"] = _digest(
+            *objective_gradient(_config(objective), policy, prior, batch)
+        )
+    surrogate = poem_build_surrogate(logging, logs, POEM_TAU, 0.5)
+    out["k10.PoemSurrogate.gradient"] = _digest(
+        *surrogate.gradient(policy, logs),
+        *surrogate.gradient(policy, logs, np.arange(100, 250)),
     )
     return out
 
@@ -295,8 +376,14 @@ def _blas_config() -> str:
     return f"{blas.get('name')} {blas.get('openblas configuration', blas.get('version'))}"
 
 
-def _check(actual: dict[str, str], cli: bool) -> None:
-    expected = {k: v for k, v in GOLDEN.items() if k.startswith("cli.") == cli}
+def _group(name: str) -> str:
+    """The test that checks entry ``name``: "cli", "k10" or "" (library)."""
+    head = name.split(".")[0]
+    return head if head in ("cli", "k10") else ""
+
+
+def _check(actual: dict[str, str], group: str) -> None:
+    expected = {k: v for k, v in GOLDEN.items() if _group(k) == group}
     differing = sorted(
         name for name in expected.keys() | actual.keys()
         if expected.get(name) != actual.get(name)
@@ -308,9 +395,13 @@ def _check(actual: dict[str, str], cli: bool) -> None:
 
 
 def test_library_outputs_match_golden_digests():
-    _check(library_digests(), cli=False)
+    _check(library_digests(), "")
+
+
+def test_pipeline_shape_outputs_match_golden_digests():
+    _check(pipeline_shape_digests(), "k10")
 
 
 def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    _check(cli_digests(tmp_path, lambda: capsys.readouterr().out), cli=True)
+    _check(cli_digests(tmp_path, lambda: capsys.readouterr().out), "cli")
