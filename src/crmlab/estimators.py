@@ -69,7 +69,11 @@ def _poem_statistic(
         return ratio, u, None, None
     mean_u = _compensated_mean(u)
     centered = u - mean_u
-    return ratio, u, mean_u, _compensated_mean(centered * centered, ddof=1)
+    # Squares of u past sqrt(float max), reachable with a subnormal tau, are
+    # inf: the variance is then inf, which its callers report as divergence.
+    with np.errstate(over="ignore"):
+        squares = centered * centered
+    return ratio, u, mean_u, _compensated_mean(squares, ddof=1)
 
 
 def _check_dims(

@@ -25,6 +25,18 @@ applied at full strength every step.  The variance-regularized objectives
 rebuild a majorizing surrogate at the start of every epoch and descend the
 surrogate within the epoch.  Any non-finite objective aborts the run.
 
+The parameters live in one (k, d+1) block theta = [W | b], as do the
+AdaGrad accumulator and the gradient, so one in-place update covers weights
+and biases and one sum over the gradient block checks it for non-finite
+entries (frozen biases are checked too, and zeroed only after the check).
+Each :func:`train` call allocates its step buffers once (see
+:class:`_StepWorkspace`), and every step writes into them.  The step keeps
+the bits of the plain numpy expressions: lr·g is formed before the division
+by smoothing + sqrt(acc), the IPS coefficient (−r/max(p, tau))·pi before
+the division by the batch size, and the softmax row sum is numpy's
+contiguous last-axis reduction (pairwise from k = 8 on); only the row max,
+which is exact in any order, is taken over an action-major copy.
+
 Each epoch gathers its shuffled records once; mini-batches are slices of
 that gather.  :func:`train` evaluates the exact objective on the full data
 after every epoch and keeps it as the trace.  Callers that keep only the
@@ -165,18 +177,11 @@ def _check_prior(objective: str, prior: Optional[SoftmaxPolicy]) -> None:
 
 
 def _probs_and_matched(
-    W: np.ndarray,
-    b: np.ndarray,
-    X: np.ndarray,
-    a: np.ndarray,
-    rows: Optional[np.ndarray] = None,
+    W: np.ndarray, b: np.ndarray, X: np.ndarray, a: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax rows of the records and their logged-action entries.
-
-    ``rows`` is ``np.arange(n)`` for the n records, or None to build it.
-    """
+    """Softmax rows of the records and their logged-action entries."""
     P = _softmax_rows(X @ W.T + b)
-    return P, P[np.arange(X.shape[0]) if rows is None else rows, a]
+    return P, P[np.arange(X.shape[0]), a]
 
 
 def _weights_penalty_sq(W: np.ndarray, W0: Optional[np.ndarray]) -> float:
@@ -308,7 +313,36 @@ def _coefficient_columns(
         if surrogate is None:
             return (p, r)
         return (p, r, surrogate.alpha, surrogate.beta)
-    return (-r / np.maximum(p, config.tau),)
+    # A subnormal tau can overflow r/tau to inf; training then diverges at
+    # its first batch, which is reported as DivergenceError, not a warning.
+    with np.errstate(over="ignore"):
+        return (-r / np.maximum(p, config.tau),)
+
+
+class _StepWorkspace:
+    """The buffers of :func:`_batch_gradient` for batches of m records,
+    allocated once per :func:`train` call and batch size:
+
+    * ``logits``   (m, k) logits, then probabilities, then the logit gradient;
+    * ``logits_t`` (k, m) action-major copy for the softmax row max;
+    * ``row``      (m,) row max, row sum, then the matched probabilities;
+    * ``coef``     (m,) per-record gradient coefficient;
+    * ``penalty``  (k, d) penalty gradient;
+    * ``grad``     (k, d+1) gradient block [gW | gb].
+
+    The views the step needs are made here once, not at every step.
+    """
+
+    def __init__(self, m: int, k: int, d: int):
+        self.logits = np.empty((m, k))
+        self.logits_flat = self.logits.reshape(-1)
+        self.logits_t = np.empty((k, m))
+        self.row = np.empty(m)
+        self.coef = np.empty(m)
+        self.coef_column = self.coef[:, None]
+        self.penalty = np.empty((k, d))
+        self.grad = np.empty((k, d + 1))
+        self.grad_W, self.grad_b = self.grad[:, :d], self.grad[:, d]
 
 
 def _batch_gradient(
@@ -317,64 +351,102 @@ def _batch_gradient(
     b: np.ndarray,
     W0: Optional[np.ndarray],
     X: np.ndarray,
-    a: np.ndarray,
-    columns: tuple[np.ndarray, ...],
-    rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Training gradient w.r.t. (W, b) on the gathered mini-batch (X, a).
+    flat: np.ndarray,
+    columns: Sequence[np.ndarray],
+    ws: _StepWorkspace,
+) -> np.ndarray:
+    """Training gradient w.r.t. the block [W | b] on the gathered mini-batch
+    ``X``, written into ``ws.grad`` and returned there.
 
-    ``columns`` are the batch's entries of :func:`_coefficient_columns`,
-    gathered in the order of ``X``, and ``rows`` is ``np.arange(m)`` for
-    the m batch records.  Every data term has the per-record logit gradient
-    c_i·(e_{a_i} − P_i), so the objectives differ only in the coefficient
-    c_i, which carries the 1/m batch average.  Given surrogate columns the
-    POEM objectives follow the majorizer; otherwise they take the exact
-    gradient of mean(-u) + lam·sqrt(S/m) treating the batch as the dataset.
+    ``flat`` holds each record's flat index i·k + a_i into the batch's
+    (m, k) probability rows, and ``columns`` are the batch's entries of
+    :func:`_coefficient_columns`, both gathered in the order of ``X``.
+    Every data term has the per-record logit gradient c_i·(e_{a_i} − P_i),
+    so the objectives differ only in the coefficient c_i, which carries the
+    1/m batch average.  Given surrogate columns the POEM objectives follow
+    the majorizer; otherwise they take the exact gradient of
+    mean(-u) + lam·sqrt(S/m) treating the batch as the dataset.
     Ratio-capped records contribute zero through u (the flat side of the
     min).  The weights-only penalty is added at full strength.
+
+    Every operation writes into ``ws`` and keeps the order of the plain
+    numpy expression, (−r/max(p, tau))·pi before /m included, so the bits
+    are those of that expression.
     """
     m = X.shape[0]
-    P, pi = _probs_and_matched(W, b, X, a, rows)
-    E_minus_P = -P
-    E_minus_P[rows, a] += 1.0
+    P, pi, coef = ws.logits, ws.row, ws.coef
+    np.matmul(X, W.T, out=P)
+    P += b
+    _softmax_rows(P, (ws.logits_t, pi))
+    ws.logits_flat.take(flat, out=pi)
     obj, tau, lam = config.objective, config.tau, config.lam
 
+    coef_column = ws.coef_column
+    if obj in ("ips_lpr", "ips_l2"):
+        (weighted_reward,) = columns
+        np.multiply(weighted_reward, pi, out=coef)
+        coef /= m
+    elif obj == "wnll_lpr":
+        (weighted_reward,) = columns
+        np.divide(weighted_reward, m, out=coef)
+    elif obj in POEM_FAMILY:
+        p, r, *majorizer = columns
+        exact = not majorizer
+        if exact and m < 2:
+            raise ValueError("variance-regularized gradients need a batch of >= 2")
+        ratio, u, mean_u, var_u = _poem_statistic(pi, p, r, tau, moments=exact)
+        du_dz = np.where(ratio >= 1.0 / tau, 0.0, r * ratio)
+        if exact:
+            dF_du = np.full(m, -1.0 / m)
+            if var_u > 0.0:
+                dF_du += lam * (u - mean_u) / (math.sqrt(var_u / m) * m * (m - 1))
+            coef = dF_du * du_dz
+        else:
+            alpha, beta = majorizer
+            coef = (2.0 * alpha * u + beta) * du_dz / m
+        coef_column = coef[:, None]
+    # E − P: 1 − pi is exactly −pi + 1.
+    np.negative(P, out=P)
+    ws.logits_flat.put(flat, np.subtract(1.0, pi, out=pi))
     if obj == "logging_nll":
         # c_i = -1/m for every record, applied as a division by -m: a
         # multiplication by -1/m would round differently.
-        G = E_minus_P / -m
+        P /= -m
     else:
-        if obj in ("ips_lpr", "ips_l2"):
-            (weighted_reward,) = columns
-            coef = weighted_reward * pi / m
-        elif obj == "wnll_lpr":
-            (weighted_reward,) = columns
-            coef = weighted_reward / m
-        else:
-            p, r, *majorizer = columns
-            exact = not majorizer
-            if exact and m < 2:
-                raise ValueError("variance-regularized gradients need a batch of >= 2")
-            ratio, u, mean_u, var_u = _poem_statistic(pi, p, r, tau, moments=exact)
-            du_dz = np.where(ratio >= 1.0 / tau, 0.0, r * ratio)
-            if exact:
-                dF_du = np.full(m, -1.0 / m)
-                if var_u > 0.0:
-                    dF_du += lam * (u - mean_u) / (math.sqrt(var_u / m) * m * (m - 1))
-                coef = dF_du * du_dz
-            else:
-                alpha, beta = majorizer
-                coef = (2.0 * alpha * u + beta) * du_dz / m
-        G = coef[:, None] * E_minus_P
-    gW, gb = G.T @ X, G.sum(axis=0)
+        P *= coef_column
+    np.matmul(P.T, X, out=ws.grad_W)
+    np.add.reduce(P, axis=0, out=ws.grad_b)
 
+    penalty = ws.penalty
     if obj in LPR_FAMILY:
-        gW += 2.0 * lam * (W - W0)
+        np.subtract(W, W0, out=penalty)
+        penalty *= 2.0 * lam
     elif obj == "poem_l2":
-        gW += 2.0 * config.lambda_l2 * W
+        np.multiply(W, 2.0 * config.lambda_l2, out=penalty)
     elif obj != "poem":
-        gW += 2.0 * lam * W
-    return gW, gb
+        np.multiply(W, 2.0 * lam, out=penalty)
+    if obj != "poem":
+        ws.grad_W += penalty
+    return ws.grad
+
+
+def _fresh_gradient(
+    config: TrainConfig,
+    policy: SoftmaxPolicy,
+    W0: Optional[np.ndarray],
+    X: np.ndarray,
+    a: np.ndarray,
+    columns: tuple[np.ndarray, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_batch_gradient` at ``policy`` on the batch (X, a), returned
+    as new (weights, biases) arrays that no later call touches."""
+    m = X.shape[0]
+    k, d = policy.weights.shape
+    grad = _batch_gradient(
+        config, policy.weights, policy.biases, W0, X, np.arange(m) * k + a,
+        columns, _StepWorkspace(m, k, d),
+    )
+    return grad[:, :d].copy(), grad[:, d].copy()
 
 
 def objective_gradient(
@@ -393,15 +465,9 @@ def objective_gradient(
     _check_prior(config.objective, prior)
     if policy.d != batch.d:
         raise ValueError("policy and batch dimensions disagree")
-    return _batch_gradient(
-        config,
-        policy.weights,
-        policy.biases,
-        None if prior is None else prior.weights,
-        batch.features,
-        batch.actions,
-        _coefficient_columns(config, batch),
-        np.arange(batch.n),
+    return _fresh_gradient(
+        config, policy, None if prior is None else prior.weights,
+        batch.features, batch.actions, _coefficient_columns(config, batch),
     )
 
 
@@ -456,11 +522,9 @@ class PoemSurrogate:
         # part of it.
         config = TrainConfig(objective="poem", tau=self.tau)
         idx = slice(None) if indices is None else indices
-        X, a = data.features[idx], data.actions[idx]
         columns = tuple(c[idx] for c in _coefficient_columns(config, data, self))
-        return _batch_gradient(
-            config, policy.weights, policy.biases, None, X, a, columns,
-            np.arange(X.shape[0]),
+        return _fresh_gradient(
+            config, policy, None, data.features[idx], data.actions[idx], columns
         )
 
 
@@ -580,16 +644,27 @@ def train(
         )
     t0 = time.perf_counter()
     n, d, k = data.n, data.d, data.k
-    W = np.zeros((k, d))
-    b = np.zeros(k)
-    # AdaGrad's squared-gradient accumulators.
-    acc_W = np.zeros((k, d))
-    acc_b = np.zeros(k)
+    # One parameter block theta = [W | b], with W and b views into it;
+    # AdaGrad's squared-gradient accumulator and the update's scratch have
+    # its shape, so one update runs over weights and biases together.
+    theta = np.zeros((k, d + 1))
+    W, b = theta[:, :d], theta[:, d]
+    acc = np.zeros_like(theta)
+    step = np.empty_like(theta)
     rng = np.random.default_rng(config.seed)
     is_poem = config.objective in POEM_FAMILY
     W0 = prior.weights if prior is not None else None
     columns = _coefficient_columns(config, data)
-    rows = np.arange(_BATCH_SIZE)
+    # Record i of an epoch is row i mod B of its batch: its flat index into
+    # the batch's (B, k) probability rows is (i mod B)·k + a_i.
+    row_offsets = np.arange(n) % _BATCH_SIZE * k
+    # Each batch's slice of the epoch and the workspace of its size.
+    full = _StepWorkspace(_BATCH_SIZE, k, d) if n >= _BATCH_SIZE else None
+    batches = [
+        (slice(start, start + _BATCH_SIZE),
+         full if start + _BATCH_SIZE <= n else _StepWorkspace(n - start, k, d))
+        for start in range(0, n, _BATCH_SIZE)
+    ]
 
     trace: list[float] = []
     epoch_times: list[float] = []
@@ -601,28 +676,31 @@ def train(
             )
             epoch_columns = columns + (surrogate.alpha, surrogate.beta)
         perm = rng.permutation(n)
-        X, a = data.features[perm], data.actions[perm]
+        X = data.features[perm]
+        flat = row_offsets + data.actions[perm]
         epoch_columns = tuple(c[perm] for c in epoch_columns)
         # Non-finite values inside a batch are not a condition numpy should
         # warn about: they are detected and raised as DivergenceError.
         with np.errstate(over="ignore", invalid="ignore"):
-            for batch_index, start in enumerate(range(0, n, _BATCH_SIZE)):
-                batch = slice(start, start + _BATCH_SIZE)
-                gW, gb = _batch_gradient(
-                    config, W, b, W0, X[batch], a[batch],
-                    tuple(c[batch] for c in epoch_columns), rows[: n - start],
+            for batch_index, (batch, ws) in enumerate(batches):
+                grad = _batch_gradient(
+                    config, W, b, W0, X[batch], flat[batch],
+                    [c[batch] for c in epoch_columns], ws,
                 )
                 # The sum is non-finite whenever an entry is; a sum of finite
-                # entries that overflows is re-checked entry by entry.
-                if not math.isfinite(gW.sum() + gb.sum()) and not (
-                    np.isfinite(gW).all() and np.isfinite(gb).all()
-                ):
+                # entries that overflows is re-checked entry by entry.  Frozen
+                # biases are checked too, and only then zeroed.
+                if not math.isfinite(grad.sum()) and not np.isfinite(grad).all():
                     raise DivergenceError(epoch, batch_index, float("nan"))
-                acc_W += gW * gW
-                W -= _LEARNING_RATE * gW / (_ADAGRAD_SMOOTHING + np.sqrt(acc_W))
-                if config.train_biases:
-                    acc_b += gb * gb
-                    b -= _LEARNING_RATE * gb / (_ADAGRAD_SMOOTHING + np.sqrt(acc_b))
+                if not config.train_biases:
+                    grad[:, d] = 0.0
+                np.multiply(grad, grad, out=step)
+                acc += step
+                np.sqrt(acc, out=step)
+                step += _ADAGRAD_SMOOTHING
+                grad *= _LEARNING_RATE
+                grad /= step
+                theta -= grad
         if _trace or not _objective_certified(config, W, b, W0, data):
             value = objective_value(config, SoftmaxPolicy(W, b), prior, data)
             if not math.isfinite(value):

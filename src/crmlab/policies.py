@@ -124,12 +124,35 @@ def _validate_context(policy: SoftmaxPolicy, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+def _softmax_rows(
+    logits: np.ndarray, work: Optional[tuple[np.ndarray, np.ndarray]] = None
+) -> np.ndarray:
+    """Softmax over the last axis, in a new array.
+
+    ``work = (logits_t, row)``, an action-major ``(k, m)`` buffer and a
+    length-m buffer, makes the softmax of an ``(m, k)`` array overwrite
+    ``logits`` instead, allocating nothing, with the same bits: the row max
+    is taken over the action-major copy (k − 1 vector operations; max is
+    exact in any order), while the row sum stays numpy's contiguous
+    last-axis reduction, whose pairwise order from k = 8 on sets the bits.
+    """
     # Max-subtraction keeps exp() in range for arbitrarily large logits.
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=-1, keepdims=True)
-    return shifted
+    if work is None:
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        np.exp(shifted, out=shifted)
+        shifted /= shifted.sum(axis=-1, keepdims=True)
+        return shifted
+    # The ufunc reductions are what max() and sum() call, minus their
+    # Python-level dispatch.
+    logits_t, row = work
+    column = row[:, None]
+    np.copyto(logits_t, logits.T)
+    np.maximum.reduce(logits_t, axis=0, out=row)
+    np.subtract(logits, column, out=logits)
+    np.exp(logits, out=logits)
+    np.add.reduce(logits, axis=-1, out=row)
+    logits /= column
+    return logits
 
 
 def action_probs(policy: SoftmaxPolicy, x: np.ndarray) -> np.ndarray:

@@ -64,6 +64,18 @@ def floor_propensity_logged():
                          np.ones(200), 3, 1.0)
 
 
+def subnormal_propensity_logged():
+    """200 logged records (k=3, unit contexts, rewards 0 or 1) whose every
+    propensity is the subnormal 4e-309.  At tau = 4e-309 a rewarded
+    record's r/max(p, tau) overflows to inf, and the POEM u values spread
+    far enough that their squared deviations overflow too."""
+    rng = np.random.default_rng(309)
+    X = rng.normal(size=(200, 3))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    return LoggedDataset(X, rng.integers(0, 3, size=200), np.full(200, 4e-309),
+                         rng.integers(0, 2, size=200).astype(float), 3, 1.0)
+
+
 @pytest.fixture
 def half_prob_policy():
     return zero_policy(1, 2)

@@ -20,7 +20,7 @@ from crmlab import (
     zero_policy,
 )
 from crmlab.cli import build_parser, main
-from conftest import floor_propensity_logged
+from conftest import floor_propensity_logged, subnormal_propensity_logged
 
 
 def run(capsys, *argv):
@@ -293,6 +293,26 @@ class TestTrain:
         assert math.isfinite(report["final_objective"])
         load_model(tmp_path / "x.model")
 
+    # A numpy RuntimeWarning raised here fails the test: numpy would print
+    # it on stderr before the one-line failure.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("objective", ["ips_l2", "wnll_lpr", "poem"])
+    def test_subnormal_tau_fails_in_one_line(self, tmp_path, capsys,
+                                             objective):
+        save_logged(tmp_path / "sub.csv", subnormal_propensity_logged())
+        save_model(tmp_path / "prior.model", zero_policy(3, 3),
+                   feature_norm_bound=1.0)
+        prior = (["--prior-model", tmp_path / "prior.model"]
+                 if objective == "wnll_lpr" else [])
+        rc, out, err = run(
+            capsys, "train", "--logged", tmp_path / "sub.csv", "--k", "3",
+            "--objective", objective, *prior, "--tau", "4e-309",
+            "--epochs", "2", "--out", tmp_path / "x.model",
+        )
+        assert rc == 3 and out == ""
+        assert err.startswith("crmlab: numeric failure:")
+        assert err.count("\n") == 1
+
     def test_model_bytes_deterministic(self, ws, tmp_path, capsys):
         paths = [tmp_path / "m1.model", tmp_path / "m2.model"]
         for p in paths:
@@ -411,6 +431,19 @@ class TestTune:
         assert err.startswith("crmlab: numeric failure:")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["ips_l2", "poem"])
+    def test_subnormal_tau_fails_in_one_line(self, tmp_path, capsys, method):
+        save_logged(tmp_path / "sub.csv", subnormal_propensity_logged())
+        rc, out, err = run(
+            capsys, "tune", "--logged", tmp_path / "sub.csv", "--k", "3",
+            "--method", method, "--tau", "4e-309", "--folds", "2",
+            "--epochs", "2", "--out", tmp_path / "cv.csv",
+        )
+        assert rc == 3 and out == ""
+        assert err == ("crmlab: numeric failure: training diverged for every "
+                       "grid value; no lambda to select\n")
 
     def test_rerun_is_byte_identical(self, ws, tmp_path, capsys):
         paths = [tmp_path / "cv_a.csv", tmp_path / "cv_b.csv"]

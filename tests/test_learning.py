@@ -211,6 +211,23 @@ class TestObjectiveGradient:
             numeric = fd_gradient(config, pol, prior, data)
             assert rel_gradient_error(analytic, numeric) <= 1e-4
 
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_returns_arrays_no_later_call_writes(self, objective):
+        # Training reuses one workspace for every step; the public gradient
+        # must hand out arrays that the next call leaves alone.
+        rng = np.random.default_rng(51)
+        data = random_logged(rng, 30, 3, 3)
+        config = cfg(objective, lam=0.1, lambda_l2=0.1, tau=0.1)
+        prior = zero_policy(3, 3) if objective in LPR_FAMILY else None
+        policies = [SoftmaxPolicy(rng.normal(size=(3, 3)), rng.normal(size=3))
+                    for _ in range(2)]
+        first = objective_gradient(config, policies[0], prior, data)
+        kept = [g.copy() for g in first]
+        second = objective_gradient(config, policies[1], prior, data)
+        assert not np.array_equal(first[0], second[0])
+        for g, expected in zip(first, kept):
+            np.testing.assert_array_equal(g, expected)
+
 
 @pytest.fixture(scope="module")
 def anchor_data():
@@ -289,6 +306,17 @@ class TestPoemSurrogate:
         exact = objective_gradient(cfg("poem", lam=lam, tau=tau), anchor,
                                    None, data)
         assert rel_gradient_error(s.gradient(anchor, data), exact) <= 1e-12
+
+    def test_gradient_returns_arrays_no_later_call_writes(self, anchor_data):
+        anchor, data = anchor_data
+        s = poem_build_surrogate(anchor, data, 0.15, 0.8)
+        other = SoftmaxPolicy(anchor.weights + 0.5, anchor.biases - 0.5)
+        first = s.gradient(anchor, data)
+        kept = [g.copy() for g in first]
+        second = s.gradient(other, data)
+        assert not np.array_equal(first[0], second[0])
+        for g, expected in zip(first, kept):
+            np.testing.assert_array_equal(g, expected)
 
     def test_zero_variance_anchor_degenerates_with_warning(self, caplog):
         X = np.zeros((3, 1))
