@@ -45,6 +45,15 @@ trace-free: at each epoch end a cheap certificate (see
 :func:`_objective_certified`) proves the objective finite, and the full
 objective is evaluated only when the certificate fails.  Both paths raise
 the same :class:`DivergenceError` at the same point.
+
+Cross-validation builds its (value, fold) jobs first, each with its fold
+indices and a seed derived from its own (value, fold) tag, and runs them in
+min(jobs, usable CPUs) worker processes forked from the caller, so the
+workers share its data and prior without copying them.  Only a job index
+goes to a worker and only a score comes back; the scores are merged in
+(value, fold) order, so the table is bit-identical at any worker count.
+With one worker, without the ``fork`` start method, or inside a daemonic
+worker process (which may not have children), the jobs run in process.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ import csv
 import json
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -593,18 +603,26 @@ def closed_form_sigma(
     sigma* = min{ 2·d / (B²·τ·(n−1)·M), sigma0 } with
     M = (1/n)·sum_i r_i / max(p_i, τ).  When every reward is zero the
     unconstrained solution is infinite and the constrained minimizer sits
-    at the boundary sigma0.
+    at the boundary sigma0.  A subnormal τ can overflow a term of M, though
+    τ·M = mean(r_i·(τ/max(p_i, τ))) stays in range; only then is sigma*
+    formed from τ·M, so every other case keeps the bits of the formula.
     """
     _check_tau(tau)
     if not (B > 0.0 and sigma0 > 0.0 and d_effective > 0):
         raise ValueError("B, sigma0, and d_effective must be positive")
     if data.n < 2:
         raise ValueError("need n >= 2")
-    M = _compensated_mean(data.rewards / np.maximum(data.propensities, tau))
-    if M <= 0.0:
+    floor = np.maximum(data.propensities, tau)
+    with np.errstate(over="ignore"):
+        terms = data.rewards / floor
+    if np.isinf(terms).any():
+        tau_M = _compensated_mean(data.rewards * (tau / floor))
+        denominator = B * B * (data.n - 1) * tau_M
+    else:
+        denominator = B * B * tau * (data.n - 1) * _compensated_mean(terms)
+    if denominator <= 0.0:
         return sigma0
-    unconstrained = 2.0 * d_effective / (B * B * tau * (data.n - 1) * M)
-    return min(unconstrained, sigma0)
+    return min(2.0 * d_effective / denominator, sigma0)
 
 
 # -----------------------------------------------------------------------
@@ -818,8 +836,9 @@ def cross_validate(
     variance penalty for the POEM methods); ``poem_l2``'s ridge weight stays
     at ``config.lambda_l2``.
 
-    Jobs run in (value, fold) order, and each job's seed depends only on
-    its own (value, fold) tag.
+    Each job's seed depends only on its own (value, fold) tag, and the
+    jobs run in worker processes (see the module docstring); the table is
+    the same at any worker count.
     """
     if len(lambda_grid) == 0:
         raise ValueError("lambda_grid must be nonempty")
@@ -829,24 +848,79 @@ def cross_validate(
         raise ValueError(f"method must be a policy objective, got {method!r}")
     _check_prior(method, prior)
     folds = kfold_split(data.n, num_folds, derive_seed(seed, "cv-folds"))
+    splits = [(folds.train_indices(fold), folds.holdout_indices(fold))
+              for fold in range(num_folds)]
+    jobs = [
+        (lam, *splits[fold], derive_seed(seed, f"cv:lam={lam!r}:fold={fold}"))
+        for lam in lambda_grid
+        for fold in range(num_folds)
+    ]
+
+    def run(index: int) -> float:
+        lam, train_idx, holdout_idx, job_seed = jobs[index]
+        return _cv_job(data, method, lam, train_idx, holdout_idx, config,
+                       prior, job_seed)
+
+    scores = _run_jobs(run, len(jobs))
     table: list[CVRow] = []
-    for lam in lambda_grid:
-        scores = tuple(
-            _cv_job(
-                data, method, lam,
-                folds.train_indices(fold), folds.holdout_indices(fold),
-                config, prior, derive_seed(seed, f"cv:lam={lam!r}:fold={fold}"),
-            )
-            for fold in range(num_folds)
-        )
-        table.append(CVRow(lam=lam, fold_scores=scores,
-                           mean_score=_compensated_mean(np.array(scores))))
+    for row, lam in enumerate(lambda_grid):
+        fold_scores = tuple(scores[row * num_folds:(row + 1) * num_folds])
+        table.append(CVRow(lam=lam, fold_scores=fold_scores,
+                           mean_score=_compensated_mean(np.array(fold_scores))))
     if all(row.mean_score == -math.inf for row in table):
         raise FloatingPointError(
             "training diverged for every grid value; no lambda to select"
         )
     best = max(table, key=lambda row: (row.mean_score, -row.lam))
     return best.lam, table
+
+
+def _cv_workers(jobs: int) -> int:
+    """Worker processes for ``jobs`` CV jobs: at most one per usable CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(jobs, cpus)
+
+
+# The job runner of a forked CV worker; set only in the worker processes.
+_worker_run = None
+
+
+def _init_worker(run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _worker_job(index: int) -> float:
+    return _worker_run(index)
+
+
+def _run_jobs(run, count: int) -> list[float]:
+    """``[run(i) for i in range(count)]``, spread over forked workers.
+
+    ``run`` reaches the workers through ``fork``, not pickling, so it may be
+    a closure over the caller's data.  An exception from a job reaches the
+    caller with its type; the jobs not yet started are cancelled.
+    """
+    workers = _cv_workers(count)
+    if workers > 1:
+        import multiprocessing
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker, initargs=(run,),
+            )
+            try:
+                return list(pool.map(_worker_job, range(count)))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [run(index) for index in range(count)]
 
 
 # -----------------------------------------------------------------------

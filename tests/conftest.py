@@ -53,15 +53,16 @@ def one_record(propensity, reward):
     )
 
 
-def floor_propensity_logged():
+def floor_propensity_logged(propensity=1e-307):
     """200 logged records (k=3, unit contexts, reward 1) whose every
-    propensity is 1e-307.  At tau = 1e-307 each IPS term is near 1/tau, so
-    the record terms are finite but their sum passes the float maximum."""
+    propensity is ``propensity``.  At tau = 1e-307 each IPS term is near
+    1/tau, so the record terms are finite but their sum passes the float
+    maximum; at the subnormal 4e-309 every r/max(p, tau) overflows."""
     rng = np.random.default_rng(307)
     X = rng.normal(size=(200, 3))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    return LoggedDataset(X, rng.integers(0, 3, size=200), np.full(200, 1e-307),
-                         np.ones(200), 3, 1.0)
+    return LoggedDataset(X, rng.integers(0, 3, size=200),
+                         np.full(200, propensity), np.ones(200), 3, 1.0)
 
 
 def subnormal_propensity_logged():

@@ -19,6 +19,7 @@ from crmlab import (
     save_model,
     zero_policy,
 )
+from crmlab import learning
 from crmlab.cli import build_parser, main
 from conftest import floor_propensity_logged, subnormal_propensity_logged
 
@@ -313,6 +314,22 @@ class TestTrain:
         assert err.startswith("crmlab: numeric failure:")
         assert err.count("\n") == 1
 
+    # r/max(p, tau) overflows at a subnormal tau; sigma* must not become 0
+    # and numpy must print no RuntimeWarning.
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_tau_closed_form_sigma_is_positive(self, tmp_path,
+                                                         capsys):
+        save_logged(tmp_path / "floor.csv", floor_propensity_logged(4e-309))
+        rc, out, err = run(
+            capsys, "train", "--logged", tmp_path / "floor.csv", "--k", "3",
+            "--objective", "poem", "--tau", "4e-309", "--epochs", "2",
+            "--sigma-mode", "closed-form", "--out", tmp_path / "x.model",
+        )
+        assert rc == 0 and err == ""
+        facts = kv(out)
+        assert 0.0 < float(facts["sigma_star"]) < math.inf
+        assert facts["sigma"] == facts["sigma_star"]
+
     def test_model_bytes_deterministic(self, ws, tmp_path, capsys):
         paths = [tmp_path / "m1.model", tmp_path / "m2.model"]
         for p in paths:
@@ -444,6 +461,23 @@ class TestTune:
         assert rc == 3 and out == ""
         assert err == ("crmlab: numeric failure: training diverged for every "
                        "grid value; no lambda to select\n")
+
+    def test_table_and_stdout_do_not_depend_on_worker_count(
+            self, ws, tmp_path, capsys, monkeypatch):
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(learning, "_cv_workers",
+                                lambda jobs, cap=workers: min(jobs, cap))
+            path = tmp_path / f"cv_{workers}.csv"
+            rc, out, err = run(
+                capsys, "tune", "--logged", ws / "logs.csv", "--k", "3",
+                "--method", "ips_l2", "--grid", "1e-5,1e-3,1e308",
+                "--folds", "3", "--epochs", "5", "--out", path,
+                "--seed", "21",
+            )
+            assert rc == 0 and err == ""
+            outputs.append((out, path.read_bytes()))
+        assert outputs[1] == outputs[0]
 
     def test_rerun_is_byte_identical(self, ws, tmp_path, capsys):
         paths = [tmp_path / "cv_a.csv", tmp_path / "cv_b.csv"]

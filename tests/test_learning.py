@@ -1,6 +1,8 @@
 import json
 import logging
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -348,6 +350,15 @@ class TestClosedFormSigma:
     def test_boundary_clamp(self):
         data = self.make_unit_mean_data(11)
         assert closed_form_sigma(data, 0.1, 1.0, 2, 1e-6) == 1e-6
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_tau_keeps_sigma_positive(self):
+        # r/max(p, tau) overflows for every record, but tau·M = 1 exactly,
+        # so sigma* = 2·12/(1·199·1).
+        data = floor_propensity_logged(4e-309)
+        sigma = closed_form_sigma(data, 4e-309, 1.0, 12, 1.0)
+        assert sigma == 24.0 / 199.0
+        assert 0.0 < sigma < math.inf
 
     def test_zero_rewards_return_prior_variance(self):
         X = np.zeros((5, 1))
@@ -699,6 +710,18 @@ class TestTwoStepLearnedPrior:
         assert dist <= 1e-2
 
 
+def use_cv_workers(monkeypatch, workers):
+    """Run cross_validate's jobs on at most ``workers`` processes."""
+    monkeypatch.setattr(learning, "_cv_workers",
+                        lambda jobs: min(jobs, workers))
+
+
+def hex_table(table):
+    """A CV table with every float spelled out bit for bit."""
+    return [(row.lam.hex(), [s.hex() for s in row.fold_scores],
+             row.mean_score.hex()) for row in table]
+
+
 class TestCrossValidate:
     def test_single_element_grid(self, logs400, logging_policy):
         best, table = cross_validate(
@@ -726,6 +749,8 @@ class TestCrossValidate:
                            cfg("ips_l2", epochs=2))
 
     def test_epoch_end_divergence_scores_minus_inf(self, monkeypatch):
+        # The monkeypatched counter sees only calls made in this process.
+        use_cv_workers(monkeypatch, 1)
         calls = count_objective_calls(monkeypatch)
         best, table = cross_validate(
             equal_u_logged(), "poem", [1e-3, math.inf], 2, 5,
@@ -793,6 +818,94 @@ class TestCrossValidate:
         holdout = logs400.subset(folds.holdout_indices(0))
         assert table[0].fold_scores[0] == 1.0 - truncated_ips_risk(
             report.final_policy, holdout, 0.01)
+
+    def test_table_is_bit_identical_at_any_worker_count(self, monkeypatch,
+                                                        logs400,
+                                                        logging_policy):
+        # 1e308 diverges, so every worker count also merges -inf scores.
+        tables = []
+        for workers in (1, 2, 3):
+            use_cv_workers(monkeypatch, workers)
+            best, table = cross_validate(
+                logs400, "ips_lpr", [1e-3, 1e308, 1e-5], 3, 99,
+                cfg("ips_lpr", epochs=10), prior=logging_policy,
+            )
+            tables.append((best.hex(), hex_table(table)))
+        assert table[1].fold_scores == (float("-inf"),) * 3
+        assert tables[1] == tables[0] and tables[2] == tables[0]
+
+    def test_jobs_run_in_forked_workers(self, monkeypatch, logs400):
+        # Each job scores its worker's process id.
+        monkeypatch.setattr(learning, "_cv_job",
+                            lambda *args: float(os.getpid()))
+        grid = [1e-3, 1e-2, 1e-1]
+        for workers in (1, 2):
+            use_cv_workers(monkeypatch, workers)
+            _, table = cross_validate(logs400, "ips_l2", grid, 2, 0,
+                                      cfg("ips_l2"))
+            pids = {s for row in table for s in row.fold_scores}
+            if workers == 1:
+                assert pids == {float(os.getpid())}
+            else:
+                assert float(os.getpid()) not in pids and len(pids) <= 2
+
+    def test_platform_without_fork_runs_jobs_in_process(self, monkeypatch,
+                                                        logs400):
+        monkeypatch.setattr(learning, "_cv_job",
+                            lambda *args: float(os.getpid()))
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        use_cv_workers(monkeypatch, 2)
+        _, table = cross_validate(logs400, "ips_l2", [1e-3, 1e-2], 2, 0,
+                                  cfg("ips_l2"))
+        assert {s for row in table for s in row.fold_scores} == {
+            float(os.getpid())}
+
+    def test_workers_are_capped_by_jobs_and_usable_cpus(self):
+        assert learning._cv_workers(1) == 1
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        assert learning._cv_workers(10**6) == cpus
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_value_diverged_raises_at_any_worker_count(
+            self, monkeypatch, task, logging_policy, workers):
+        use_cv_workers(monkeypatch, workers)
+        logs = task_logs(task, logging_policy, 60, 1)
+        with pytest.raises(FloatingPointError,
+                           match="diverged for every grid value"):
+            cross_validate(logs, "ips_l2", [math.inf, 1e308], 2, 0,
+                           cfg("ips_l2", epochs=2))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_job_error_reaches_caller_with_its_type(self, monkeypatch,
+                                                    logs400, workers):
+        use_cv_workers(monkeypatch, workers)
+        real_train = learning.train
+
+        def failing_train(config, data, prior=None, **kwargs):
+            if config.lam == 1e-5:
+                raise ZeroDivisionError(f"job at lam={config.lam!r}")
+            return real_train(config, data, prior, **kwargs)
+
+        monkeypatch.setattr(learning, "train", failing_train)
+        with pytest.raises(ZeroDivisionError, match="^job at lam=1e-05$"):
+            cross_validate(logs400, "ips_l2", [1e-3, 1e-5], 2, 0,
+                           cfg("ips_l2", epochs=2))
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_daemon_worker_runs_jobs_in_process(self, monkeypatch, logs400):
+        # A daemonic process may not start children, so a cross_validate
+        # inside a multiprocessing pool worker must take the serial path.
+        use_cv_workers(monkeypatch, 2)
+        args = (logs400, "ips_l2", [1e-3, 1e308], 2, 3,
+                cfg("ips_l2", epochs=3))
+        best, table = cross_validate(*args)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            daemon_best, daemon_table = pool.apply(cross_validate, args)
+        assert daemon_best == best
+        assert hex_table(daemon_table) == hex_table(table)
 
     def test_validation(self, logs400, logging_policy):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Property tests of the estimators over generated logs.
+"""Property tests of the estimators over generated logs, and of the risk
+bounds over generated inputs.
 
 hypothesis is not a declared dependency, so this module is skipped where it
 is not installed.  Runs are derandomized and keep no example database, so
@@ -15,7 +16,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from crmlab import LoggedDataset, SoftmaxPolicy, ips_risk, truncated_ips_risk  # noqa: E402
+from crmlab import (  # noqa: E402
+    BoundInputs,
+    LoggedDataset,
+    SoftmaxPolicy,
+    crm_bound_fixed_tau,
+    ips_risk,
+    mcallester_bound,
+    truncated_ips_risk,
+)
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -59,3 +68,41 @@ def test_truncated_ips_risk_dominates_plain_and_stays_in_range(sample, tau):
     # 1 − 1/tau is itself rounded, so it gets a few ulps of 1/tau.
     assert truncated <= 1.0
     assert truncated >= 1.0 - 1.0 / tau - 4.0 * math.ulp(1.0 / tau)
+
+
+def ordered(values):
+    """Two draws from ``values``, smaller first."""
+    return st.lists(values, min_size=2, max_size=2).map(sorted)
+
+
+kls = ordered(st.floats(0.0, 1e3))
+sizes = ordered(st.integers(2, 10**6))
+deltas = st.floats(1e-6, 1.0, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ordered(unit), kls, sizes, deltas)
+def test_mcallester_bound_grows_with_kl_and_risk_and_shrinks_with_n(
+        emps, kl, n, delta):
+    base = mcallester_bound(emps[0], kl[0], n[1], delta)
+    assert mcallester_bound(emps[1], kl[0], n[1], delta) >= base
+    assert mcallester_bound(emps[0], kl[1], n[1], delta) >= base
+    assert mcallester_bound(emps[0], kl[0], n[0], delta) >= base
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ordered(unit), kls, sizes, deltas,
+       st.floats(1e-3, 1.0, exclude_max=True))
+def test_crm_bound_grows_with_kl_and_risk_and_shrinks_with_n(
+        fractions, kl, n, delta, tau):
+    # The truncated empirical risk lies in [1 - 1/tau, 1].
+    floor = 1.0 - 1.0 / tau
+    emps = [floor + f * (1.0 - floor) for f in fractions]
+
+    def bound(emp, kl_term, size):
+        return crm_bound_fixed_tau(BoundInputs(size, delta, tau, kl_term, emp))
+
+    base = bound(emps[0], kl[0], n[1])
+    assert bound(emps[1], kl[0], n[1]) >= base
+    assert bound(emps[0], kl[1], n[1]) >= base
+    assert bound(emps[0], kl[0], n[0]) >= base
