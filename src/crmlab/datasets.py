@@ -38,7 +38,7 @@ from typing import Callable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
-from .policies import SoftmaxPolicy, _softmax_rows, gumbel_noise
+from .policies import SoftmaxPolicy, _gumbel_max_log
 
 __all__ = [
     "LabeledDataset",
@@ -411,13 +411,9 @@ def simulate_logs(
         raise ValueError(
             f"policy dimension {logging_policy.d} does not match data {data.d}"
         )
-    rng = np.random.default_rng(seed)
-    logits = data.features @ logging_policy.weights.T + logging_policy.biases
-    P = _softmax_rows(logits)
-    noise = gumbel_noise(rng, logits.shape)
-    actions = np.argmax(logits + noise, axis=1)
-    rows = np.arange(len(data))
-    propensities = P[rows, actions]
+    actions, propensities = _gumbel_max_log(
+        logging_policy, data.features, np.random.default_rng(seed)
+    )
     rewards = (actions == data.labels).astype(np.float64)
     B = float(np.sqrt((data.features * data.features).sum(axis=1).max()))
     return LoggedDataset(data.features, actions, propensities, rewards, data.k, B)

@@ -601,15 +601,15 @@ def closed_form_sigma(
     """Analytic minimizer of the variance sub-objective on (0, sigma0].
 
     sigma* = min{ 2·d / (B²·τ·(n−1)·M), sigma0 } with
-    M = (1/n)·sum_i r_i / max(p_i, τ).  When every reward is zero the
-    unconstrained solution is infinite and the constrained minimizer sits
-    at the boundary sigma0.  A subnormal τ can overflow a term of M, though
-    τ·M = mean(r_i·(τ/max(p_i, τ))) stays in range; only then is sigma*
-    formed from τ·M, so every other case keeps the bits of the formula.
+    M = (1/n)·sum_i r_i / max(p_i, τ).  When every reward is zero or B = 0
+    the unconstrained solution is infinite and the constrained minimizer
+    sits at the boundary sigma0.  A subnormal τ can overflow a term of M,
+    though τ·M = mean(r_i·(τ/max(p_i, τ))) stays in range; only then is
+    sigma* formed from τ·M, so every other case keeps the formula's bits.
     """
     _check_tau(tau)
-    if not (B > 0.0 and sigma0 > 0.0 and d_effective > 0):
-        raise ValueError("B, sigma0, and d_effective must be positive")
+    if not (B >= 0.0 and sigma0 > 0.0 and d_effective > 0):
+        raise ValueError("B must be nonnegative, sigma0 and d_effective positive")
     if data.n < 2:
         raise ValueError("need n >= 2")
     floor = np.maximum(data.propensities, tau)
@@ -928,59 +928,58 @@ def _run_jobs(run, count: int) -> list[float]:
 # -----------------------------------------------------------------------
 
 
-def solve_logging_nll_exact(
-    data: LoggedDataset, lam: float, tol: float = 1e-10
-) -> SoftmaxPolicy:
+# Damped Newton for the exact fit.  Objective values carry a relative
+# rounding error near 1e-16, so Armijo cannot judge a step whose model
+# decrease is below _RESOLUTION of the value; such a step is taken whole.
+_NEWTON_STEPS = 50
+_NEWTON_TOL = 1e-10
+_ARMIJO = 1e-4
+_RESOLUTION = 1e-12
+
+
+def solve_logging_nll_exact(data: LoggedDataset, lam: float) -> SoftmaxPolicy:
     """Solve the weights-only regularized likelihood fit to high precision.
 
-    Minimizes mean(-ln pi(a_i|x_i)) + lam·‖W‖² over W with biases fixed at
-    zero.  Runs L-BFGS and then polishes with damped Newton steps until the
-    gradient norm certifies (via 2·lam strong convexity) that the solution
-    is within ``tol`` of the unique minimizer.  Intended for stability
-    experiments and exact-baseline checks rather than large-scale training.
+    Minimizes the ``logging_nll`` objective mean(-ln pi(a_i|x_i)) + lam·‖W‖²
+    over W, biases fixed at zero, by damped Newton steps from W = 0 with
+    Armijo backtracking.  Returns once ‖gradient‖ ≤ 2·lam·1e-10, which by
+    2·lam strong convexity certifies W within 1e-10 of the unique minimizer;
+    raises ``FloatingPointError`` if the step cap comes first.  Each step
+    solves a (k·d)-square system: this is for exact baselines, not big fits.
     """
-    from scipy.optimize import minimize
-
     if not (lam > 0.0):
         raise ValueError("lam must be positive")
-    X, a = data.features, data.actions
-    n, d, k = data.n, data.d, data.k
-
-    def value_grad(w_flat: np.ndarray) -> tuple[float, np.ndarray]:
-        W = w_flat.reshape(k, d)
-        P, pi = _probs_and_matched(W, np.zeros(k), X, a)
-        with np.errstate(divide="ignore"):
-            value = _compensated_mean(-np.log(pi)) + lam * float(np.sum(W * W))
-        G = P.copy()
-        G[np.arange(n), a] -= 1.0
-        gW = G.T @ X / n + 2.0 * lam * W
-        return value, gW.ravel()
-
-    res = minimize(
-        value_grad,
-        np.zeros(k * d),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 2000, "gtol": 1e-12, "ftol": 0.0},
+    config = TrainConfig("logging_nll", lam=lam, train_biases=False)
+    X, n, d, k = data.features, data.n, data.d, data.k
+    zeros = np.zeros(k)
+    w = np.zeros(k * d)
+    for _ in range(_NEWTON_STEPS):
+        policy = SoftmaxPolicy(w.reshape(k, d), zeros)
+        g = objective_gradient(config, policy, None, data)[0].ravel()
+        if float(np.linalg.norm(g)) <= 2.0 * lam * _NEWTON_TOL:
+            return policy
+        # The Hessian (1/n)·sum_i (diag P_i − P_i P_iᵀ) ⊗ x_i x_iᵀ + 2·lam·I:
+        # with rows A_i = P_i ⊗ x_i it is blockdiag_c(A_cᵀ X) − AᵀA, over n.
+        P = _softmax_rows(X @ policy.weights.T)
+        A = P[:, :, None] * X[:, None, :]
+        H = -(A.reshape(n, k * d).T @ A.reshape(n, k * d))
+        c = np.arange(k)
+        H.reshape(k, d, k, d)[c, :, c] += A.transpose(1, 2, 0) @ X
+        H /= n
+        H[np.diag_indices(k * d)] += 2.0 * lam
+        step = np.linalg.solve(H, -g)
+        decrease = -float(g @ step)  # gᵀH⁻¹g, twice the model decrease
+        value = objective_value(config, policy, None, data)
+        t = 1.0
+        # Halve t until the Armijo test passes (a NaN value fails it).
+        while t * decrease > _RESOLUTION * value and not objective_value(
+            config, SoftmaxPolicy((w + t * step).reshape(k, d), zeros), None, data
+        ) <= value - _ARMIJO * t * decrease:
+            t *= 0.5
+        w = w + t * step
+    raise FloatingPointError(
+        f"no optimality certificate after {_NEWTON_STEPS} Newton steps"
     )
-    W = res.x.reshape(k, d)
-
-    # Newton polish: the Hessian is PSD data curvature + 2*lam*I, so steps
-    # are well defined; stop once ||grad|| <= 2*lam*tol, which bounds the
-    # parameter error by tol.
-    target = 2.0 * lam * tol
-    eye = np.eye(k * d)
-    for _ in range(50):
-        _, g = value_grad(W.ravel())
-        if float(np.linalg.norm(g)) <= target:
-            break
-        P, _ = _probs_and_matched(W, np.zeros(k), X, a)
-        M = np.einsum("ia,ab->iab", P, np.eye(k)) - np.einsum("ia,ib->iab", P, P)
-        H = np.einsum("iab,ij,il->ajbl", M, X, X).reshape(k * d, k * d) / n
-        H += 2.0 * lam * eye
-        step = np.linalg.solve(H, g)
-        W = W - step.reshape(k, d)
-    return SoftmaxPolicy(W, np.zeros(k))
 
 
 # -----------------------------------------------------------------------

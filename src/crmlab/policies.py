@@ -175,10 +175,17 @@ def action_prob_matrix(policy: SoftmaxPolicy, X: np.ndarray) -> np.ndarray:
     return _softmax_rows(X @ policy.weights.T + policy.biases)
 
 
-def gumbel_noise(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard Gumbel variates via −ln(−ln u), u clamped inside (0, 1)."""
-    u = np.clip(rng.uniform(size=shape), _U_LO, _U_HI)
-    return -np.log(-np.log(u))
+def _gumbel_max_log(
+    policy: SoftmaxPolicy, X: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log ``policy`` at the contexts ``X``: per row, the Gumbel-max action
+    argmax(logits − ln(−ln u)) for uniforms u clamped inside (0, 1), and its
+    exact softmax probability as the propensity."""
+    logits = X @ policy.weights.T + policy.biases
+    P = _softmax_rows(logits)
+    u = np.clip(rng.uniform(size=logits.shape), _U_LO, _U_HI)
+    actions = np.argmax(logits - np.log(-np.log(u)), axis=1)
+    return actions, P[np.arange(X.shape[0]), actions]
 
 
 def mixed_logit_prob_mc(

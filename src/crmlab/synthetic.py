@@ -19,7 +19,7 @@ import numpy as np
 
 from .datasets import LabeledDataset, LoggedDataset
 from .learning import learn_logging_policy
-from .policies import SoftmaxPolicy, _softmax_rows, action_prob_matrix, gumbel_noise
+from .policies import SoftmaxPolicy, _gumbel_max_log, action_prob_matrix
 
 __all__ = [
     "EnumerableTask",
@@ -150,14 +150,11 @@ def task_logs(
     rng = np.random.default_rng(seed)
     ctx_idx = rng.choice(task.contexts.shape[0], size=n, p=task.context_probs)
     X = task.contexts[ctx_idx]
-    logits = X @ policy.weights.T + policy.biases
-    P = _softmax_rows(logits)
-    actions = np.argmax(logits + gumbel_noise(rng, logits.shape), axis=1)
-    rows = np.arange(n)
+    actions, propensities = _gumbel_max_log(policy, X, rng)
     return LoggedDataset(
         features=X,
         actions=actions,
-        propensities=P[rows, actions],
+        propensities=propensities,
         rewards=task.rewards[ctx_idx, actions],
         k=task.k,
         feature_norm_bound=task.feature_norm_bound,

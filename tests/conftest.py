@@ -77,6 +77,15 @@ def subnormal_propensity_logged():
                          rng.integers(0, 2, size=200).astype(float), 3, 1.0)
 
 
+def zero_feature_logged():
+    """200 logged records (k=3, rewards 0 or 1) whose every feature is 0.0,
+    so the feature norm bound B is 0."""
+    rng = np.random.default_rng(310)
+    return LoggedDataset(np.zeros((200, 4)), rng.integers(0, 3, size=200),
+                         np.full(200, 1.0 / 3.0),
+                         rng.integers(0, 2, size=200).astype(float), 3, 0.0)
+
+
 @pytest.fixture
 def half_prob_policy():
     return zero_policy(1, 2)

@@ -21,7 +21,11 @@ from crmlab import (
 )
 from crmlab import learning
 from crmlab.cli import build_parser, main
-from conftest import floor_propensity_logged, subnormal_propensity_logged
+from conftest import (
+    floor_propensity_logged,
+    subnormal_propensity_logged,
+    zero_feature_logged,
+)
 
 
 def run(capsys, *argv):
@@ -330,6 +334,20 @@ class TestTrain:
         assert 0.0 < float(facts["sigma_star"]) < math.inf
         assert facts["sigma"] == facts["sigma_star"]
 
+    # With B = 0 the closed-form sigma* is its boundary value sigma0.
+    @pytest.mark.parametrize("objective", ["ips_l2", "poem"])
+    @pytest.mark.parametrize("mode", ["fixed", "closed-form"])
+    def test_all_zero_features_train(self, tmp_path, capsys, objective, mode):
+        save_logged(tmp_path / "zero.csv", zero_feature_logged())
+        rc, out, err = run(
+            capsys, "train", "--logged", tmp_path / "zero.csv", "--k", "3",
+            "--objective", objective, "--epochs", "2", "--sigma-mode", mode,
+            "--out", tmp_path / "x.model",
+        )
+        assert rc == 0 and err == ""
+        assert kv(out)["sigma_star"] == "1.0"
+        load_model(tmp_path / "x.model")
+
     def test_model_bytes_deterministic(self, ws, tmp_path, capsys):
         paths = [tmp_path / "m1.model", tmp_path / "m2.model"]
         for p in paths:
@@ -461,6 +479,16 @@ class TestTune:
         assert rc == 3 and out == ""
         assert err == ("crmlab: numeric failure: training diverged for every "
                        "grid value; no lambda to select\n")
+
+    def test_all_zero_features_tune(self, tmp_path, capsys):
+        save_logged(tmp_path / "zero.csv", zero_feature_logged())
+        rc, out, err = run(
+            capsys, "tune", "--logged", tmp_path / "zero.csv", "--k", "3",
+            "--method", "ips_l2", "--grid", "0.1", "--folds", "2",
+            "--epochs", "2", "--out", tmp_path / "cv.csv",
+        )
+        assert rc == 0 and err == ""
+        assert len(read_rows(tmp_path / "cv.csv")) == 1
 
     def test_table_and_stdout_do_not_depend_on_worker_count(
             self, ws, tmp_path, capsys, monkeypatch):

@@ -3,6 +3,9 @@ import logging
 import math
 import multiprocessing
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from crmlab import (
     LoggedDataset,
     SoftmaxPolicy,
     TrainConfig,
+    blob_task,
     closed_form_sigma,
     cross_validate,
     derive_seed,
@@ -23,11 +27,14 @@ from crmlab import (
     objective_value,
     param_distance_sq,
     poem_build_surrogate,
+    sample_labeled,
     save_trace_csv,
     save_train_report,
     solve_logging_nll_exact,
     simulate_logs,
+    supervised_policy,
     task_logs,
+    temper,
     train,
     truncated_ips_risk,
     two_step_learned_lpr,
@@ -366,6 +373,13 @@ class TestClosedFormSigma:
                              np.zeros(5), 2, 0.0)
         assert closed_form_sigma(data, 0.1, 1.0, 2, 0.7) == 0.7
 
+    def test_zero_feature_bound_returns_prior_variance(self):
+        # B = 0 (every feature zero) makes the sub-objective's data term
+        # vanish, so its minimizer on (0, sigma0] is sigma0, rewards or not.
+        data = self.make_unit_mean_data(11)
+        assert closed_form_sigma(data, 0.1, 0.0, 2, 0.7) == 0.7
+        assert closed_form_sigma(data, 4e-309, 0.0, 2, 0.7) == 0.7
+
     def test_matches_golden_section(self):
         rng = np.random.default_rng(50)
         for _ in range(5):
@@ -394,7 +408,9 @@ class TestClosedFormSigma:
         with pytest.raises(ValueError):
             closed_form_sigma(data, 0.0, 1.0, 2, 1.0)
         with pytest.raises(ValueError):
-            closed_form_sigma(data, 0.1, 0.0, 2, 1.0)
+            closed_form_sigma(data, 0.1, -1.0, 2, 1.0)
+        with pytest.raises(ValueError):
+            closed_form_sigma(data, 0.1, math.nan, 2, 1.0)
         with pytest.raises(ValueError):
             closed_form_sigma(one_record(0.5, 1.0), 0.1, 1.0, 2, 1.0)
 
@@ -658,19 +674,32 @@ class TestLearnLoggingPolicy:
         np.testing.assert_allclose(a.weights, b.weights, atol=1e-8)
 
 
+def peaked_blob_logs(k, d, n, seed):
+    """Blob-task logs of a sharply tempered supervised policy: the fit has
+    large weights, so Newton from zero takes many steps (at k=10 one of
+    them backtracks) and ends below the objective's rounding resolution."""
+    task = blob_task(k, d, noise=0.05, seed=seed)
+    labeled = sample_labeled(task, n, seed)
+    policy = temper(supervised_policy(labeled, epochs=20), 50.0)
+    return simulate_logs(policy, labeled, seed)
+
+
 class TestSolveLoggingNllExact:
     def test_gradient_certifies_optimality(self):
-        rng = np.random.default_rng(54)
-        data = smooth_logged(rng, 60, 4, 3)
-        lam = 0.05
-        fit = solve_logging_nll_exact(data, lam)
         from crmlab import action_prob_matrix
 
-        P = action_prob_matrix(fit, data.features)
-        G = P.copy()
-        G[np.arange(data.n), data.actions] -= 1.0
-        grad = G.T @ data.features / data.n + 2 * lam * fit.weights
-        assert float(np.linalg.norm(grad)) <= 2 * lam * 1e-8
+        cases = [
+            (smooth_logged(np.random.default_rng(54), 60, 4, 3), 0.05),
+            (peaked_blob_logs(10, 20, 2000, 1), 1e-4),
+            (peaked_blob_logs(5, 8, 500, 4), 1e-6),
+        ]
+        for data, lam in cases:
+            fit = solve_logging_nll_exact(data, lam)
+            P = action_prob_matrix(fit, data.features)
+            G = P.copy()
+            G[np.arange(data.n), data.actions] -= 1.0
+            grad = G.T @ data.features / data.n + 2 * lam * fit.weights
+            assert float(np.linalg.norm(grad)) <= 2 * lam * 1e-8
 
     def test_beats_adagrad_fit(self):
         rng = np.random.default_rng(55)
@@ -685,6 +714,32 @@ class TestSolveLoggingNllExact:
     def test_rejects_nonpositive_lambda(self, logs400):
         with pytest.raises(ValueError):
             solve_logging_nll_exact(logs400, 0.0)
+
+    def test_step_cap_without_certificate_raises(self, logs400, monkeypatch):
+        monkeypatch.setattr(learning, "_NEWTON_STEPS", 1)
+        with pytest.raises(FloatingPointError):
+            solve_logging_nll_exact(logs400, 0.01)
+
+    def test_runs_without_scipy(self):
+        # A None entry in sys.modules makes every scipy import fail.
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "import crmlab\n"
+            "rng = np.random.default_rng(0)\n"
+            "X = rng.normal(size=(50, 3))\n"
+            "data = crmlab.LoggedDataset(X, rng.integers(0, 2, size=50),\n"
+            "    np.full(50, 0.5), np.zeros(50), 2,\n"
+            "    float(np.linalg.norm(X, axis=1).max()))\n"
+            "crmlab.solve_logging_nll_exact(data, 0.05)\n"
+        )
+        src = pathlib.Path(learning.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestTwoStepLearnedPrior:

@@ -16,7 +16,7 @@ from crmlab import (
     save_model,
     zero_policy,
 )
-from crmlab.policies import _softmax_rows, gumbel_noise
+from crmlab.policies import _gumbel_max_log, _softmax_rows
 
 
 def bias_policy(biases, d=1):
@@ -74,19 +74,21 @@ class TestSampling:
     def test_goodness_of_fit(self):
         """Gumbel-argmax draws follow the softmax distribution.
 
-        Uses the perturb-and-argmax rule of simulate_logs and task_logs,
-        batched so that 10 policies x 100,000 draws stay fast.
+        Uses the logger of simulate_logs and task_logs, batched so that
+        10 policies x 100,000 draws stay fast.
         """
         rng = np.random.default_rng(7)
         for _ in range(10):
             k, d = int(rng.integers(2, 6)), int(rng.integers(1, 4))
             pol = SoftmaxPolicy(rng.normal(size=(k, d)), rng.normal(size=k))
             x = rng.normal(size=d)
-            logits = pol.logits(x)
-            draws = np.argmax(logits + gumbel_noise(rng, (100_000, k)), axis=1)
+            draws, propensities = _gumbel_max_log(
+                pol, np.tile(x, (100_000, 1)), rng
+            )
+            probs = action_probs(pol, x)
+            np.testing.assert_allclose(propensities, probs[draws], rtol=1e-13)
             counts = np.bincount(draws, minlength=k)
-            expected = 100_000 * action_probs(pol, x)
-            result = scipy.stats.chisquare(counts, expected)
+            result = scipy.stats.chisquare(counts, 100_000 * probs)
             assert result.pvalue > 0.001
 
 

@@ -1,9 +1,9 @@
-"""Property tests of the estimators over generated logs, and of the risk
-bounds over generated inputs.
+"""Property tests of the estimators and the POEM surrogate over generated
+logs, and of the risk bounds over generated inputs.
 
-hypothesis is not a declared dependency, so this module is skipped where it
-is not installed.  Runs are derandomized and keep no example database, so
-every run checks the same examples and writes no files.
+hypothesis comes with the ``test`` extra (``pip install .[test]``); without
+it this module is skipped.  Runs are derandomized and keep no example
+database, so every run checks the same examples and writes no files.
 """
 
 from __future__ import annotations
@@ -20,9 +20,12 @@ from crmlab import (  # noqa: E402
     BoundInputs,
     LoggedDataset,
     SoftmaxPolicy,
+    TrainConfig,
     crm_bound_fixed_tau,
     ips_risk,
     mcallester_bound,
+    objective_value,
+    poem_build_surrogate,
     truncated_ips_risk,
 )
 
@@ -30,10 +33,10 @@ unit = st.floats(min_value=0.0, max_value=1.0)
 
 
 @st.composite
-def logs_and_policies(draw):
-    """A logged dataset of 1 to 40 records and a softmax policy over it.
-    Propensities reach down to 1e-12, so truncation binds at most tau."""
-    n = draw(st.integers(1, 40))
+def logs_and_policies(draw, min_n=1):
+    """A logged dataset of ``min_n`` to 40 records and a softmax policy over
+    it.  Propensities reach down to 1e-12, so truncation binds at most tau."""
+    n = draw(st.integers(min_n, 40))
     k = draw(st.integers(2, 5))
     d = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -68,6 +71,36 @@ def test_truncated_ips_risk_dominates_plain_and_stays_in_range(sample, tau):
     # 1 − 1/tau is itself rounded, so it gets a few ulps of 1/tau.
     assert truncated <= 1.0
     assert truncated >= 1.0 - 1.0 / tau - 4.0 * math.ulp(1.0 / tau)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    logs_and_policies(min_n=2),
+    st.floats(1e-3, 1.0, exclude_max=True),
+    st.floats(0.0, 10.0),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0),
+)
+def test_poem_surrogate_touches_at_anchor_and_dominates_nearby(
+        sample, tau, lam, seed, step):
+    data, anchor = sample
+    surrogate = poem_build_surrogate(anchor, data, tau, lam)
+    # A zero anchor variance drops the penalty for the epoch: no majorizer.
+    hypothesis.assume(not surrogate.degenerate)
+    config = TrainConfig("poem", lam=lam, tau=tau)
+    rng = np.random.default_rng(seed)
+    nearby = SoftmaxPolicy(
+        anchor.weights + step * rng.normal(size=anchor.weights.shape),
+        anchor.biases + step * rng.normal(size=anchor.biases.shape),
+    )
+    # Every u lies in [0, 1/tau], which bounds each surrogate and variance
+    # term; round-off is allowed 1e-13 of the largest of them.
+    tol = 1e-13 * (1.0 + abs(surrogate.const) + surrogate.alpha.max() / tau**2
+                   + np.abs(surrogate.beta).max() / tau + lam / tau)
+    at_anchor = objective_value(config, anchor, None, data)
+    assert abs(surrogate.value(anchor, data) - at_anchor) <= tol
+    at_nearby = objective_value(config, nearby, None, data)
+    assert surrogate.value(nearby, data) >= at_nearby - tol
 
 
 def ordered(values):
