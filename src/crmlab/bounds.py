@@ -1,15 +1,18 @@
 """Closed-form risk bounds and the complexity terms feeding them.
 
-Every bound is a pure scalar function, so property tests and the ``bound``
-CLI subcommand share one code path.  ``d_effective`` always counts weight
-parameters only (k·d); biases carry no Gaussian spread and are excluded
-from each squared distance here, consistent with the rest of the package.
+Every bound is a pure scalar function.  :func:`certificates` is the one
+place that assembles them into risk certificates; the library's two risk
+bounds and the ``bound`` CLI subcommand read its rows.  ``d_effective``
+always counts weight parameters only (k·d); biases carry no Gaussian spread
+and are excluded from each squared distance here, consistent with the rest
+of the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .datasets import LoggedDataset
 from .estimators import _check_tau, mean_param_risk
@@ -23,9 +26,10 @@ __all__ = [
     "crm_bound_all_tau",
     "gaussian_kl_exact",
     "gaussian_kl_bound",
-    "c_term",
-    "mixed_logit_risk_bound",
     "data_dep_c_term",
+    "Certificate",
+    "certificates",
+    "mixed_logit_risk_bound",
     "data_dep_risk_bound",
 ]
 
@@ -108,9 +112,11 @@ def crm_bound_all_tau(inputs: BoundInputs) -> float:
     (covering construction; looser constants than the fixed-τ bound):
     emp + sqrt(4·(emp−1+2/τ)·pen) + 4·pen,  pen = (KL + ln(2n/(δτ)))/(τ(n−1)).
     """
-    pen = (inputs.kl_term + math.log(2.0 * inputs.n / (inputs.delta * inputs.tau))) / (
-        inputs.tau * (inputs.n - 1)
-    )
+    # At the smallest subnormal tau, delta·tau underflows to 0: the log term
+    # is then inf, as it is wherever 2n/(delta·tau) overflows.
+    scale = inputs.delta * inputs.tau
+    log_term = math.log(2.0 * inputs.n / scale) if scale > 0.0 else math.inf
+    pen = (inputs.kl_term + log_term) / (inputs.tau * (inputs.n - 1))
     gap = max(inputs.emp_risk - 1.0 + 2.0 / inputs.tau, 0.0)
     return inputs.emp_risk + math.sqrt(4.0 * gap * pen) + 4.0 * pen
 
@@ -157,38 +163,6 @@ def gaussian_kl_bound(
     return dist_sq / (2.0 * sigma0) + 0.5 * d_effective * math.log(sigma0 / sigma)
 
 
-def c_term(
-    theta_hat: SoftmaxPolicy,
-    sigma: float,
-    theta0: SoftmaxPolicy,
-    sigma0: float,
-    d_effective: int,
-) -> float:
-    """Complexity term ‖θ̂−θ0‖²/σ0 + d·ln(σ0/σ); exactly twice
-    :func:`gaussian_kl_bound`.
-    """
-    return 2.0 * gaussian_kl_bound(theta_hat, sigma, theta0, sigma0, d_effective)
-
-
-def mixed_logit_risk_bound(
-    spec: MixedLogitSpec, data: LoggedDataset, tau: float, delta: float
-) -> float:
-    """Computable risk bound for a Gaussian-weight policy:
-    ρ̂ + sqrt((ρ̂−1+1/τ)·(C + 2ln(n/δ))/(τ(n−1))) + (C + 2ln(n/δ))/(τ(n−1))
-    with ρ̂ the mean-parameter risk estimate and C the complexity term
-    against the stored prior.  Delegates to :func:`crm_bound_fixed_tau`
-    with kl_term = C/2, to which it is algebraically identical.
-    """
-    d_eff = spec.mean.k * spec.mean.d
-    C = c_term(spec.mean, spec.variance, spec.prior_mean, spec.prior_variance, d_eff)
-    emp = mean_param_risk(
-        spec.mean, spec.variance, data.feature_norm_bound, data, tau
-    )
-    return crm_bound_fixed_tau(
-        BoundInputs(n=data.n, delta=delta, tau=tau, kl_term=0.5 * C, emp_risk=emp)
-    )
-
-
 def data_dep_c_term(
     theta_hat: SoftmaxPolicy,
     sigma: float,
@@ -201,7 +175,7 @@ def data_dep_c_term(
     regularized fit ŵ:  (‖θ̂−ŵ‖ + (L/λ)·sqrt(2·ln(4/δ)/n))²/σ0 + d·ln(σ0/σ).
 
     The additive slack covers how far ŵ can sit from its expectation, so
-    the term dominates :func:`c_term` evaluated at ŵ.
+    the term dominates twice :func:`gaussian_kl_bound` evaluated at ŵ.
     """
     _check_variances(sigma, sigma0, ordered=True)
     dist = math.sqrt(param_distance_sq(theta_hat, w_hat))
@@ -211,6 +185,79 @@ def data_dep_c_term(
     return (dist + slack) ** 2 / sigma0 + d_effective * math.log(sigma0 / sigma)
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """One risk certificate: the bound of kind ``bound`` (``fixed_tau``,
+    ``all_tau`` or ``learned_prior``) with the numbers it is computed from.
+
+    ``value`` is the bound of exactly these numbers, with KL term
+    ``c_term/2``; the ``learned_prior`` row spends ``delta/2`` on it.  The
+    fields are the columns of the ``crmlab bound`` table, in order.
+    """
+
+    bound: str
+    n: int
+    tau: float
+    delta: float
+    sigma: float
+    sigma0: float
+    emp_risk: float
+    kl_exact: float
+    kl_bound: float
+    c_term: float
+    value: float
+
+
+def certificates(
+    spec: MixedLogitSpec,
+    data: LoggedDataset,
+    tau: float,
+    delta: float,
+    B: float,
+    learned: Optional[tuple[SoftmaxPolicy, StabilityParams]] = None,
+) -> list[Certificate]:
+    """Risk certificates of the Gaussian-weight policy ``spec`` on ``data``.
+
+    Every row shares ρ̂ = :func:`mean_param_risk` at the context-norm bound
+    ``B`` and the KL terms against ``spec.prior_mean``, with complexity
+    term C = 2·:func:`gaussian_kl_bound`.  The ``fixed_tau`` and
+    ``all_tau`` rows are :func:`crm_bound_fixed_tau` and
+    :func:`crm_bound_all_tau` at KL term C/2.  ``learned = (ŵ, stability)``
+    adds the ``learned_prior`` row: the fixed-τ bound at the term Ĉ of
+    :func:`data_dep_c_term` against ŵ, at δ/2.
+    """
+    mean, sigma, sigma0 = spec.mean, spec.variance, spec.prior_variance
+    d_eff = mean.k * mean.d
+    emp = mean_param_risk(mean, sigma, B, data, tau)
+    kl_exact = gaussian_kl_exact(mean, sigma, spec.prior_mean, sigma0, d_eff)
+    kl_bound = gaussian_kl_bound(mean, sigma, spec.prior_mean, sigma0, d_eff)
+    kinds = [("fixed_tau", crm_bound_fixed_tau, delta, 2.0 * kl_bound),
+             ("all_tau", crm_bound_all_tau, delta, 2.0 * kl_bound)]
+    if learned is not None:
+        w_hat, stability = learned
+        c_hat = data_dep_c_term(mean, sigma, w_hat, sigma0, stability, d_eff)
+        # ln(n/(delta/2)) = ln(2n/delta), so halving delta produces the wider
+        # log terms this bound requires.
+        kinds.append(("learned_prior", crm_bound_fixed_tau, 0.5 * delta, c_hat))
+    return [
+        Certificate(
+            kind, data.n, tau, delta, sigma, sigma0, emp, kl_exact, kl_bound, c,
+            bound(BoundInputs(n=data.n, delta=at_delta, tau=tau,
+                              kl_term=0.5 * c, emp_risk=emp)),
+        )
+        for kind, bound, at_delta, c in kinds
+    ]
+
+
+def mixed_logit_risk_bound(
+    spec: MixedLogitSpec, data: LoggedDataset, tau: float, delta: float
+) -> float:
+    """The ``fixed_tau`` certificate at the log's own context-norm bound:
+    ρ̂ + sqrt((ρ̂−1+1/τ)·(C + 2ln(n/δ))/(τ(n−1))) + (C + 2ln(n/δ))/(τ(n−1)).
+    """
+    return certificates(spec, data, tau, delta, data.feature_norm_bound)[0].value
+
+
 def data_dep_risk_bound(
     spec: MixedLogitSpec,
     data: LoggedDataset,
@@ -218,23 +265,10 @@ def data_dep_risk_bound(
     delta: float,
     stability: StabilityParams,
 ) -> float:
-    """Risk bound whose prior is the learned regularized fit (spec.prior_mean
-    plays the role of ŵ).  Same shape as :func:`mixed_logit_risk_bound` with
-    the complexity term Ĉ of :func:`data_dep_c_term` and log terms in
-    2n/δ; realized through the fixed-τ code path at delta/2.
+    """The ``learned_prior`` certificate at the log's own context-norm bound,
+    with ``spec.prior_mean`` as the learned regularized fit ŵ.
     """
-    d_eff = spec.mean.k * spec.mean.d
-    C_hat = data_dep_c_term(
-        spec.mean, spec.variance, spec.prior_mean, spec.prior_variance,
-        stability, d_eff,
-    )
-    emp = mean_param_risk(
-        spec.mean, spec.variance, data.feature_norm_bound, data, tau
-    )
-    # ln(n/(delta/2)) = ln(2n/delta), so halving delta produces the wider
-    # log terms this bound requires.
-    return crm_bound_fixed_tau(
-        BoundInputs(
-            n=data.n, delta=0.5 * delta, tau=tau, kl_term=0.5 * C_hat, emp_risk=emp
-        )
-    )
+    return certificates(
+        spec, data, tau, delta, data.feature_norm_bound,
+        learned=(spec.prior_mean, stability),
+    )[-1].value

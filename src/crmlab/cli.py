@@ -19,28 +19,19 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import (
-    BoundInputs,
-    StabilityParams,
-    c_term,
-    crm_bound_all_tau,
-    crm_bound_fixed_tau,
-    data_dep_c_term,
-    gaussian_kl_bound,
-    gaussian_kl_exact,
-)
+from .bounds import Certificate, StabilityParams, certificates
 from .datasets import load_labeled, load_logged, save_logged, simulate_logs, temper
 from .estimators import (
     _compensated_mean,
     argmax_accuracy,
     expected_reward_stochastic,
     ips_risk,
-    mean_param_risk,
 )
 from .learning import (
     LPR_FAMILY,
@@ -53,7 +44,9 @@ from .learning import (
     save_train_report,
     train,
 )
-from .policies import SoftmaxPolicy, load_model, param_distance_sq, save_model
+from .policies import (
+    MixedLogitSpec, SoftmaxPolicy, load_model, param_distance_sq, save_model,
+)
 from .seeding import derive_seed
 
 __all__ = ["main"]
@@ -316,52 +309,24 @@ def cmd_bound(ns: argparse.Namespace) -> int:
             "no prior available: embed one in the model file or pass "
             "--prior-model"
         )
-    w_hat = None
-    if ns.learned_prior is not None:
-        w_hat = _load_prior_file(ns.learned_prior, model.policy.weights.shape)
+    spec = MixedLogitSpec(model.policy, sigma, prior, sigma0)
     B = logs.feature_norm_bound
     if model.feature_norm_bound is not None:
         B = max(B, model.feature_norm_bound)
-    d_eff = model.policy.k * model.policy.d
-    emp = mean_param_risk(model.policy, sigma, B, logs, ns.tau)
-    kl_exact = gaussian_kl_exact(model.policy, sigma, prior, sigma0, d_eff)
-    kl_bound = gaussian_kl_bound(model.policy, sigma, prior, sigma0, d_eff)
-    c = c_term(model.policy, sigma, prior, sigma0, d_eff)
-
-    header = [
-        "bound", "n", "tau", "delta", "sigma", "sigma0",
-        "emp_risk", "kl_exact", "kl_bound", "c_term", "value",
-    ]
-
-    def row(
-        kind: str, bound: Callable[[BoundInputs], float], delta: float,
-        c_value: float,
-    ) -> list[str]:
-        # The value is the bound of exactly the numbers printed beside it.
-        value = bound(BoundInputs(
-            n=logs.n, delta=delta, tau=ns.tau, kl_term=0.5 * c_value,
-            emp_risk=emp,
-        ))
-        return [
-            kind, str(logs.n), _fmt(ns.tau), _fmt(ns.delta), _fmt(sigma),
-            _fmt(sigma0), _fmt(emp), _fmt(kl_exact), _fmt(kl_bound),
-            _fmt(c_value), _fmt(value),
-        ]
-
-    rows = [row("fixed_tau", crm_bound_fixed_tau, ns.delta, c)]
-    if ns.all_tau:
-        rows.append(row("all_tau", crm_bound_all_tau, ns.delta, c))
-    if w_hat is not None:
+    learned = None
+    if ns.learned_prior is not None:
+        w_hat = _load_prior_file(ns.learned_prior, model.policy.weights.shape)
         # L = 2B bounds the refit loss's gradient norm when every context
         # has norm <= B.
-        stability = StabilityParams(
+        learned = (w_hat, StabilityParams(
             lipschitz=2.0 * B, lam=ns.rerm_lambda, n=logs.n, delta=ns.delta
-        )
-        c_hat = data_dep_c_term(
-            model.policy, sigma, w_hat, sigma0, stability, d_eff
-        )
-        # Halving delta gives the ln(2n/delta) log terms this bound requires.
-        rows.append(row("learned_prior", crm_bound_fixed_tau, 0.5 * ns.delta, c_hat))
+        ))
+    header = [f.name for f in fields(Certificate)]
+    rows = [
+        [c.bound, str(c.n)] + [_fmt(getattr(c, f)) for f in header[2:]]
+        for c in certificates(spec, logs, ns.tau, ns.delta, B, learned)
+        if ns.all_tau or c.bound != "all_tau"
+    ]
     out = None if ns.out is None else ns.output_dir / ns.out
     _write_csv(out, header, rows)
     return 0

@@ -38,7 +38,7 @@ from typing import Callable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
-from .policies import SoftmaxPolicy, _gumbel_max_log
+from .policies import SoftmaxPolicy, _check_dims, _gumbel_max_log
 
 __all__ = [
     "LabeledDataset",
@@ -407,10 +407,7 @@ def simulate_logs(
     probability of the sampled action, and the reward is 1 when the action
     equals the true label, else 0.
     """
-    if logging_policy.d != data.d:
-        raise ValueError(
-            f"policy dimension {logging_policy.d} does not match data {data.d}"
-        )
+    _check_dims(logging_policy, data)
     actions, propensities = _gumbel_max_log(
         logging_policy, data.features, np.random.default_rng(seed)
     )

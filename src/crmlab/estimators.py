@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .datasets import LabeledDataset, LoggedDataset
-from .policies import SoftmaxPolicy, action_prob_matrix
+from .policies import SoftmaxPolicy, _check_dims, action_prob_matrix
 
 __all__ = [
     "ips_risk",
@@ -74,13 +74,6 @@ def _poem_statistic(
     with np.errstate(over="ignore"):
         squares = centered * centered
     return ratio, u, mean_u, _compensated_mean(squares, ddof=1)
-
-
-def _check_dims(
-    policy: SoftmaxPolicy, data: LoggedDataset | LabeledDataset
-) -> None:
-    if policy.d != data.d:
-        raise ValueError(f"policy has d={policy.d} features, data has d={data.d}")
 
 
 def _matched_action_probs(policy: SoftmaxPolicy, data: LoggedDataset) -> np.ndarray:

@@ -77,7 +77,7 @@ from .estimators import (
     _poem_statistic,
     truncated_ips_risk,
 )
-from .policies import SoftmaxPolicy, _softmax_rows
+from .policies import SoftmaxPolicy, _check_dims, _softmax_rows
 from .seeding import derive_seed
 
 __all__ = [
@@ -227,8 +227,7 @@ def objective_value(
     The POEM objectives need at least two records.
     """
     _check_prior(config.objective, prior)
-    if policy.d != data.d:
-        raise ValueError("policy and data dimensions disagree")
+    _check_dims(policy, data)
     W, b = policy.weights, policy.biases
     W0 = None if prior is None else prior.weights
     _, pi = _probs_and_matched(W, b, data.features, data.actions)
@@ -473,8 +472,7 @@ def objective_gradient(
     Biases receive no penalty component.
     """
     _check_prior(config.objective, prior)
-    if policy.d != batch.d:
-        raise ValueError("policy and batch dimensions disagree")
+    _check_dims(policy, batch)
     return _fresh_gradient(
         config, policy, None if prior is None else prior.weights,
         batch.features, batch.actions, _coefficient_columns(config, batch),
@@ -558,6 +556,7 @@ def poem_build_surrogate(
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     _check_tau(tau)
+    _check_dims(policy_anchor, data)
     n = data.n
     _, pi = _probs_and_matched(
         policy_anchor.weights, policy_anchor.biases, data.features, data.actions
@@ -648,8 +647,8 @@ def train(
     non-finite batch gradient names its epoch and batch, a non-finite
     epoch-end objective its epoch.
 
-    The private ``_trace=False`` is for callers inside this module that keep
-    only the final policy.  Such a run returns an empty trace and detects a
+    The private ``_trace=False`` is for callers that keep only the final
+    policy.  Such a run returns an empty trace and detects a
     non-finite epoch-end objective through :func:`_objective_certified`,
     evaluating the objective only where the certificate fails; the final
     policy and every raise are those of the traced run.

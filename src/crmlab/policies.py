@@ -107,10 +107,19 @@ class MixedLogitSpec:
     def __post_init__(self) -> None:
         if self.mean.weights.shape != self.prior_mean.weights.shape:
             raise ValueError("mean and prior_mean must have equal dimensions")
-        if not (self.prior_variance > 0.0):
-            raise ValueError("prior_variance must be positive")
-        if not (0.0 <= self.variance <= self.prior_variance):
-            raise ValueError("variance must lie in [0, prior_variance]")
+        v, pv = self.variance, self.prior_variance
+        if not (0.0 < pv < np.inf):
+            raise ValueError(f"prior_variance must be positive and finite, got {pv}")
+        # A finite bound above makes a NaN or infinite variance fail here too.
+        if not (0.0 <= v <= pv):
+            raise ValueError(f"variance {v} must lie in [0, prior_variance {pv}]")
+
+
+def _check_dims(policy: SoftmaxPolicy, data) -> None:
+    """Reject a policy whose feature count is not ``data.d`` (of a dataset
+    or a task)."""
+    if policy.d != data.d:
+        raise ValueError(f"policy has d={policy.d} features, data has d={data.d}")
 
 
 def _validate_context(policy: SoftmaxPolicy, x: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .datasets import LabeledDataset, LoggedDataset
 from .learning import learn_logging_policy
-from .policies import SoftmaxPolicy, _gumbel_max_log, action_prob_matrix
+from .policies import SoftmaxPolicy, _check_dims, _gumbel_max_log, action_prob_matrix
 
 __all__ = [
     "EnumerableTask",
@@ -145,8 +145,7 @@ def task_logs(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if policy.d != task.d:
-        raise ValueError("policy and task dimensions disagree")
+    _check_dims(policy, task)
     rng = np.random.default_rng(seed)
     ctx_idx = rng.choice(task.contexts.shape[0], size=n, p=task.context_probs)
     X = task.contexts[ctx_idx]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 from crmlab import (
     BoundInputs,
+    Certificate,
     MixedLogitSpec,
     SoftmaxPolicy,
     StabilityParams,
-    c_term,
+    certificates,
     crm_bound_all_tau,
     crm_bound_fixed_tau,
     data_dep_c_term,
@@ -174,24 +176,33 @@ class TestGaussianKl:
 
 
 class TestCTerm:
-    def test_zero_at_identical(self):
-        pol = zero_policy(2, 2)
-        assert c_term(pol, 1.0, pol, 1.0, 4) == 0.0
+    # The c_term column of a certificate is twice the KL bound.
+    def test_zero_at_identical(self, logs400):
+        pol = zero_policy(logs400.d, logs400.k)
+        spec = MixedLogitSpec(pol, 1.0, pol, 1.0)
+        for row in certificates(spec, logs400, 0.05, 0.1, 1.0):
+            assert row.kl_exact == row.kl_bound == row.c_term == 0.0
 
-    def test_exactly_twice_kl_bound(self):
+    def test_exactly_twice_kl_bound(self, logs400):
         rng = np.random.default_rng(32)
+        k, d = logs400.k, logs400.d
         for _ in range(20):
-            a = SoftmaxPolicy(rng.normal(size=(2, 3)), np.zeros(2))
-            b = SoftmaxPolicy(rng.normal(size=(2, 3)), np.zeros(2))
+            a = SoftmaxPolicy(rng.normal(size=(k, d)), np.zeros(k))
+            b = SoftmaxPolicy(rng.normal(size=(k, d)), np.zeros(k))
             sigma0 = float(rng.uniform(0.5, 2.0))
             sigma = float(rng.uniform(0.05, sigma0))
-            assert c_term(a, sigma, b, sigma0, 6) == pytest.approx(
-                2.0 * gaussian_kl_bound(a, sigma, b, sigma0, 6), rel=1e-15
-            )
+            spec = MixedLogitSpec(a, sigma, b, sigma0)
+            for row in certificates(spec, logs400, 0.05, 0.1, 1.0):
+                assert row.c_term == pytest.approx(
+                    2.0 * gaussian_kl_bound(a, sigma, b, sigma0, k * d),
+                    rel=1e-15,
+                )
 
     def test_distance_only(self):
         a, b = policy_with_distance_sq(1.0)
-        assert c_term(a, 1.0, b, 1.0, 2) == pytest.approx(1.0, rel=1e-15)
+        assert 2.0 * gaussian_kl_bound(a, 1.0, b, 1.0, 2) == pytest.approx(
+            1.0, rel=1e-15
+        )
 
 
 class TestMixedLogitRiskBound:
@@ -243,21 +254,25 @@ class TestDataDepCTerm:
             sigma0 = float(rng.uniform(0.5, 2.0))
             sigma = float(rng.uniform(0.05, sigma0))
             params = StabilityParams(2.0, 0.05, 100, 0.1)
-            assert data_dep_c_term(a, sigma, w, sigma0, params, 6) >= c_term(
-                a, sigma, w, sigma0, 6
+            assert data_dep_c_term(a, sigma, w, sigma0, params, 6) >= (
+                2.0 * gaussian_kl_bound(a, sigma, w, sigma0, 6)
             )
 
     def test_vanishing_lipschitz_recovers_c_term(self):
         a, w = policy_with_distance_sq(3.0, k=2, d=2)
         params = StabilityParams(1e-12, 0.05, 100, 0.1)
         value = data_dep_c_term(a, 0.5, w, 1.0, params, 4)
-        assert value == pytest.approx(c_term(a, 0.5, w, 1.0, 4), rel=1e-6)
+        assert value == pytest.approx(
+            2.0 * gaussian_kl_bound(a, 0.5, w, 1.0, 4), rel=1e-6
+        )
 
     def test_large_n_recovers_c_term(self):
         a, w = policy_with_distance_sq(3.0, k=2, d=2)
         params = StabilityParams(2.0, 0.05, 10**14, 0.1)
         value = data_dep_c_term(a, 0.5, w, 1.0, params, 4)
-        assert value == pytest.approx(c_term(a, 0.5, w, 1.0, 4), rel=1e-5)
+        assert value == pytest.approx(
+            2.0 * gaussian_kl_bound(a, 0.5, w, 1.0, 4), rel=1e-5
+        )
 
 
 class TestDataDepRiskBound:
@@ -273,6 +288,105 @@ class TestDataDepRiskBound:
         learned = data_dep_risk_bound(spec, logs400, 0.05, 0.1, params)
         known = mixed_logit_risk_bound(spec, logs400, 0.05, 0.1)
         assert learned > known
+
+
+def certificate_cases(logs):
+    """Twelve (spec, ŵ, stability) triples on ``logs``: random posterior
+    means, priors and learned priors at assorted variances."""
+    rng = np.random.default_rng(37)
+    k, d = logs.k, logs.d
+    cases = []
+    for scale in (0.0, 0.1, 0.5, 2.0):
+        for sigma0 in (0.3, 1.0, 5.0):
+            theta, prior, w_hat = (
+                SoftmaxPolicy(scale * rng.normal(size=(k, d)), rng.normal(size=k))
+                for _ in range(3)
+            )
+            sigma = float(rng.uniform(1e-4, sigma0))
+            stability = StabilityParams(float(rng.uniform(0.5, 4.0)),
+                                        float(rng.uniform(1e-3, 1.0)),
+                                        logs.n, 0.1)
+            cases.append((MixedLogitSpec(theta, sigma, prior, sigma0),
+                          w_hat, stability))
+    return cases
+
+
+class TestCertificates:
+    def test_fields_are_the_bound_table_columns(self, logs400):
+        pol = zero_policy(logs400.d, logs400.k)
+        spec = MixedLogitSpec(pol, 0.5, pol, 1.0)
+        params = StabilityParams(2.0, 0.01, logs400.n, 0.1)
+        rows = certificates(spec, logs400, 0.05, 0.1, 1.0, learned=(pol, params))
+        assert [f.name for f in dataclasses.fields(Certificate)] == [
+            "bound", "n", "tau", "delta", "sigma", "sigma0", "emp_risk",
+            "kl_exact", "kl_bound", "c_term", "value",
+        ]
+        assert [r.bound for r in rows] == ["fixed_tau", "all_tau", "learned_prior"]
+        assert [r.bound for r in certificates(spec, logs400, 0.05, 0.1, 1.0)] \
+            == ["fixed_tau", "all_tau"]
+        # Every row reports the caller's delta, the learned one included.
+        assert {(r.n, r.tau, r.delta, r.sigma, r.sigma0) for r in rows} == {
+            (logs400.n, 0.05, 0.1, 0.5, 1.0)
+        }
+
+    @pytest.mark.parametrize("tau,delta", [(0.05, 0.1), (0.3, 0.01)])
+    def test_library_bounds_read_their_rows(self, logs400, tau, delta):
+        B = logs400.feature_norm_bound
+        for spec, w_hat, stability in certificate_cases(logs400):
+            fixed = certificates(spec, logs400, tau, delta, B)[0]
+            assert fixed.bound == "fixed_tau"
+            assert mixed_logit_risk_bound(spec, logs400, tau, delta).hex() == \
+                fixed.value.hex()
+            learned_spec = MixedLogitSpec(spec.mean, spec.variance, w_hat,
+                                          spec.prior_variance)
+            learned = certificates(learned_spec, logs400, tau, delta, B,
+                                   learned=(w_hat, stability))[-1]
+            assert learned.bound == "learned_prior"
+            assert data_dep_risk_bound(learned_spec, logs400, tau, delta,
+                                       stability).hex() == learned.value.hex()
+
+    def test_emp_risk_is_mean_param_risk_at_the_given_B(self, logs400):
+        # A B above the log's own bound once left the printed emp_risk at
+        # the log's B, so the printed value was not its bound.
+        spec, w_hat, stability = certificate_cases(logs400)[5]
+        B = 3.0 * logs400.feature_norm_bound
+        expected = mean_param_risk(spec.mean, spec.variance, B, logs400, 0.05)
+        assert expected != mean_param_risk(
+            spec.mean, spec.variance, logs400.feature_norm_bound, logs400, 0.05
+        )
+        rows = certificates(spec, logs400, 0.05, 0.1, B,
+                            learned=(w_hat, stability))
+        assert [r.emp_risk for r in rows] == [expected] * 3
+        bounds = (crm_bound_fixed_tau, crm_bound_all_tau, crm_bound_fixed_tau)
+        for row, bound, delta in zip(rows, bounds, (0.1, 0.1, 0.05)):
+            assert row.value == bound(BoundInputs(
+                n=logs400.n, delta=delta, tau=0.05, kl_term=0.5 * row.c_term,
+                emp_risk=expected,
+            ))
+
+    def test_complexity_terms_are_against_their_own_priors(self, logs400):
+        spec, w_hat, stability = certificate_cases(logs400)[7]
+        d_eff = logs400.k * logs400.d
+        args = (spec.mean, spec.variance, spec.prior_mean, spec.prior_variance,
+                d_eff)
+        fixed, all_tau, learned = certificates(
+            spec, logs400, 0.05, 0.1, 1.0, learned=(w_hat, stability)
+        )
+        for row in (fixed, all_tau, learned):
+            assert row.kl_exact == gaussian_kl_exact(*args)
+            assert row.kl_bound == gaussian_kl_bound(*args)
+        assert fixed.c_term == all_tau.c_term == 2.0 * gaussian_kl_bound(*args)
+        assert learned.c_term == data_dep_c_term(
+            spec.mean, spec.variance, w_hat, spec.prior_variance, stability,
+            d_eff,
+        )
+
+    def test_all_tau_row_at_smallest_subnormal_tau(self, logs400):
+        # delta·tau underflows to 0 there; the bound is inf, not an error.
+        pol = zero_policy(logs400.d, logs400.k)
+        spec = MixedLogitSpec(pol, 0.5, pol, 1.0)
+        rows = certificates(spec, logs400, 5e-324, 0.1, 1.0)
+        assert [r.value for r in rows] == [math.inf, math.inf]
 
 
 class TestBoundMonotonicity:

@@ -805,7 +805,23 @@ class TestBound:
             "--logged", ws / "logs.csv", "--sigma", "2.0", "--sigma0", "1.0",
         )
         assert rc == 2
-        assert err.startswith("crmlab: error:")
+        assert err == (
+            "crmlab: error: variance 2.0 must lie in [0, prior_variance 1.0]\n"
+        )
+
+    @pytest.mark.parametrize("all_tau", [[], ["--all-tau"]])
+    def test_smallest_subnormal_tau_bounds_are_infinite(
+        self, ws, posterior_model, tmp_path, capsys, all_tau
+    ):
+        rc, _, err = run(
+            capsys, "bound", "--model", posterior_model,
+            "--logged", ws / "logs.csv", "--tau", "5e-324", *all_tau,
+            "--out", tmp_path / "b.csv",
+        )
+        assert rc == 0 and err == ""
+        rows = read_rows(tmp_path / "b.csv")
+        assert len(rows) == 1 + len(all_tau)
+        assert all(r["value"] == "inf" for r in rows)
 
     @pytest.mark.parametrize("flag", ["--sigma", "--sigma0"])
     def test_infinite_variance_flag_named(self, ws, posterior_model, capsys,

@@ -247,6 +247,30 @@ def anchor_data():
     return anchor, data
 
 
+class TestDimensionCheck:
+    def test_every_entry_point_names_both_dimensions(self, task):
+        # poem_build_surrogate once failed inside numpy's matmul instead.
+        data = random_logged(np.random.default_rng(50), 30, 5, 3)
+        labeled = sample_labeled(blob_task(3, 5, noise=0.3, seed=1), 30, 2)
+        policy = zero_policy(4, 3)
+        calls = {
+            "objective_value":
+                lambda: objective_value(cfg("ips_l2"), policy, None, data),
+            "objective_gradient":
+                lambda: objective_gradient(cfg("ips_l2"), policy, None, data),
+            "poem_build_surrogate":
+                lambda: poem_build_surrogate(policy, data, 0.1, 0.5),
+            "simulate_logs": lambda: simulate_logs(policy, labeled, seed=0),
+        }
+        for call in calls.values():
+            with pytest.raises(ValueError,
+                               match=r"^policy has d=4 features, data has d=5$"):
+                call()
+        with pytest.raises(ValueError, match=rf"^policy has d={task.d + 1} "
+                                             rf"features, data has d={task.d}$"):
+            task_logs(task, zero_policy(task.d + 1, task.k), 10, seed=0)
+
+
 class TestPoemSurrogate:
     def test_zero_lambda_reduces_to_plain_ips(self, anchor_data):
         anchor, data = anchor_data

@@ -95,8 +95,9 @@ class TestSampling:
 class TestMixedLogitSpec:
     def test_rejects_variance_above_prior(self):
         pol = zero_policy(2, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             MixedLogitSpec(pol, 2.0, pol, 1.0)
+        assert str(info.value) == "variance 2.0 must lie in [0, prior_variance 1.0]"
 
     def test_rejects_negative_variance(self):
         pol = zero_policy(2, 3)
@@ -111,6 +112,20 @@ class TestMixedLogitSpec:
         pol = zero_policy(2, 3)
         spec = MixedLogitSpec(pol, 0.0, pol, 1.0)
         assert spec.variance == 0.0
+
+    @pytest.mark.parametrize("variance,prior_variance", [
+        (1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0), (1.0, math.nan),
+        (math.inf, 1.0),
+    ])
+    def test_rejects_non_finite_variances_naming_them(self, variance,
+                                                      prior_variance):
+        # An infinite prior variance once let mixed_logit_prob_mc return
+        # (nan, nan) with a RuntimeWarning.
+        pol = zero_policy(2, 3)
+        with pytest.raises(ValueError) as info:
+            MixedLogitSpec(pol, variance, pol, prior_variance)
+        bad = prior_variance if not 0.0 < prior_variance < math.inf else variance
+        assert repr(bad) in str(info.value)
 
 
 class TestMixedLogitMC:

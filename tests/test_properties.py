@@ -1,5 +1,5 @@
 """Property tests of the estimators and the POEM surrogate over generated
-logs, and of the risk bounds over generated inputs.
+logs, and of the risk bounds and certificates over generated inputs.
 
 hypothesis comes with the ``test`` extra (``pip install .[test]``); without
 it this module is skipped.  Runs are derandomized and keep no example
@@ -19,8 +19,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from crmlab import (  # noqa: E402
     BoundInputs,
     LoggedDataset,
+    MixedLogitSpec,
     SoftmaxPolicy,
+    StabilityParams,
     TrainConfig,
+    certificates,
+    crm_bound_all_tau,
     crm_bound_fixed_tau,
     ips_risk,
     mcallester_bound,
@@ -139,3 +143,42 @@ def test_crm_bound_grows_with_kl_and_risk_and_shrinks_with_n(
     assert bound(emps[1], kl[0], n[1]) >= base
     assert bound(emps[0], kl[1], n[1]) >= base
     assert bound(emps[0], kl[0], n[0]) >= base
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    logs_and_policies(min_n=2),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-3, 100.0),
+    st.floats(1e-6, 1.0),
+    st.floats(1.0, 4.0),
+    st.floats(1e-3, 1.0, exclude_max=True),
+    deltas,
+    st.booleans(),
+)
+def test_each_certificate_is_the_bound_of_its_own_numbers(
+        sample, seed, sigma0, fraction, B_scale, tau, delta, with_learned):
+    data, mean = sample
+    rng = np.random.default_rng(seed)
+    prior, w_hat = (
+        SoftmaxPolicy(rng.normal(size=mean.weights.shape), np.zeros(mean.k))
+        for _ in range(2)
+    )
+    learned = None
+    if with_learned:
+        learned = (w_hat, StabilityParams(float(rng.uniform(0.1, 10.0)),
+                                          float(rng.uniform(1e-3, 1.0)),
+                                          data.n, delta))
+    spec = MixedLogitSpec(mean, fraction * sigma0, prior, sigma0)
+    rows = certificates(spec, data, tau, delta,
+                        B_scale * data.feature_norm_bound, learned)
+    kinds = {"fixed_tau": (crm_bound_fixed_tau, delta),
+             "all_tau": (crm_bound_all_tau, delta),
+             "learned_prior": (crm_bound_fixed_tau, 0.5 * delta)}
+    assert [r.bound for r in rows] == list(kinds)[:3 if with_learned else 2]
+    for row in rows:
+        bound, at_delta = kinds[row.bound]
+        assert row.value == bound(BoundInputs(
+            row.n, at_delta, row.tau, row.c_term / 2, row.emp_risk))
+        if row.bound != "learned_prior":
+            assert row.c_term == 2.0 * row.kl_bound
