@@ -73,8 +73,10 @@ class StabilityParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not (self.lipschitz > 0.0 and self.lam > 0.0 and self.n >= 1):
-            raise ValueError("lipschitz, lam, and n must be positive")
+        for name, value in (("lipschitz", self.lipschitz), ("lam", self.lam),
+                            ("n", self.n)):
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
 
@@ -131,6 +133,14 @@ def _check_variances(sigma: float, sigma0: float, *, ordered: bool) -> None:
         )
 
 
+def _log_ratio(sigma0: float, sigma: float) -> float:
+    """ln(σ0/σ), as ln σ0 − ln σ only where the ratio over- or underflows."""
+    ratio = sigma0 / sigma
+    if 0.0 < ratio < math.inf:
+        return math.log(ratio)
+    return math.log(sigma0) - math.log(sigma)
+
+
 def gaussian_kl_exact(
     theta_hat: SoftmaxPolicy,
     sigma: float,
@@ -144,7 +154,7 @@ def gaussian_kl_exact(
     _check_variances(sigma, sigma0, ordered=False)
     dist_sq = param_distance_sq(theta_hat, theta0)
     return dist_sq / (2.0 * sigma0) + 0.5 * d_effective * (
-        math.log(sigma0 / sigma) + sigma / sigma0 - 1.0
+        _log_ratio(sigma0, sigma) + sigma / sigma0 - 1.0
     )
 
 
@@ -160,7 +170,7 @@ def gaussian_kl_bound(
     """
     _check_variances(sigma, sigma0, ordered=True)
     dist_sq = param_distance_sq(theta_hat, theta0)
-    return dist_sq / (2.0 * sigma0) + 0.5 * d_effective * math.log(sigma0 / sigma)
+    return dist_sq / (2.0 * sigma0) + 0.5 * d_effective * _log_ratio(sigma0, sigma)
 
 
 def data_dep_c_term(
@@ -182,7 +192,7 @@ def data_dep_c_term(
     slack = (params.lipschitz / params.lam) * math.sqrt(
         2.0 * math.log(4.0 / params.delta) / params.n
     )
-    return (dist + slack) ** 2 / sigma0 + d_effective * math.log(sigma0 / sigma)
+    return (dist + slack) ** 2 / sigma0 + d_effective * _log_ratio(sigma0, sigma)
 
 
 @dataclass(frozen=True)

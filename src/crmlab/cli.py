@@ -245,17 +245,9 @@ def cmd_tune(ns: argparse.Namespace) -> int:
         grid = DEFAULT_VARIANCE_GRID
     else:
         grid = DEFAULT_LPR_GRID
-    config = TrainConfig(
-        objective=ns.method,
-        lambda_l2=ns.lambda_l2,
-        tau=ns.tau,
-        epochs=ns.epochs,
-        seed=0,
-    )
-    best, table = cross_validate(
-        logs, ns.method, grid, ns.folds, derive_seed(ns.seed, "tune"), config,
-        prior=prior,
-    )
+    config = TrainConfig(objective=ns.method, lambda_l2=ns.lambda_l2, tau=ns.tau,
+                         epochs=ns.epochs, seed=derive_seed(ns.seed, "tune"))
+    best, table = cross_validate(logs, grid, ns.folds, config, prior=prior)
     header = (
         ["lambda"]
         + [f"fold{i}" for i in range(ns.folds)]
@@ -290,7 +282,8 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
 
 
 def cmd_bound(ns: argparse.Namespace) -> int:
-    for flag, value in (("--sigma", ns.sigma), ("--sigma0", ns.sigma0)):
+    for flag, value in (("--sigma", ns.sigma), ("--sigma0", ns.sigma0),
+                        ("--rerm-lambda", ns.rerm_lambda)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
     model = load_model(ns.model)

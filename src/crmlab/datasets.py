@@ -34,7 +34,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, NoReturn
+from typing import Callable, Iterator, NamedTuple, NoReturn, Optional
 
 import numpy as np
 
@@ -98,8 +98,8 @@ class LoggedDataset:
     """Logged bandit feedback: (context, action, propensity, reward) rows.
 
     ``feature_norm_bound`` is a number B with B ≥ ‖features_i‖ for every
-    record; loaders and the simulator set it to the max row norm.  Subsets
-    inherit the parent bound (still valid, possibly loose).
+    record; left out, it is the max row norm.  An explicit bound may be
+    looser, and subsets inherit the parent's (still valid, possibly loose).
     """
 
     features: np.ndarray
@@ -107,7 +107,7 @@ class LoggedDataset:
     propensities: np.ndarray
     rewards: np.ndarray
     k: int
-    feature_norm_bound: float
+    feature_norm_bound: Optional[float] = None
 
     def __post_init__(self) -> None:
         X = _frozen(self.features, np.float64)
@@ -115,7 +115,7 @@ class LoggedDataset:
         p = _frozen(self.propensities, np.float64)
         r = _frozen(self.rewards, np.float64)
         n = X.shape[0]
-        if X.ndim != 2 or n == 0:
+        if X.ndim != 2 or X.size == 0:
             raise ValueError("features must be a nonempty (n, d) array")
         if not np.all(np.isfinite(X)):
             raise ValueError("features must be finite")
@@ -128,15 +128,16 @@ class LoggedDataset:
             raise ValueError("propensities must lie in (0, 1]")
         if np.any(r < 0.0) or np.any(r > 1.0):
             raise ValueError("rewards must lie in [0, 1]")
-        if not np.isfinite(self.feature_norm_bound):
-            raise ValueError(
-                f"feature_norm_bound must be finite, got {self.feature_norm_bound}"
-            )
         max_norm = float(np.sqrt((X * X).sum(axis=1).max()))
+        if self.feature_norm_bound is None:
+            object.__setattr__(self, "feature_norm_bound", max_norm)
         # Tolerate 1 ulp of slack: bounds recomputed from serialized norms
         # must not fail on round-off.
-        if self.feature_norm_bound < max_norm * (1.0 - 1e-12):
-            raise ValueError("feature_norm_bound below the max context norm")
+        elif not max_norm * (1.0 - 1e-12) <= self.feature_norm_bound < math.inf:
+            raise ValueError(
+                f"feature_norm_bound must be finite and at least the max "
+                f"context norm {max_norm}, got {self.feature_norm_bound}"
+            )
         for name, arr in (
             ("features", X),
             ("actions", a),
@@ -362,11 +363,10 @@ def load_logged(path, k: int) -> LoggedDataset:
     """Load a logged CSV (header ``f0,...,f{d-1},action,propensity,reward``).
 
     Validates propensities in (0, 1] (full-support requirement) and rewards
-    in [0, 1]; ``feature_norm_bound`` is set to the max row norm.
+    in [0, 1]; ``feature_norm_bound`` is the max row norm.
     """
     X, (a, p, r) = _read_table(path, (_index_column("action", k), _PROPENSITY, _REWARD))
-    B = float(np.sqrt((X * X).sum(axis=1).max()))
-    return LoggedDataset(X, a, p, r, k, B)
+    return LoggedDataset(X, a, p, r, k)
 
 
 def save_logged(path, data: LoggedDataset) -> None:
@@ -412,8 +412,7 @@ def simulate_logs(
         logging_policy, data.features, np.random.default_rng(seed)
     )
     rewards = (actions == data.labels).astype(np.float64)
-    B = float(np.sqrt((data.features * data.features).sum(axis=1).max()))
-    return LoggedDataset(data.features, actions, propensities, rewards, data.k, B)
+    return LoggedDataset(data.features, actions, propensities, rewards, data.k)
 
 
 def temper(policy: SoftmaxPolicy, kappa: float) -> SoftmaxPolicy:

@@ -178,12 +178,19 @@ class DivergenceError(RuntimeError):
 # -----------------------------------------------------------------------
 
 
-def _check_prior(objective: str, prior: Optional[SoftmaxPolicy]) -> None:
-    if objective in LPR_FAMILY:
-        if prior is None:
-            raise ValueError(f"objective {objective!r} requires a prior policy")
-    elif prior is not None:
-        raise ValueError(f"objective {objective!r} does not take a prior policy")
+def _check_prior(
+    objective: str, prior: Optional[SoftmaxPolicy], data: LoggedDataset
+) -> None:
+    if objective not in LPR_FAMILY:
+        if prior is not None:
+            raise ValueError(f"objective {objective!r} does not take a prior policy")
+    elif prior is None:
+        raise ValueError(f"objective {objective!r} requires a prior policy")
+    elif prior.weights.shape != (data.k, data.d):
+        raise ValueError(
+            f"prior weights have shape {prior.weights.shape}, "
+            f"data needs {(data.k, data.d)}"
+        )
 
 
 def _probs_and_matched(
@@ -226,7 +233,7 @@ def objective_value(
     ``prior`` is required for the LPR objectives and rejected otherwise.
     The POEM objectives need at least two records.
     """
-    _check_prior(config.objective, prior)
+    _check_prior(config.objective, prior, data)
     _check_dims(policy, data)
     W, b = policy.weights, policy.biases
     W0 = None if prior is None else prior.weights
@@ -305,23 +312,19 @@ def _objective_certified(
 
 
 def _coefficient_columns(
-    config: TrainConfig,
-    data: LoggedDataset,
-    surrogate: Optional[PoemSurrogate] = None,
+    config: TrainConfig, data: LoggedDataset
 ) -> tuple[np.ndarray, ...]:
     """The per-record arrays, in record order, that the objective's gradient
     coefficient reads: the weighted reward −r/max(p, tau) for the IPS and
-    WNLL objectives, (p, r) for the POEM objectives followed by the
-    ``surrogate``'s (alpha, beta) when one is given, and none for
+    WNLL objectives, (p, r) for the POEM objectives (a surrogate's
+    (alpha, beta) are appended by the caller that follows it), and none for
     ``logging_nll``."""
     obj = config.objective
     if obj == "logging_nll":
         return ()
     p, r = data.propensities, data.rewards
     if obj in POEM_FAMILY:
-        if surrogate is None:
-            return (p, r)
-        return (p, r, surrogate.alpha, surrogate.beta)
+        return (p, r)
     # A subnormal tau can overflow r/tau to inf; training then diverges at
     # its first batch, which is reported as DivergenceError, not a warning.
     with np.errstate(over="ignore"):
@@ -471,7 +474,7 @@ def objective_gradient(
     a full dataset it is the exact gradient of :func:`objective_value`.
     Biases receive no penalty component.
     """
-    _check_prior(config.objective, prior)
+    _check_prior(config.objective, prior, batch)
     _check_dims(policy, batch)
     return _fresh_gradient(
         config, policy, None if prior is None else prior.weights,
@@ -530,7 +533,8 @@ class PoemSurrogate:
         # part of it.
         config = TrainConfig(objective="poem", tau=self.tau)
         idx = slice(None) if indices is None else indices
-        columns = tuple(c[idx] for c in _coefficient_columns(config, data, self))
+        columns = _coefficient_columns(config, data) + (self.alpha, self.beta)
+        columns = tuple(c[idx] for c in columns)
         return _fresh_gradient(
             config, policy, None, data.features[idx], data.actions[idx], columns
         )
@@ -594,12 +598,11 @@ def poem_build_surrogate(
 # -----------------------------------------------------------------------
 
 
-def closed_form_sigma(
-    data: LoggedDataset, tau: float, B: float, d_effective: int, sigma0: float
-) -> float:
+def closed_form_sigma(data: LoggedDataset, tau: float, sigma0: float) -> float:
     """Analytic minimizer of the variance sub-objective on (0, sigma0].
 
-    sigma* = min{ 2·d / (B²·τ·(n−1)·M), sigma0 } with
+    sigma* = min{ 2·k·d / (B²·τ·(n−1)·M), sigma0 } with k·d the log's
+    weight count, B = ``data.feature_norm_bound`` and
     M = (1/n)·sum_i r_i / max(p_i, τ).  When every reward is zero or B = 0
     the unconstrained solution is infinite and the constrained minimizer
     sits at the boundary sigma0.  A subnormal τ can overflow a term of M,
@@ -607,10 +610,11 @@ def closed_form_sigma(
     sigma* formed from τ·M, so every other case keeps the formula's bits.
     """
     _check_tau(tau)
-    if not (B >= 0.0 and sigma0 > 0.0 and d_effective > 0):
-        raise ValueError("B must be nonnegative, sigma0 and d_effective positive")
+    if not (sigma0 > 0.0):
+        raise ValueError(f"sigma0 must be positive, got {sigma0}")
     if data.n < 2:
         raise ValueError("need n >= 2")
+    B = data.feature_norm_bound
     floor = np.maximum(data.propensities, tau)
     with np.errstate(over="ignore"):
         terms = data.rewards / floor
@@ -621,7 +625,7 @@ def closed_form_sigma(
         denominator = B * B * tau * (data.n - 1) * _compensated_mean(terms)
     if denominator <= 0.0:
         return sigma0
-    return min(2.0 * d_effective / denominator, sigma0)
+    return min(2.0 * (data.k * data.d) / denominator, sigma0)
 
 
 # -----------------------------------------------------------------------
@@ -653,12 +657,7 @@ def train(
     evaluating the objective only where the certificate fails; the final
     policy and every raise are those of the traced run.
     """
-    _check_prior(config.objective, prior)
-    if prior is not None and prior.weights.shape != (data.k, data.d):
-        raise ValueError(
-            f"prior weights have shape {prior.weights.shape}, "
-            f"data needs {(data.k, data.d)}"
-        )
+    _check_prior(config.objective, prior, data)
     t0 = time.perf_counter()
     n, d, k = data.n, data.d, data.k
     # One parameter block theta = [W | b], with W and b views into it;
@@ -729,9 +728,7 @@ def train(
     if config.objective == "logging_nll":
         sigma_star: Optional[float] = None
     else:
-        sigma_star = closed_form_sigma(
-            data, config.tau, data.feature_norm_bound, k * d, config.sigma0
-        )
+        sigma_star = closed_form_sigma(data, config.tau, config.sigma0)
     return TrainReport(
         final_policy=SoftmaxPolicy(W, b),
         objective_trace=trace,
@@ -796,7 +793,6 @@ class CVRow:
 
 def _cv_job(
     data: LoggedDataset,
-    method: str,
     lam: float,
     train_idx: np.ndarray,
     holdout_idx: np.ndarray,
@@ -804,10 +800,9 @@ def _cv_job(
     prior: Optional[SoftmaxPolicy],
     seed: int,
 ) -> float:
-    cfg = replace(config, objective=method, lam=lam, seed=seed)
-    job_prior = prior if method in LPR_FAMILY else None
+    cfg = replace(config, lam=lam, seed=seed)
     try:
-        report = train(cfg, data.subset(train_idx), prior=job_prior, _trace=False)
+        report = train(cfg, data.subset(train_idx), prior=prior, _trace=False)
     except DivergenceError:
         return float("-inf")
     holdout = data.subset(holdout_idx)
@@ -816,14 +811,13 @@ def _cv_job(
 
 def cross_validate(
     data: LoggedDataset,
-    method: str,
     lambda_grid: Sequence[float],
     num_folds: int,
-    seed: int,
     config: TrainConfig,
     prior: Optional[SoftmaxPolicy] = None,
 ) -> tuple[float, list[CVRow]]:
-    """Grid-search a regularization weight by k-fold cross-validation.
+    """Grid-search a regularization weight of ``config.objective`` by k-fold
+    cross-validation, with every seed derived from ``config.seed``.
 
     Each grid value trains on k−1 folds for ``config.epochs`` epochs and is
     scored by the truncated importance-weighted reward estimate on the
@@ -843,22 +837,22 @@ def cross_validate(
         raise ValueError("lambda_grid must be nonempty")
     if num_folds < 2:
         raise ValueError("num_folds must be at least 2")
-    if method not in OBJECTIVES or method == "logging_nll":
-        raise ValueError(f"method must be a policy objective, got {method!r}")
-    _check_prior(method, prior)
-    folds = kfold_split(data.n, num_folds, derive_seed(seed, "cv-folds"))
+    if config.objective == "logging_nll":
+        raise ValueError("cross-validation needs a policy objective, not logging_nll")
+    _check_prior(config.objective, prior, data)
+    folds = kfold_split(data.n, num_folds, derive_seed(config.seed, "cv-folds"))
     splits = [(folds.train_indices(fold), folds.holdout_indices(fold))
               for fold in range(num_folds)]
     jobs = [
-        (lam, *splits[fold], derive_seed(seed, f"cv:lam={lam!r}:fold={fold}"))
+        (lam, *splits[fold], derive_seed(config.seed, f"cv:lam={lam!r}:fold={fold}"))
         for lam in lambda_grid
         for fold in range(num_folds)
     ]
 
     def run(index: int) -> float:
         lam, train_idx, holdout_idx, job_seed = jobs[index]
-        return _cv_job(data, method, lam, train_idx, holdout_idx, config,
-                       prior, job_seed)
+        return _cv_job(data, lam, train_idx, holdout_idx, config, prior,
+                       job_seed)
 
     scores = _run_jobs(run, len(jobs))
     table: list[CVRow] = []
@@ -941,21 +935,26 @@ def solve_logging_nll_exact(data: LoggedDataset, lam: float) -> SoftmaxPolicy:
 
     Minimizes the ``logging_nll`` objective mean(-ln pi(a_i|x_i)) + lam·‖W‖²
     over W, biases fixed at zero, by damped Newton steps from W = 0 with
-    Armijo backtracking.  Returns once ‖gradient‖ ≤ 2·lam·1e-10, which by
-    2·lam strong convexity certifies W within 1e-10 of the unique minimizer;
-    raises ``FloatingPointError`` if the step cap comes first.  Each step
-    solves a (k·d)-square system: this is for exact baselines, not big fits.
+    Armijo backtracking.  Returns once the computed ‖gradient‖ is at most
+    t = max(2·lam·1e-10, eps·B), eps the float64 epsilon and B the log's
+    feature norm bound: each record's data-gradient entries are at most B,
+    so eps·B is the gradient's rounding unit.  By 2·lam strong convexity W
+    is then within t/(2·lam) of the unique minimizer, up to that rounding:
+    1e-10 for lam ≥ 1.2e-6·B, eps·B/(2·lam) below.  Raises
+    ``FloatingPointError`` if the step cap comes first.  Each step solves a
+    (k·d)-square system: this is for exact baselines, not big fits.
     """
     if not (lam > 0.0):
         raise ValueError("lam must be positive")
     config = TrainConfig("logging_nll", lam=lam, train_biases=False)
     X, n, d, k = data.features, data.n, data.d, data.k
+    stop = max(2.0 * lam * _NEWTON_TOL, np.finfo(float).eps * data.feature_norm_bound)
     zeros = np.zeros(k)
     w = np.zeros(k * d)
     for _ in range(_NEWTON_STEPS):
         policy = SoftmaxPolicy(w.reshape(k, d), zeros)
         g = objective_gradient(config, policy, None, data)[0].ravel()
-        if float(np.linalg.norm(g)) <= 2.0 * lam * _NEWTON_TOL:
+        if float(np.linalg.norm(g)) <= stop:
             return policy
         # The Hessian (1/n)·sum_i (diag P_i − P_i P_iᵀ) ⊗ x_i x_iᵀ + 2·lam·I:
         # with rows A_i = P_i ⊗ x_i it is blockdiag_c(A_cᵀ X) − AᵀA, over n.

@@ -239,7 +239,6 @@ def supervised_policy(
         propensities=np.ones(len(data)),
         rewards=np.ones(len(data)),
         k=data.k,
-        feature_norm_bound=float(np.max(np.linalg.norm(data.features, axis=1))),
     )
     return learn_logging_policy(logs, lam, epochs=epochs, seed=seed)
 

@@ -97,8 +97,7 @@ def random_logged(rng, n, d, k, min_propensity=0.05):
     actions = rng.integers(0, k, size=n)
     propensities = rng.uniform(min_propensity, 1.0, size=n)
     rewards = rng.uniform(0.0, 1.0, size=n)
-    B = float(np.sqrt((X * X).sum(axis=1).max()))
-    return LoggedDataset(X, actions, propensities, rewards, k, B)
+    return LoggedDataset(X, actions, propensities, rewards, k)
 
 
 def smooth_logged(rng, n, d, k):

@@ -184,7 +184,7 @@ def test_variance_formula_matches_golden_section():
                                         math.log(sigma0))),
             sigma0,
         )
-        got = closed_form_sigma(data, tau, B, d_eff, sigma0)
+        got = closed_form_sigma(data, tau, sigma0)
         worst = max(worst, abs(got - reference) / reference)
     verdict("[ 4] closed-form variance", worst <= 1e-6,
             f"worst relative gap to golden-section = {worst:.2e}", t0, 10.0)
@@ -413,9 +413,8 @@ def test_image_benchmark_reproduces_method_ordering():
             prior = logging if method.endswith("lpr") else None
             config = TrainConfig(objective=method, lam=IMAGE_TUNE_GRID[0],
                                  epochs=100, seed=trial)
-            best, _ = cross_validate(logs, method, IMAGE_TUNE_GRID, 5,
-                                     derive_seed(trial, "image-tune"), config,
-                                     prior=prior)
+            tune = replace(config, seed=derive_seed(trial, "image-tune"))
+            best, _ = cross_validate(logs, IMAGE_TUNE_GRID, 5, tune, prior=prior)
             fit = train(replace(config, lam=best), logs, prior=prior)
             rewards[method].append(
                 expected_reward_stochastic(fit.final_policy, test))

@@ -142,6 +142,21 @@ class TestGaussianKl:
         a, b = policy_with_distance_sq(2.0)
         assert gaussian_kl_exact(a, 1.0, b, 1.0, 2) == pytest.approx(1.0, rel=1e-15)
 
+    def test_log_ratio_past_the_float_range(self):
+        # sigma0/sigma overflows at sigma = 1e-320; the terms once read inf.
+        # The true value is (k·d/2)·(ln 1 − ln 1e-320) = 4420.96 at k·d = 12.
+        pol = zero_policy(4, 3)
+        expected = 6.0 * -math.log(1e-320)
+        params = StabilityParams(2.0, 0.01, 100, 0.1)
+        slack = (2.0 / 0.01) ** 2 * 2.0 * math.log(40.0) / 100
+        assert gaussian_kl_exact(pol, 1e-320, pol, 1.0, 12) == pytest.approx(
+            expected - 6.0, rel=1e-14)
+        assert gaussian_kl_bound(pol, 1e-320, pol, 1.0, 12) == pytest.approx(
+            expected, rel=1e-14)
+        assert data_dep_c_term(pol, 1e-320, pol, 1.0, params, 12) == \
+            pytest.approx(slack + 2.0 * expected, rel=1e-12)
+        assert round(expected, 2) == 4420.96
+
     def test_bound_variance_only_term(self):
         pol = zero_policy(2, 2)
         assert gaussian_kl_bound(pol, 1.0, pol, math.e, 4) == pytest.approx(
@@ -236,6 +251,16 @@ class TestStability:
             StabilityParams(0.0, 0.1, 10, 0.1)
         with pytest.raises(ValueError):
             StabilityParams(1.0, -0.1, 10, 0.1)
+
+    @pytest.mark.parametrize("args, message", [
+        ((math.inf, 0.1, 10, 0.1), "lipschitz must be positive and finite, got inf"),
+        ((1.0, math.inf, 10, 0.1), "lam must be positive and finite, got inf"),
+        ((1.0, math.nan, 10, 0.1), "lam must be positive and finite, got nan"),
+    ], ids=["lipschitz-inf", "lam-inf", "lam-nan"])
+    def test_rejects_nonfinite_and_names_it(self, args, message):
+        # An infinite lam once made the stability slack 0.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StabilityParams(*args)
 
 
 class TestDataDepCTerm:

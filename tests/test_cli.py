@@ -823,7 +823,7 @@ class TestBound:
         assert len(rows) == 1 + len(all_tau)
         assert all(r["value"] == "inf" for r in rows)
 
-    @pytest.mark.parametrize("flag", ["--sigma", "--sigma0"])
+    @pytest.mark.parametrize("flag", ["--sigma", "--sigma0", "--rerm-lambda"])
     def test_infinite_variance_flag_named(self, ws, posterior_model, capsys,
                                           flag):
         rc, out, err = run(
@@ -832,6 +832,23 @@ class TestBound:
         )
         assert rc == 2 and out == ""
         assert err == f"crmlab: error: {flag} must be finite, got inf\n"
+
+    def test_tiny_sigma_gives_finite_kl_terms(self, ws, posterior_model,
+                                               tmp_path, capsys):
+        # sigma0/sigma overflows at sigma = 1e-320; the KL terms once read
+        # inf and the run exited 2.  With k·d = 12 the log term alone is
+        # 6·ln(1e320) = 4420.96.
+        rc, _, err = run(
+            capsys, "bound", "--model", posterior_model,
+            "--logged", ws / "logs.csv", "--sigma", "1e-320",
+            "--learned-prior", ws / "logging.model", "--out", tmp_path / "b.csv",
+        )
+        assert rc == 0 and err == ""
+        rows = read_rows(tmp_path / "b.csv")
+        assert {r["bound"] for r in rows} == {"fixed_tau", "learned_prior"}
+        for r in rows:
+            assert 4420.96 < float(r["kl_bound"]) < math.inf
+            assert math.isfinite(float(r["value"]))
 
 
 class _ReadRecorder(argparse.Namespace):

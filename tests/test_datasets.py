@@ -82,6 +82,23 @@ class TestLoggedDataset:
         with pytest.raises(ValueError, match="feature_norm_bound"):
             LoggedDataset(X, np.array([0]), np.array([0.5]), np.array([0.0]), 2, bound)
 
+    def test_default_bound_is_max_row_norm(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(25, 4))
+        data = LoggedDataset(X, rng.integers(0, 3, size=25), np.full(25, 0.5),
+                             np.zeros(25), 3)
+        expected = float(np.sqrt((X * X).sum(axis=1).max()))
+        assert data.feature_norm_bound.hex() == expected.hex()
+        loose = LoggedDataset(X, data.actions, data.propensities, data.rewards,
+                              3, 2.0 * expected)
+        assert loose.feature_norm_bound == 2.0 * expected
+        assert loose.subset([0, 1]).feature_norm_bound == 2.0 * expected
+
+    def test_rejects_zero_width_features(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            LoggedDataset(np.zeros((3, 0)), np.zeros(3, dtype=int), np.ones(3),
+                          np.ones(3), 2)
+
     def test_subset_inherits_bound(self):
         rng = np.random.default_rng(0)
         data = random_logged(rng, 10, 3, 2)

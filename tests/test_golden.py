@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -251,7 +252,7 @@ def library_digests() -> dict[str, str]:
     )
 
     best, table = cross_validate(
-        logs, "poem", [0.1, 1.0], 3, 17, _config("poem", epochs=4)
+        logs, [0.1, 1.0], 3, replace(_config("poem", epochs=4), seed=17)
     )
     out["cross_validate"] = _digest(
         best, [(row.lam, row.fold_scores, row.mean_score) for row in table]

@@ -270,6 +270,23 @@ class TestDimensionCheck:
                                              rf"features, data has d={task.d}$"):
             task_logs(task, zero_policy(task.d + 1, task.k), 10, seed=0)
 
+    def test_wrong_shape_prior_names_both_shapes(self):
+        # objective_value and objective_gradient once failed inside numpy's
+        # broadcasting instead.
+        data = random_logged(np.random.default_rng(51), 30, 5, 4)
+        policy, prior = zero_policy(5, 4), zero_policy(3, 4)
+        config = cfg("ips_lpr", epochs=1)
+        calls = [
+            lambda: objective_value(config, policy, prior, data),
+            lambda: objective_gradient(config, policy, prior, data),
+            lambda: train(config, data, prior=prior),
+            lambda: cross_validate(data, [1e-3], 2, config, prior=prior),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^prior weights have shape "
+                                                 r"\(4, 3\), data needs \(4, 5\)$"):
+                call()
+
 
 class TestPoemSurrogate:
     def test_zero_lambda_reduces_to_plain_ips(self, anchor_data):
@@ -368,41 +385,40 @@ class TestPoemSurrogate:
 
 
 class TestClosedFormSigma:
-    def make_unit_mean_data(self, n):
-        # All rewards 1 at propensity 1: mean clipped reward term is 1.
+    def make_unit_mean_data(self, n, B=1.0, reward=1.0):
+        # Propensity 1, so with reward 1 the mean clipped reward term is 1.
+        # The zero contexts take any bound B >= 0, and k·d = 2.
         X = np.zeros((n, 1))
         return LoggedDataset(X, np.zeros(n, dtype=int), np.ones(n),
-                             np.ones(n), 2, 0.0)
+                             np.full(n, reward), 2, B)
 
     def test_interior_hand_value(self):
         data = self.make_unit_mean_data(11)
-        assert closed_form_sigma(data, 0.1, 1.0, 2, 1e9) == 4.0
+        assert closed_form_sigma(data, 0.1, 1e9) == 4.0
 
     def test_boundary_clamp(self):
         data = self.make_unit_mean_data(11)
-        assert closed_form_sigma(data, 0.1, 1.0, 2, 1e-6) == 1e-6
+        assert closed_form_sigma(data, 0.1, 1e-6) == 1e-6
 
     @pytest.mark.filterwarnings("error")
     def test_subnormal_tau_keeps_sigma_positive(self):
         # r/max(p, tau) overflows for every record, but tau·M = 1 exactly,
-        # so sigma* = 2·12/(1·199·1).
+        # so sigma* = 2·9/(1·199·1) with k·d = 3·3.
         data = floor_propensity_logged(4e-309)
-        sigma = closed_form_sigma(data, 4e-309, 1.0, 12, 1.0)
-        assert sigma == 24.0 / 199.0
+        sigma = closed_form_sigma(data, 4e-309, 1.0)
+        assert sigma == 18.0 / 199.0
         assert 0.0 < sigma < math.inf
 
     def test_zero_rewards_return_prior_variance(self):
-        X = np.zeros((5, 1))
-        data = LoggedDataset(X, np.zeros(5, dtype=int), np.ones(5),
-                             np.zeros(5), 2, 0.0)
-        assert closed_form_sigma(data, 0.1, 1.0, 2, 0.7) == 0.7
+        data = self.make_unit_mean_data(5, reward=0.0)
+        assert closed_form_sigma(data, 0.1, 0.7) == 0.7
 
     def test_zero_feature_bound_returns_prior_variance(self):
         # B = 0 (every feature zero) makes the sub-objective's data term
         # vanish, so its minimizer on (0, sigma0] is sigma0, rewards or not.
-        data = self.make_unit_mean_data(11)
-        assert closed_form_sigma(data, 0.1, 0.0, 2, 0.7) == 0.7
-        assert closed_form_sigma(data, 4e-309, 0.0, 2, 0.7) == 0.7
+        data = self.make_unit_mean_data(11, B=0.0)
+        assert closed_form_sigma(data, 0.1, 0.7) == 0.7
+        assert closed_form_sigma(data, 4e-309, 0.7) == 0.7
 
     def test_matches_golden_section(self):
         rng = np.random.default_rng(50)
@@ -424,19 +440,22 @@ class TestClosedFormSigma:
                                    math.log(sigma0))
             )
             best = min(best, sigma0)
-            got = closed_form_sigma(data, tau, B, d_eff, sigma0)
+            got = closed_form_sigma(data, tau, sigma0)
             assert got == pytest.approx(best, rel=1e-6)
 
     def test_validation(self):
         data = self.make_unit_mean_data(5)
         with pytest.raises(ValueError):
-            closed_form_sigma(data, 0.0, 1.0, 2, 1.0)
+            closed_form_sigma(data, 0.0, 1.0)
+        for sigma0 in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="sigma0 must be positive"):
+                closed_form_sigma(data, 0.1, sigma0)
         with pytest.raises(ValueError):
-            closed_form_sigma(data, 0.1, -1.0, 2, 1.0)
-        with pytest.raises(ValueError):
-            closed_form_sigma(data, 0.1, math.nan, 2, 1.0)
-        with pytest.raises(ValueError):
-            closed_form_sigma(one_record(0.5, 1.0), 0.1, 1.0, 2, 1.0)
+            closed_form_sigma(one_record(0.5, 1.0), 0.1, 1.0)
+        # A negative or NaN B cannot reach it: the dataset rejects both.
+        for B in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="feature_norm_bound"):
+                self.make_unit_mean_data(5, B=B)
 
 
 def count_objective_calls(monkeypatch):
@@ -461,8 +480,7 @@ def equal_u_logged():
     rng = np.random.default_rng(58)
     X = rng.normal(size=(120, 3))
     return LoggedDataset(X, rng.integers(0, 2, size=120), np.full(120, 0.5),
-                         np.ones(120), 2,
-                         float(np.sqrt((X * X).sum(axis=1).max())))
+                         np.ones(120), 2)
 
 
 class TestTrain:
@@ -471,10 +489,7 @@ class TestTrain:
         assert np.all(report.final_policy.weights == 0.0)
         assert np.all(report.final_policy.biases == 0.0)
         assert report.objective_trace == []
-        assert report.sigma_star == closed_form_sigma(
-            logs400, 0.01, logs400.feature_norm_bound,
-            logs400.k * logs400.d, 1.0,
-        )
+        assert report.sigma_star == closed_form_sigma(logs400, 0.01, 1.0)
 
     def test_bit_deterministic(self, logs400):
         a = train(cfg("ips_l2", lam=1e-3, epochs=20, seed=7), logs400)
@@ -739,6 +754,19 @@ class TestSolveLoggingNllExact:
         with pytest.raises(ValueError):
             solve_logging_nll_exact(logs400, 0.0)
 
+    def test_tiny_lambda_stops_at_the_rounding_floor(self):
+        # At lam <= 1e-8 the target 2·lam·1e-10 sits below the rounding of
+        # the computed gradient; the solver once ran out of steps there.
+        task = blob_task(5, 8, noise=0.3, seed=4)
+        labeled = sample_labeled(task, 400, 4)
+        data = simulate_logs(temper(supervised_policy(labeled), 20.0), labeled, 4)
+        floor = np.finfo(float).eps * data.feature_norm_bound
+        for lam in (1e-8, 1e-10, 1e-12):
+            fit = solve_logging_nll_exact(data, lam)
+            grad = objective_gradient(cfg("logging_nll", lam=lam), fit, None,
+                                      data)[0]
+            assert float(np.linalg.norm(grad)) <= floor
+
     def test_step_cap_without_certificate_raises(self, logs400, monkeypatch):
         monkeypatch.setattr(learning, "_NEWTON_STEPS", 1)
         with pytest.raises(FloatingPointError):
@@ -804,8 +832,8 @@ def hex_table(table):
 class TestCrossValidate:
     def test_single_element_grid(self, logs400, logging_policy):
         best, table = cross_validate(
-            logs400, "ips_lpr", [1e-4], 3, 99,
-            cfg("ips_lpr", epochs=10), prior=logging_policy,
+            logs400, [1e-4], 3, cfg("ips_lpr", epochs=10, seed=99),
+            prior=logging_policy,
         )
         assert best == 1e-4
         assert len(table) == 1
@@ -813,8 +841,8 @@ class TestCrossValidate:
 
     def test_divergent_lambda_never_selected(self, logs400, logging_policy):
         best, table = cross_validate(
-            logs400, "ips_lpr", [1e-3, 1e308], 3, 99,
-            cfg("ips_lpr", epochs=10), prior=logging_policy,
+            logs400, [1e-3, 1e308], 3, cfg("ips_lpr", epochs=10, seed=99),
+            prior=logging_policy,
         )
         assert best == 1e-3
         assert table[1].mean_score == float("-inf")
@@ -824,16 +852,14 @@ class TestCrossValidate:
         logs = task_logs(task, logging_policy, 60, 1)
         with pytest.raises(FloatingPointError,
                            match="diverged for every grid value"):
-            cross_validate(logs, "ips_l2", [math.inf], 2, 0,
-                           cfg("ips_l2", epochs=2))
+            cross_validate(logs, [math.inf], 2, cfg("ips_l2", epochs=2))
 
     def test_epoch_end_divergence_scores_minus_inf(self, monkeypatch):
         # The monkeypatched counter sees only calls made in this process.
         use_cv_workers(monkeypatch, 1)
         calls = count_objective_calls(monkeypatch)
         best, table = cross_validate(
-            equal_u_logged(), "poem", [1e-3, math.inf], 2, 5,
-            cfg("poem", epochs=2),
+            equal_u_logged(), [1e-3, math.inf], 2, cfg("poem", epochs=2, seed=5),
         )
         assert best == 1e-3
         assert math.isfinite(table[0].mean_score)
@@ -846,7 +872,7 @@ class TestCrossValidate:
         # score a finite value; the infinite lambda's jobs diverge and score
         # -inf.  Neither aborts the grid.
         best, table = cross_validate(
-            floor_propensity_logged(), "ips_l2", [1e-3, math.inf], 2, 0,
+            floor_propensity_logged(), [1e-3, math.inf], 2,
             cfg("ips_l2", tau=1e-307, epochs=2),
         )
         assert best == 1e-3
@@ -857,8 +883,8 @@ class TestCrossValidate:
         # A zero-epoch budget makes every grid value train to the same zero
         # policy, so all scores tie.
         best, table = cross_validate(
-            logs400, "ips_lpr", [1e-3, 1e-8, 1e-5], 3, 99,
-            cfg("ips_lpr", epochs=0), prior=logging_policy,
+            logs400, [1e-3, 1e-8, 1e-5], 3, cfg("ips_lpr", epochs=0, seed=99),
+            prior=logging_policy,
         )
         assert best == 1e-8
         scores = {row.mean_score for row in table}
@@ -866,7 +892,7 @@ class TestCrossValidate:
 
     def test_fold_scores_are_holdout_reward_estimates(self, logs400):
         best, table = cross_validate(
-            logs400, "ips_l2", [1e-3], 4, 7, cfg("ips_l2", epochs=5),
+            logs400, [1e-3], 4, cfg("ips_l2", epochs=5, seed=7),
         )
         from crmlab import kfold_split
 
@@ -886,7 +912,7 @@ class TestCrossValidate:
     def test_jobs_train_the_configured_epochs(self, logs400):
         # Each job trains config.epochs epochs, 101 here, with no cap.
         _, table = cross_validate(
-            logs400, "ips_l2", [1e-3], 2, 7, cfg("ips_l2", epochs=101),
+            logs400, [1e-3], 2, cfg("ips_l2", epochs=101, seed=7),
         )
         from crmlab import kfold_split
 
@@ -906,8 +932,8 @@ class TestCrossValidate:
         for workers in (1, 2, 3):
             use_cv_workers(monkeypatch, workers)
             best, table = cross_validate(
-                logs400, "ips_lpr", [1e-3, 1e308, 1e-5], 3, 99,
-                cfg("ips_lpr", epochs=10), prior=logging_policy,
+                logs400, [1e-3, 1e308, 1e-5], 3,
+                cfg("ips_lpr", epochs=10, seed=99), prior=logging_policy,
             )
             tables.append((best.hex(), hex_table(table)))
         assert table[1].fold_scores == (float("-inf"),) * 3
@@ -920,8 +946,7 @@ class TestCrossValidate:
         grid = [1e-3, 1e-2, 1e-1]
         for workers in (1, 2):
             use_cv_workers(monkeypatch, workers)
-            _, table = cross_validate(logs400, "ips_l2", grid, 2, 0,
-                                      cfg("ips_l2"))
+            _, table = cross_validate(logs400, grid, 2, cfg("ips_l2"))
             pids = {s for row in table for s in row.fold_scores}
             if workers == 1:
                 assert pids == {float(os.getpid())}
@@ -935,8 +960,7 @@ class TestCrossValidate:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
         use_cv_workers(monkeypatch, 2)
-        _, table = cross_validate(logs400, "ips_l2", [1e-3, 1e-2], 2, 0,
-                                  cfg("ips_l2"))
+        _, table = cross_validate(logs400, [1e-3, 1e-2], 2, cfg("ips_l2"))
         assert {s for row in table for s in row.fold_scores} == {
             float(os.getpid())}
 
@@ -953,8 +977,7 @@ class TestCrossValidate:
         logs = task_logs(task, logging_policy, 60, 1)
         with pytest.raises(FloatingPointError,
                            match="diverged for every grid value"):
-            cross_validate(logs, "ips_l2", [math.inf, 1e308], 2, 0,
-                           cfg("ips_l2", epochs=2))
+            cross_validate(logs, [math.inf, 1e308], 2, cfg("ips_l2", epochs=2))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_job_error_reaches_caller_with_its_type(self, monkeypatch,
@@ -969,8 +992,7 @@ class TestCrossValidate:
 
         monkeypatch.setattr(learning, "train", failing_train)
         with pytest.raises(ZeroDivisionError, match="^job at lam=1e-05$"):
-            cross_validate(logs400, "ips_l2", [1e-3, 1e-5], 2, 0,
-                           cfg("ips_l2", epochs=2))
+            cross_validate(logs400, [1e-3, 1e-5], 2, cfg("ips_l2", epochs=2))
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs the fork start method")
@@ -978,8 +1000,7 @@ class TestCrossValidate:
         # A daemonic process may not start children, so a cross_validate
         # inside a multiprocessing pool worker must take the serial path.
         use_cv_workers(monkeypatch, 2)
-        args = (logs400, "ips_l2", [1e-3, 1e308], 2, 3,
-                cfg("ips_l2", epochs=3))
+        args = (logs400, [1e-3, 1e308], 2, cfg("ips_l2", epochs=3, seed=3))
         best, table = cross_validate(*args)
         with multiprocessing.get_context("fork").Pool(1) as pool:
             daemon_best, daemon_table = pool.apply(cross_validate, args)
@@ -988,16 +1009,15 @@ class TestCrossValidate:
 
     def test_validation(self, logs400, logging_policy):
         with pytest.raises(ValueError):
-            cross_validate(logs400, "ips_l2", [], 3, 0, cfg("ips_l2"))
+            cross_validate(logs400, [], 3, cfg("ips_l2"))
         with pytest.raises(ValueError):
-            cross_validate(logs400, "ips_l2", [1e-3], 1, 0, cfg("ips_l2"))
+            cross_validate(logs400, [1e-3], 1, cfg("ips_l2"))
         with pytest.raises(ValueError):
-            cross_validate(logs400, "logging_nll", [1e-3], 3, 0,
-                           cfg("logging_nll"))
+            cross_validate(logs400, [1e-3], 3, cfg("logging_nll"))
         with pytest.raises(ValueError):
-            cross_validate(logs400, "ips_lpr", [1e-3], 3, 0, cfg("ips_lpr"))
+            cross_validate(logs400, [1e-3], 3, cfg("ips_lpr"))
         with pytest.raises(ValueError):
-            cross_validate(logs400, "ips_l2", [1e-3], 3, 0, cfg("ips_l2"),
+            cross_validate(logs400, [1e-3], 3, cfg("ips_l2"),
                            prior=logging_policy)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import crmlab
+import crmlab.cli  # noqa: F401  (binds crmlab.cli as a module in any test order)
 from crmlab import bounds, datasets, estimators, learning, policies, seeding, synthetic
 
 ROOT = Path(__file__).resolve().parents[1]
