@@ -76,15 +76,15 @@ def _nonneg_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not (value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if not (value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    if not (0.0 <= value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be nonnegative and finite, got {value}")
     return value
 
 
@@ -97,7 +97,7 @@ def _unit_open_float(text: str) -> float:
 
 def _grid(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
+        values = tuple(_nonneg_float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}")
     if not values:
@@ -205,10 +205,6 @@ def cmd_train(ns: argparse.Namespace) -> int:
         sigma = report.sigma_star
     else:
         sigma = 1.0 / logs.n
-    if sigma > config.sigma0:
-        raise ValueError(
-            f"sigma={sigma} must not exceed sigma0={config.sigma0}"
-        )
     out = ns.output_dir / ns.out
     save_model(
         out,
@@ -282,10 +278,6 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
 
 
 def cmd_bound(ns: argparse.Namespace) -> int:
-    for flag, value in (("--sigma", ns.sigma), ("--sigma0", ns.sigma0),
-                        ("--rerm-lambda", ns.rerm_lambda)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
     model = load_model(ns.model)
     logs = load_logged(ns.logged, k=model.policy.k)
     sigma = ns.sigma if ns.sigma is not None else model.sigma

@@ -169,31 +169,6 @@ class LoggedDataset:
         )
 
 
-@dataclass(frozen=True)
-class _FoldAssignment:
-    """Record-to-fold map; fold sizes differ by at most one."""
-
-    fold_of: np.ndarray
-    num_folds: int
-
-    def __post_init__(self) -> None:
-        f = _frozen(self.fold_of, np.int64)
-        if f.ndim != 1 or f.size == 0:
-            raise ValueError("fold_of must be a nonempty vector")
-        if self.num_folds < 1 or f.min() < 0 or f.max() >= self.num_folds:
-            raise ValueError("fold indices must lie in [0, num_folds)")
-        sizes = np.bincount(f, minlength=self.num_folds)
-        if sizes.max() - sizes.min() > 1:
-            raise ValueError("fold sizes must differ by at most one")
-        object.__setattr__(self, "fold_of", f)
-
-    def holdout_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of != fold)
-
-
 # -----------------------------------------------------------------------
 # CSV ingestion
 # -----------------------------------------------------------------------
@@ -382,9 +357,13 @@ def save_logged(path, data: LoggedDataset) -> None:
 # -----------------------------------------------------------------------
 
 
-def kfold_split(n: int, num_folds: int, seed: int) -> _FoldAssignment:
-    """Assign records to folds: seeded permutation, then striping.
+def kfold_split(
+    n: int, num_folds: int, seed: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split records into folds: seeded permutation, then striping.
 
+    Returns one ``(train, holdout)`` pair of ascending record indices per
+    fold; the holdouts partition range(n) and each train is the rest.
     Deterministic for a fixed seed; fold sizes differ by at most one.
     """
     if num_folds < 1:
@@ -394,7 +373,8 @@ def kfold_split(n: int, num_folds: int, seed: int) -> _FoldAssignment:
     perm = np.random.default_rng(seed).permutation(n)
     fold_of = np.empty(n, dtype=np.int64)
     fold_of[perm] = np.arange(n) % num_folds
-    return _FoldAssignment(fold_of, num_folds)
+    return [(np.flatnonzero(fold_of != fold), np.flatnonzero(fold_of == fold))
+            for fold in range(num_folds)]
 
 
 def simulate_logs(

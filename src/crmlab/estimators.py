@@ -23,13 +23,12 @@ import math
 import numpy as np
 
 from .datasets import LabeledDataset, LoggedDataset
-from .policies import SoftmaxPolicy, _check_dims, action_prob_matrix
+from .policies import SoftmaxPolicy, _check_dims, _matched_probs, action_prob_matrix
 
 __all__ = [
     "ips_risk",
     "truncated_ips_risk",
     "mean_param_risk",
-    "poem_sample_variance",
     "expected_reward_stochastic",
     "argmax_accuracy",
 ]
@@ -76,10 +75,12 @@ def _poem_statistic(
     return ratio, u, mean_u, _compensated_mean(squares, ddof=1)
 
 
-def _matched_action_probs(policy: SoftmaxPolicy, data: LoggedDataset) -> np.ndarray:
-    _check_dims(policy, data)
-    P = action_prob_matrix(policy, data.features)
-    return P[np.arange(data.n), data.actions]
+def _reward_mean(
+    policy: SoftmaxPolicy, data: LoggedDataset, denom: np.ndarray
+) -> float:
+    """Compensated mean of r_i·π(a_i|x_i)/denom_i: the importance-weighted
+    reward of every risk estimator here."""
+    return _compensated_mean(data.rewards * _matched_probs(policy, data) / denom)
 
 
 def _check_tau(tau: float) -> float:
@@ -105,8 +106,7 @@ def ips_risk(policy: SoftmaxPolicy, data: LoggedDataset) -> float:
         risk of ``policy`` because the propensities are the logging
         policy's exact action probabilities.
     """
-    pi = _matched_action_probs(policy, data)
-    return 1.0 - _compensated_mean(data.rewards * pi / data.propensities)
+    return 1.0 - _reward_mean(policy, data, data.propensities)
 
 
 def truncated_ips_risk(policy: SoftmaxPolicy, data: LoggedDataset, tau: float) -> float:
@@ -126,9 +126,7 @@ def truncated_ips_risk(policy: SoftmaxPolicy, data: LoggedDataset, tau: float) -
         Truncation level in (0, 1).
     """
     tau = _check_tau(tau)
-    pi = _matched_action_probs(policy, data)
-    denom = np.maximum(data.propensities, tau)
-    return 1.0 - _compensated_mean(data.rewards * pi / denom)
+    return 1.0 - _reward_mean(policy, data, np.maximum(data.propensities, tau))
 
 
 def mean_param_risk(
@@ -166,33 +164,8 @@ def mean_param_risk(
             f"{data.feature_norm_bound}"
         )
     tau = _check_tau(tau)
-    pi = _matched_action_probs(mean, data)
-    denom = np.maximum(data.propensities, tau)
     shrink = math.exp(-0.5 * sigma * B * B)
-    return 1.0 - shrink * _compensated_mean(data.rewards * pi / denom)
-
-
-def poem_sample_variance(policy: SoftmaxPolicy, data: LoggedDataset, tau: float) -> float:
-    """Unbiased sample variance of the ratio-truncated weighted rewards.
-
-    The per-record statistic is ``u_i = r_i * min(pi(a_i|x_i)/p_i, 1/tau)``
-    (ratio truncation, not denominator truncation); the variance uses
-    divisor ``n - 1`` and a two-pass computation, so it is immune to the
-    catastrophic cancellation of single-pass formulas.
-
-    Parameters
-    ----------
-    policy : SoftmaxPolicy
-    data : LoggedDataset
-        Must contain at least two records.
-    tau : float
-        Ratio cap is ``1/tau``.
-    """
-    tau = _check_tau(tau)
-    if data.n < 2:
-        raise ValueError("sample variance needs at least two records")
-    pi = _matched_action_probs(policy, data)
-    return _poem_statistic(pi, data.propensities, data.rewards, tau)[3]
+    return 1.0 - shrink * _reward_mean(mean, data, np.maximum(data.propensities, tau))
 
 
 def expected_reward_stochastic(policy: SoftmaxPolicy, test: LabeledDataset) -> float:

@@ -77,7 +77,7 @@ from .estimators import (
     _poem_statistic,
     truncated_ips_risk,
 )
-from .policies import SoftmaxPolicy, _check_dims, _softmax_rows
+from .policies import SoftmaxPolicy, _check_dims, _matched_probs, _softmax_rows
 from .seeding import derive_seed
 
 __all__ = [
@@ -193,33 +193,35 @@ def _check_prior(
         )
 
 
-def _probs_and_matched(
-    W: np.ndarray, b: np.ndarray, X: np.ndarray, a: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax rows of the records and their logged-action entries."""
-    P = _softmax_rows(X @ W.T + b)
-    return P, P[np.arange(X.shape[0]), a]
-
-
 def _weights_penalty_sq(W: np.ndarray, W0: Optional[np.ndarray]) -> float:
     diff = W if W0 is None else W - W0
     return float(np.sum(diff * diff))
 
 
-def _ridge_penalty(
-    config: TrainConfig, W: np.ndarray, W0: Optional[np.ndarray]
-) -> float:
-    """The objective's weights-only penalty: lam·‖W−W0‖² for LPR,
-    lam·‖W‖² for ``ips_l2`` and ``logging_nll``, lambda_l2·‖W‖² for
-    ``poem_l2`` and 0 for ``poem``."""
+def _penalty(
+    config: TrainConfig, W0: Optional[np.ndarray]
+) -> Optional[tuple[float, Optional[np.ndarray]]]:
+    """The objective's weights-only penalty weight·‖W − center‖² as
+    (weight, center): (lam, W0) for LPR, (lam, None) for ``ips_l2`` and
+    ``logging_nll``, (lambda_l2, None) for ``poem_l2``; None for ``poem``,
+    whose lam weighs the variance term instead."""
     obj = config.objective
-    if obj in LPR_FAMILY:
-        return config.lam * _weights_penalty_sq(W, W0)
     if obj == "poem":
-        return 0.0
-    if obj == "poem_l2":
-        return config.lambda_l2 * _weights_penalty_sq(W, None)
-    return config.lam * _weights_penalty_sq(W, None)
+        return None
+    if obj in LPR_FAMILY:
+        return config.lam, W0
+    return (config.lambda_l2 if obj == "poem_l2" else config.lam), None
+
+
+def _penalized(
+    config: TrainConfig, value: float, W: np.ndarray, W0: Optional[np.ndarray]
+) -> float:
+    """``value`` plus the objective's weights-only penalty at W."""
+    penalty = _penalty(config, W0)
+    if penalty is None:
+        return value
+    weight, center = penalty
+    return value + weight * _weights_penalty_sq(W, center)
 
 
 def objective_value(
@@ -234,36 +236,29 @@ def objective_value(
     The POEM objectives need at least two records.
     """
     _check_prior(config.objective, prior, data)
-    _check_dims(policy, data)
-    W, b = policy.weights, policy.biases
-    W0 = None if prior is None else prior.weights
-    _, pi = _probs_and_matched(W, b, data.features, data.actions)
+    pi = _matched_probs(policy, data)
     p, r = data.propensities, data.rewards
     tau = config.tau
     obj = config.objective
 
-    if obj in ("ips_lpr", "ips_l2"):
-        data_term = _compensated_mean(-r * pi / np.maximum(p, tau))
-        return data_term + _ridge_penalty(config, W, W0)
-    if obj == "wnll_lpr":
-        terms = np.zeros(data.n)
-        mask = r > 0.0
-        with np.errstate(divide="ignore"):
-            terms[mask] = -r[mask] * np.log(pi[mask]) / np.maximum(p[mask], tau)
-        return _compensated_mean(terms) + _ridge_penalty(config, W, W0)
-    if obj == "logging_nll":
-        with np.errstate(divide="ignore"):
-            terms = -np.log(pi)
-        return _compensated_mean(terms) + _ridge_penalty(config, W, W0)
     if obj in POEM_FAMILY:
         if data.n < 2:
             raise ValueError("variance-regularized objectives need n >= 2")
         _, _, mean_u, var_u = _poem_statistic(pi, p, r, tau)
-        value = -mean_u + config.lam * math.sqrt(var_u / data.n)
-        if obj == "poem_l2":
-            value += _ridge_penalty(config, W, W0)
-        return value
-    raise AssertionError(obj)
+        data_term = -mean_u + config.lam * math.sqrt(var_u / data.n)
+    elif obj == "wnll_lpr":
+        terms = np.zeros(data.n)
+        mask = r > 0.0
+        with np.errstate(divide="ignore"):
+            terms[mask] = -r[mask] * np.log(pi[mask]) / np.maximum(p[mask], tau)
+        data_term = _compensated_mean(terms)
+    elif obj == "logging_nll":
+        with np.errstate(divide="ignore"):
+            data_term = _compensated_mean(-np.log(pi))
+    else:
+        data_term = _compensated_mean(-r * pi / np.maximum(p, tau))
+    W0 = None if prior is None else prior.weights
+    return _penalized(config, data_term, policy.weights, W0)
 
 
 # Epoch-end certificate of the trace-free fit.  The logit bound keeps exp()
@@ -300,10 +295,8 @@ def _objective_certified(
         return False
     if not (2.0 * S + math.log(data.k) + 1.0) / config.tau < _TERM_BOUND:
         return False
-    penalty = _ridge_penalty(config, W, W0)
-    if config.objective in POEM_FAMILY:
-        penalty += config.lam / config.tau
-    return penalty < _PENALTY_BOUND
+    variance_bound = config.lam / config.tau if config.objective in POEM_FAMILY else 0.0
+    return _penalized(config, variance_bound, W, W0) < _PENALTY_BOUND
 
 
 # -----------------------------------------------------------------------
@@ -429,16 +422,16 @@ def _batch_gradient(
     np.matmul(P.T, X, out=ws.grad_W)
     np.add.reduce(P, axis=0, out=ws.grad_b)
 
-    penalty = ws.penalty
-    if obj in LPR_FAMILY:
-        np.subtract(W, W0, out=penalty)
-        penalty *= 2.0 * lam
-    elif obj == "poem_l2":
-        np.multiply(W, 2.0 * config.lambda_l2, out=penalty)
-    elif obj != "poem":
-        np.multiply(W, 2.0 * lam, out=penalty)
-    if obj != "poem":
-        ws.grad_W += penalty
+    # Nothing is added for poem: a zero penalty would turn −0.0 into +0.0.
+    penalty = _penalty(config, W0)
+    if penalty is not None:
+        weight, center = penalty
+        if center is None:
+            np.multiply(W, 2.0 * weight, out=ws.penalty)
+        else:
+            np.subtract(W, center, out=ws.penalty)
+            ws.penalty *= 2.0 * weight
+        ws.grad_W += ws.penalty
     return ws.grad
 
 
@@ -511,11 +504,9 @@ class PoemSurrogate:
         """Surrogate value; ``data`` must be the dataset it was built on."""
         if data.n != self.alpha.shape[0]:
             raise ValueError("surrogate was built for a different dataset")
-        _, pi = _probs_and_matched(
-            policy.weights, policy.biases, data.features, data.actions
-        )
         _, u, _, _ = _poem_statistic(
-            pi, data.propensities, data.rewards, self.tau, moments=False
+            _matched_probs(policy, data), data.propensities, data.rewards,
+            self.tau, moments=False,
         )
         return _compensated_mean(self.alpha * u * u + self.beta * u) + self.const
 
@@ -560,11 +551,8 @@ def poem_build_surrogate(
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     _check_tau(tau)
-    _check_dims(policy_anchor, data)
     n = data.n
-    _, pi = _probs_and_matched(
-        policy_anchor.weights, policy_anchor.biases, data.features, data.actions
-    )
+    pi = _matched_probs(policy_anchor, data)
     _, _, mean_u, var_u = _poem_statistic(pi, data.propensities, data.rewards, tau)
     if lam == 0.0 or var_u <= 0.0:
         if lam > 0.0:
@@ -840,9 +828,7 @@ def cross_validate(
     if config.objective == "logging_nll":
         raise ValueError("cross-validation needs a policy objective, not logging_nll")
     _check_prior(config.objective, prior, data)
-    folds = kfold_split(data.n, num_folds, derive_seed(config.seed, "cv-folds"))
-    splits = [(folds.train_indices(fold), folds.holdout_indices(fold))
-              for fold in range(num_folds)]
+    splits = kfold_split(data.n, num_folds, derive_seed(config.seed, "cv-folds"))
     jobs = [
         (lam, *splits[fold], derive_seed(config.seed, f"cv:lam={lam!r}:fold={fold}"))
         for lam in lambda_grid

@@ -184,6 +184,17 @@ def action_prob_matrix(policy: SoftmaxPolicy, X: np.ndarray) -> np.ndarray:
     return _softmax_rows(X @ policy.weights.T + policy.biases)
 
 
+def _matched_probs(policy: SoftmaxPolicy, data) -> np.ndarray:
+    """π(a_i|x_i) of ``policy`` at every logged record of ``data``.
+
+    The dataset has already checked its features, so only the dimensions
+    are checked here (:func:`_check_dims`).
+    """
+    _check_dims(policy, data)
+    P = _softmax_rows(data.features @ policy.weights.T + policy.biases)
+    return P[np.arange(data.n), data.actions]
+
+
 def _gumbel_max_log(
     policy: SoftmaxPolicy, X: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:

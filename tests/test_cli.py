@@ -34,6 +34,16 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """Run a command line that must fail parsing; return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
 def kv(out):
     """Parse the key=value report lines a subcommand prints."""
     pairs = {}
@@ -250,25 +260,26 @@ class TestTrain:
         assert list(tmp_path.iterdir()) == [prior]
 
     def test_sigma_above_sigma0_rejected(self, ws, tmp_path, capsys):
-        rc, _, err = run(
-            capsys, "train", "--logged", ws / "logs.csv", "--k", "3",
-            "--objective", "ips_l2", "--epochs", "1",
-            "--sigma", "2.0", "--sigma0", "1.0",
-            "--out", tmp_path / "x.model",
-        )
-        assert rc == 2
-        assert "must not exceed" in err
-
-    def test_infinite_sigma0_writes_no_model(self, ws, tmp_path, capsys):
-        model = tmp_path / "inf.model"
+        # save_model refuses the pair before it writes anything.
+        model = tmp_path / "x.model"
         rc, out, err = run(
             capsys, "train", "--logged", ws / "logs.csv", "--k", "3",
-            "--objective", "ips_l2", "--epochs", "1", "--sigma0", "inf",
-            "--out", model,
+            "--objective", "ips_l2", "--epochs", "1",
+            "--sigma", "2.0", "--sigma0", "1.0", "--out", model,
         )
         assert rc == 2 and out == ""
-        assert err.startswith("crmlab: error:") and err.count("\n") == 1
-        assert "sigma0" in err
+        assert err == (
+            f"crmlab: error: {model}: sigma=2.0 must lie in (0, sigma0=1.0]\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_infinite_sigma0_writes_no_model(self, ws, tmp_path, capsys):
+        err = usage_error(
+            capsys, "train", "--logged", ws / "logs.csv", "--k", "3",
+            "--objective", "ips_l2", "--epochs", "1", "--sigma0", "inf",
+            "--out", tmp_path / "inf.model",
+        )
+        assert "argument --sigma0: must be positive and finite, got inf" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_divergence_exits_three(self, ws, tmp_path, capsys):
@@ -459,12 +470,12 @@ class TestTune:
                                                    capsys):
         rc, out, err = run(
             capsys, "tune", "--logged", ws / "logs.csv", "--k", "3",
-            "--method", "ips_l2", "--grid", "inf", "--folds", "2",
+            "--method", "ips_l2", "--grid", "1e308", "--folds", "2",
             "--epochs", "2", "--out", tmp_path / "cv.csv",
         )
         assert rc == 3 and out == ""
-        assert err.startswith("crmlab: numeric failure:")
-        assert err.count("\n") == 1
+        assert err == ("crmlab: numeric failure: training diverged for every "
+                       "grid value; no lambda to select\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")
@@ -825,13 +836,13 @@ class TestBound:
 
     @pytest.mark.parametrize("flag", ["--sigma", "--sigma0", "--rerm-lambda"])
     def test_infinite_variance_flag_named(self, ws, posterior_model, capsys,
-                                          flag):
-        rc, out, err = run(
+                                          tmp_path, flag):
+        err = usage_error(
             capsys, "bound", "--model", posterior_model,
-            "--logged", ws / "logs.csv", flag, "inf",
+            "--logged", ws / "logs.csv", flag, "inf", "--out", tmp_path / "b.csv",
         )
-        assert rc == 2 and out == ""
-        assert err == f"crmlab: error: {flag} must be finite, got inf\n"
+        assert f"argument {flag}: must be positive and finite, got inf" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_tiny_sigma_gives_finite_kl_terms(self, ws, posterior_model,
                                                tmp_path, capsys):
@@ -849,6 +860,59 @@ class TestBound:
         for r in rows:
             assert 4420.96 < float(r["kl_bound"]) < math.inf
             assert math.isfinite(float(r["value"]))
+
+
+class TestFlagValues:
+    """Every flag type rejects its bad values at parse time, naming the
+    flag and the value, before any file is read or written."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--objective", "ips_l2", "--lambda", "inf"],
+         "argument --lambda: must be nonnegative and finite, got inf"),
+        (["train", "--objective", "poem_l2", "--lambda-l2", "inf"],
+         "argument --lambda-l2: must be nonnegative and finite, got inf"),
+        (["learn-logging", "--lambda", "inf"],
+         "argument --lambda: must be positive and finite, got inf"),
+        (["tune", "--method", "ips_l2", "--grid", "inf"],
+         "argument --grid: must be nonnegative and finite, got inf"),
+        (["tune", "--method", "ips_l2", "--grid", "0.1,-1"],
+         "argument --grid: must be nonnegative and finite, got -1.0"),
+        (["tune", "--method", "poem_l2", "--lambda-l2", "inf"],
+         "argument --lambda-l2: must be nonnegative and finite, got inf"),
+        (["tune", "--method", "ips_l2", "--grid", "0.1,x"],
+         "argument --grid: bad grid '0.1,x': could not convert string to "
+         "float: 'x'"),
+        (["tune", "--method", "ips_l2", "--grid", ","],
+         "argument --grid: grid must contain at least one value"),
+        (["train", "--objective", "ips_l2", "--k", "0"],
+         "argument --k: must be positive, got 0"),
+        (["train", "--objective", "ips_l2", "--epochs", "-1"],
+         "argument --epochs: must be nonnegative, got -1"),
+        (["train", "--objective", "ips_l2", "--tau", "1"],
+         "argument --tau: must lie in (0, 1), got 1.0"),
+    ], ids=[
+        "train-lambda-inf",
+        "train-lambda-l2-inf",
+        "learn-logging-lambda-inf",
+        "tune-grid-inf",
+        "tune-grid-negative",
+        "tune-lambda-l2-inf",
+        "tune-grid-not-a-number",
+        "tune-grid-empty",
+        "k-zero",
+        "epochs-negative",
+        "tau-one",
+    ])
+    def test_bad_value_is_usage_error(self, ws, tmp_path, capsys, argv,
+                                      message):
+        # The flag under test comes last, so it overrides the defaults.
+        command, *rest = argv
+        err = usage_error(
+            capsys, command, "--logged", ws / "logs.csv", "--k", "3",
+            "--out", tmp_path / "out", *rest,
+        )
+        assert err.splitlines()[-1] == f"crmlab {command}: error: {message}"
+        assert list(tmp_path.iterdir()) == []
 
 
 class _ReadRecorder(argparse.Namespace):

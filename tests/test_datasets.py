@@ -337,29 +337,31 @@ class TestCsvBlocks:
 class TestKfoldSplit:
     def test_partition_and_balance(self):
         folds = kfold_split(23, 5, seed=11)
-        sizes = [len(folds.holdout_indices(f)) for f in range(5)]
+        assert len(folds) == 5
+        sizes = [len(holdout) for _, holdout in folds]
         assert sum(sizes) == 23
         assert max(sizes) - min(sizes) <= 1
-        seen = np.concatenate([folds.holdout_indices(f) for f in range(5)])
+        seen = np.concatenate([holdout for _, holdout in folds])
         assert sorted(seen.tolist()) == list(range(23))
 
     def test_train_is_complement(self):
-        folds = kfold_split(17, 4, seed=5)
-        for f in range(4):
-            ho = set(folds.holdout_indices(f).tolist())
-            tr = set(folds.train_indices(f).tolist())
+        for train, holdout in kfold_split(17, 4, seed=5):
+            assert np.all(np.diff(train) > 0) and np.all(np.diff(holdout) > 0)
+            ho, tr = set(holdout.tolist()), set(train.tolist())
             assert ho & tr == set()
             assert ho | tr == set(range(17))
 
     def test_deterministic(self):
         a = kfold_split(40, 5, seed=9)
         b = kfold_split(40, 5, seed=9)
-        np.testing.assert_array_equal(a.fold_of, b.fold_of)
+        for (train_a, holdout_a), (train_b, holdout_b) in zip(a, b):
+            np.testing.assert_array_equal(train_a, train_b)
+            np.testing.assert_array_equal(holdout_a, holdout_b)
 
     def test_seed_changes_assignment(self):
         a = kfold_split(40, 5, seed=9)
         b = kfold_split(40, 5, seed=10)
-        assert not np.array_equal(a.fold_of, b.fold_of)
+        assert not all(np.array_equal(x, y) for (_, x), (_, y) in zip(a, b))
 
     def test_rejects_more_folds_than_records(self):
         with pytest.raises(ValueError):

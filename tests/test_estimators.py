@@ -11,12 +11,12 @@ from crmlab import (
     expected_reward_stochastic,
     ips_risk,
     mean_param_risk,
-    poem_sample_variance,
     temper,
     truncated_ips_risk,
     zero_policy,
 )
-from crmlab.estimators import _compensated_mean
+from crmlab.estimators import _compensated_mean, _poem_statistic
+from crmlab.policies import _matched_probs
 from conftest import one_record, random_logged
 
 
@@ -131,6 +131,12 @@ class TestMeanParamRisk:
             assert values[0] >= truncated_ips_risk(pol, data, tau)
 
 
+def sample_variance(policy, data, tau):
+    """The variance of the POEM statistic, as ``objective_value`` reads it."""
+    pi = _matched_probs(policy, data)
+    return _poem_statistic(pi, data.propensities, data.rewards, tau)[3]
+
+
 class TestPoemSampleVariance:
     def test_constant_terms_give_zero(self, logging_policy, logs400):
         # Matched prob equals propensity, rewards forced to 1: u_i = 1 for
@@ -139,7 +145,7 @@ class TestPoemSampleVariance:
             logs400.features, logs400.actions, logs400.propensities,
             np.ones(logs400.n), logs400.k, logs400.feature_norm_bound,
         )
-        assert poem_sample_variance(logging_policy, data, 0.01) == 0.0
+        assert sample_variance(logging_policy, data, 0.01) == 0.0
 
     def test_two_point_variance(self, half_prob_policy):
         X = np.zeros((2, 1))
@@ -147,7 +153,7 @@ class TestPoemSampleVariance:
             X, np.array([0, 0]), np.array([0.5, 0.5]),
             np.array([0.0, 1.0]), 2, 0.0,
         )
-        assert poem_sample_variance(half_prob_policy, data, 0.01) == 0.5
+        assert sample_variance(half_prob_policy, data, 0.01) == 0.5
 
     def test_ratio_clipped_before_variance(self, half_prob_policy):
         # pi/p = 1000 on the rewarded record; with tau=0.01 the ratio caps
@@ -157,11 +163,7 @@ class TestPoemSampleVariance:
             X, np.array([0, 0]), np.array([0.0005, 0.5]),
             np.array([1.0, 0.0]), 2, 0.0,
         )
-        assert poem_sample_variance(half_prob_policy, data, 0.01) == 5000.0
-
-    def test_rejects_single_record(self, half_prob_policy):
-        with pytest.raises(ValueError):
-            poem_sample_variance(half_prob_policy, one_record(0.5, 1.0), 0.01)
+        assert sample_variance(half_prob_policy, data, 0.01) == 5000.0
 
     def test_matches_two_pass_reference(self):
         rng = np.random.default_rng(20)
@@ -175,7 +177,7 @@ class TestPoemSampleVariance:
             pi = P[np.arange(data.n), data.actions]
             u = data.rewards * np.minimum(pi / data.propensities, 1.0 / tau)
             reference = float(np.var(u, ddof=1))
-            assert abs(poem_sample_variance(pol, data, tau) - reference) <= 1e-10
+            assert abs(sample_variance(pol, data, tau) - reference) <= 1e-10
 
 
 class TestCompensatedMean:

@@ -37,7 +37,6 @@ from crmlab import (
     cross_validate,
     objective_gradient,
     poem_build_surrogate,
-    poem_sample_variance,
     sample_labeled,
     save_labeled,
     save_model,
@@ -80,8 +79,6 @@ GOLDEN = {
         "4659f9669e830bdb894c40ec07318a49b67b7ae1ec1b7c0acb38c6daf5900f63",
     "PoemSurrogate.gradient":
         "d45b67f38fe8e7827b6a717349062872074d23c5b99fc23279e0104084582463",
-    "poem_sample_variance":
-        "b6dbf4bbf5243087be588c400c36a71684cc55d4a1dac2534e09279c25c33b14",
     "cross_validate":
         "6b56fc444004370eb9e4a6317a559e241739cccc83a92cbe67a92375a12b175e",
     "k10.train.ips_lpr":
@@ -245,10 +242,6 @@ def library_digests() -> dict[str, str]:
     out["PoemSurrogate.gradient"] = _digest(
         *surrogate.gradient(policy, logs),
         *surrogate.gradient(policy, logs, np.arange(100, 300)),
-    )
-    out["poem_sample_variance"] = _digest(
-        poem_sample_variance(policy, logs, POEM_TAU),
-        poem_sample_variance(logging, logs, TAU),
     )
 
     best, table = cross_validate(

@@ -898,13 +898,13 @@ class TestCrossValidate:
 
         folds = kfold_split(logs400.n, 4, derive_seed(7, "cv-folds"))
         row = table[0]
-        for fold in range(4):
+        for fold, (train_idx, holdout_idx) in enumerate(folds):
             job_cfg = cfg(
                 "ips_l2", lam=1e-3, epochs=5,
                 seed=derive_seed(7, f"cv:lam={1e-3!r}:fold={fold}"),
             )
-            report = train(job_cfg, logs400.subset(folds.train_indices(fold)))
-            holdout = logs400.subset(folds.holdout_indices(fold))
+            report = train(job_cfg, logs400.subset(train_idx))
+            holdout = logs400.subset(holdout_idx)
             expected = 1.0 - truncated_ips_risk(report.final_policy, holdout,
                                                 0.01)
             assert row.fold_scores[fold] == expected
@@ -916,11 +916,11 @@ class TestCrossValidate:
         )
         from crmlab import kfold_split
 
-        folds = kfold_split(logs400.n, 2, derive_seed(7, "cv-folds"))
+        train_idx, holdout_idx = kfold_split(logs400.n, 2, derive_seed(7, "cv-folds"))[0]
         job_cfg = cfg("ips_l2", lam=1e-3, epochs=101,
                       seed=derive_seed(7, f"cv:lam={1e-3!r}:fold=0"))
-        report = train(job_cfg, logs400.subset(folds.train_indices(0)))
-        holdout = logs400.subset(folds.holdout_indices(0))
+        report = train(job_cfg, logs400.subset(train_idx))
+        holdout = logs400.subset(holdout_idx)
         assert table[0].fold_scores[0] == 1.0 - truncated_ips_risk(
             report.final_policy, holdout, 0.01)
 

@@ -59,3 +59,25 @@ def test_callers_use_only_public_names(caller):
     names = _names_taken(_python_source(caller))
     assert names, f"{caller} takes nothing from crmlab"
     assert sorted(names - set(crmlab.__all__)) == []
+
+
+def _names_read(source):
+    """Identifiers a source reads, by name or as an attribute.  Definitions
+    (``def``, ``class``, assignment targets) are not reads."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    # Public API that nothing but the tests uses is deleted, not kept.
+    read = set()
+    for path in sorted((ROOT / "src" / "crmlab").glob("*.py")):
+        read |= _names_read(path.read_text(encoding="utf-8"))
+    for caller in CALLERS:
+        read |= _names_read(_python_source(caller))
+    assert sorted(set(crmlab.__all__) - read) == []
