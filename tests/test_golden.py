@@ -74,7 +74,7 @@ GOLDEN = {
     "objective_gradient.logging_nll":
         "4aeb2939ba5df567bd81deaec42ca4561e67997d824bfa262b74df62b64cc7f0",
     "poem_build_surrogate":
-        "0f95a363c493c6c078e32f37da0db008b9471606f73c1a6d12a73d0e5d6bec09",
+        "08610ab422f553a85da576661e32eb7026c42606777c09b3a8649b74c729ecb0",
     "PoemSurrogate.value":
         "4659f9669e830bdb894c40ec07318a49b67b7ae1ec1b7c0acb38c6daf5900f63",
     "PoemSurrogate.gradient":
@@ -235,8 +235,7 @@ def library_digests() -> dict[str, str]:
 
     surrogate = poem_build_surrogate(logging, logs, POEM_TAU, 0.5)
     out["poem_build_surrogate"] = _digest(
-        surrogate.alpha, surrogate.beta, surrogate.const,
-        surrogate.anchor_mean_u, surrogate.anchor_var_u, surrogate.degenerate,
+        surrogate.alpha, surrogate.beta, surrogate.const, surrogate.degenerate,
     )
     out["PoemSurrogate.value"] = _digest(surrogate.value(policy, logs))
     out["PoemSurrogate.gradient"] = _digest(
