@@ -23,16 +23,9 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .bounds import Certificate, StabilityParams, certificates
 from .datasets import load_labeled, load_logged, save_logged, simulate_logs, temper
-from .estimators import (
-    _compensated_mean,
-    argmax_accuracy,
-    expected_reward_stochastic,
-    ips_risk,
-)
+from .estimators import argmax_accuracy, expected_reward_stochastic, ips_risk
 from .learning import (
     LPR_FAMILY,
     OBJECTIVES,
@@ -40,6 +33,7 @@ from .learning import (
     TrainConfig,
     cross_validate,
     learn_logging_policy,
+    objective_value,
     save_trace_csv,
     save_train_report,
     train,
@@ -173,10 +167,7 @@ def cmd_learn_logging(ns: argparse.Namespace) -> int:
     )
     out = ns.output_dir / ns.out
     save_model(out, policy, feature_norm_bound=logs.feature_norm_bound)
-    logits = logs.features @ policy.weights.T + policy.biases
-    logits -= logits.max(axis=1, keepdims=True)
-    log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-    nll = -_compensated_mean(log_probs[np.arange(logs.n), logs.actions])
+    nll = objective_value(TrainConfig("logging_nll"), policy, None, logs)
     print(f"held_in_nll={_fmt(nll)}")
     print(f"out={out}")
     return 0

@@ -403,4 +403,8 @@ def temper(policy: SoftmaxPolicy, kappa: float) -> SoftmaxPolicy:
     """
     if not (np.isfinite(kappa) and kappa >= 0.0):
         raise ValueError("kappa must be a finite nonnegative real")
-    return SoftmaxPolicy(policy.weights * kappa, policy.biases * kappa)
+    with np.errstate(over="ignore"):
+        weights, biases = policy.weights * kappa, policy.biases * kappa
+    if not (np.isfinite(weights).all() and np.isfinite(biases).all()):
+        raise ValueError(f"kappa={kappa!r} overflows the policy parameters")
+    return SoftmaxPolicy(weights, biases)

@@ -21,9 +21,11 @@ per-parameter update theta -= lr·g/(smoothing + sqrt(acc)), learning rate
 ``_LEARNING_RATE`` = 0.1, smoothing ``_ADAGRAD_SMOOTHING`` = 1, mini-batches
 of ``_BATCH_SIZE`` = 100 drawn by seeded per-epoch shuffling.  Mini-batch
 gradients average the data term over the batch while the penalty term is
-applied at full strength every step.  The variance-regularized objectives
-rebuild a majorizing surrogate at the start of every epoch and descend the
-surrogate within the epoch.  Any non-finite objective aborts the run.
+applied at full strength every step.  One logit-gradient kernel serves every
+objective; they differ only in a per-record coefficient, which the POEM
+objectives read from a majorizing surrogate: :func:`train` rebuilds it at
+each epoch start, :func:`objective_gradient` at the policy it is given,
+where it touches the objective.  Any non-finite objective aborts the run.
 
 The parameters live in one (k, d+1) block theta = [W | b], as do the
 AdaGrad accumulator and the gradient, so one in-place update covers weights
@@ -309,8 +311,8 @@ def _coefficient_columns(
 ) -> tuple[np.ndarray, ...]:
     """The per-record arrays, in record order, that the objective's gradient
     coefficient reads: the weighted reward −r/max(p, tau) for the IPS and
-    WNLL objectives, (p, r) for the POEM objectives (a surrogate's
-    (alpha, beta) are appended by the caller that follows it), and none for
+    WNLL objectives, (p, r) for the POEM objectives (the caller appends the
+    (alpha, beta) of the surrogate it follows), and none for
     ``logging_nll``."""
     obj = config.objective
     if obj == "logging_nll":
@@ -368,11 +370,10 @@ def _batch_gradient(
     :func:`_coefficient_columns`, both gathered in the order of ``X``.
     Every data term has the per-record logit gradient c_i·(e_{a_i} − P_i),
     so the objectives differ only in the coefficient c_i, which carries the
-    1/m batch average.  Given surrogate columns the POEM objectives follow
-    the majorizer; otherwise they take the exact gradient of
-    mean(-u) + lam·sqrt(S/m) treating the batch as the dataset.
-    Ratio-capped records contribute zero through u (the flat side of the
-    min).  The weights-only penalty is added at full strength.
+    1/m batch average; for POEM it is (2·alpha_i·u_i + beta_i)·du_i/dz_i/m
+    with the surrogate's (alpha, beta) ending ``columns``.  Ratio-capped
+    records contribute zero through u (the flat side of the min).  The
+    weights-only penalty is added at full strength.
 
     Every operation writes into ``ws`` and keeps the order of the plain
     numpy expression, (−r/max(p, tau))·pi before /m included, so the bits
@@ -384,7 +385,7 @@ def _batch_gradient(
     P += b
     _softmax_rows(P, (ws.logits_t, pi))
     ws.logits_flat.take(flat, out=pi)
-    obj, tau, lam = config.objective, config.tau, config.lam
+    obj, tau = config.objective, config.tau
 
     coef_column = ws.coef_column
     if obj in ("ips_lpr", "ips_l2"):
@@ -395,20 +396,10 @@ def _batch_gradient(
         (weighted_reward,) = columns
         np.divide(weighted_reward, m, out=coef)
     elif obj in POEM_FAMILY:
-        p, r, *majorizer = columns
-        exact = not majorizer
-        if exact and m < 2:
-            raise ValueError("variance-regularized gradients need a batch of >= 2")
-        ratio, u, mean_u, var_u = _poem_statistic(pi, p, r, tau, moments=exact)
+        p, r, alpha, beta = columns
+        ratio, u, _, _ = _poem_statistic(pi, p, r, tau, moments=False)
         du_dz = np.where(ratio >= 1.0 / tau, 0.0, r * ratio)
-        if exact:
-            dF_du = np.full(m, -1.0 / m)
-            if var_u > 0.0:
-                dF_du += lam * (u - mean_u) / (math.sqrt(var_u / m) * m * (m - 1))
-            coef = dF_du * du_dz
-        else:
-            alpha, beta = majorizer
-            coef = (2.0 * alpha * u + beta) * du_dz / m
+        coef = (2.0 * alpha * u + beta) * du_dz / m
         coef_column = coef[:, None]
     # E − P: 1 − pi is exactly −pi + 1.
     np.negative(P, out=P)
@@ -465,13 +456,20 @@ def objective_gradient(
     The data term is averaged over ``batch`` while the penalty enters at
     full strength, so this is the per-step training gradient; evaluated on
     a full dataset it is the exact gradient of :func:`objective_value`.
-    Biases receive no penalty component.
+    Biases receive no penalty component.  The POEM objectives take the
+    gradient of :func:`poem_build_surrogate` at ``policy`` on ``batch``,
+    which touches the objective there (at zero variance, where sqrt has no
+    derivative, it drops the variance term).
     """
     _check_prior(config.objective, prior, batch)
     _check_dims(policy, batch)
+    columns = _coefficient_columns(config, batch)
+    if config.objective in POEM_FAMILY:
+        surrogate = poem_build_surrogate(policy, batch, config.tau, config.lam)
+        columns += (surrogate.alpha, surrogate.beta)
     return _fresh_gradient(
         config, policy, None if prior is None else prior.weights,
-        batch.features, batch.actions, _coefficient_columns(config, batch),
+        batch.features, batch.actions, columns,
     )
 
 
@@ -496,8 +494,6 @@ class PoemSurrogate:
     beta: np.ndarray
     const: float
     tau: float
-    anchor_mean_u: float
-    anchor_var_u: float
     degenerate: bool
 
     def value(self, policy: SoftmaxPolicy, data: LoggedDataset) -> float:
@@ -565,8 +561,6 @@ def poem_build_surrogate(
             beta=np.full(n, -1.0),
             const=0.0,
             tau=tau,
-            anchor_mean_u=mean_u,
-            anchor_var_u=var_u,
             degenerate=var_u <= 0.0 and lam > 0.0,
         )
     q = lam * math.sqrt(n) / (2.0 * math.sqrt(var_u) * (n - 1))
@@ -575,8 +569,6 @@ def poem_build_surrogate(
         beta=np.full(n, -(1.0 + 2.0 * q * mean_u)),
         const=q * mean_u * mean_u + 0.5 * lam * math.sqrt(var_u / n),
         tau=tau,
-        anchor_mean_u=mean_u,
-        anchor_var_u=var_u,
         degenerate=False,
     )
 
@@ -995,11 +987,9 @@ def save_train_report(path, report: TrainReport, config: TrainConfig) -> None:
 
 def save_trace_csv(path, report: TrainReport) -> None:
     """Write the per-epoch trace as CSV columns (epoch, objective, wall_time)."""
-    times = report.epoch_wall_times
-    if len(times) != len(report.objective_trace):
-        times = [float("nan")] * len(report.objective_trace)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "objective", "wall_time"])
-        for i, (obj, wt) in enumerate(zip(report.objective_trace, times)):
+        rows = zip(report.objective_trace, report.epoch_wall_times)
+        for i, (obj, wt) in enumerate(rows):
             writer.writerow([i, repr(obj), repr(wt)])

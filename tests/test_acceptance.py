@@ -29,9 +29,9 @@ from crmlab import (
     StabilityParams,
     TrainConfig,
     blob_task,
+    certificates,
     closed_form_sigma,
     cross_validate,
-    data_dep_risk_bound,
     derive_seed,
     exact_risk,
     exact_risk_of_probs,
@@ -43,7 +43,6 @@ from crmlab import (
     mean_param_risk,
     mixed_logit_prob_bounds,
     mixed_logit_prob_mc,
-    mixed_logit_risk_bound,
     objective_gradient,
     objective_value,
     param_distance_sq,
@@ -113,15 +112,18 @@ def test_risk_bounds_cover_true_risk(task, logging_policy):
         emp = mean_param_risk(posterior, sigma, 1.0, logs, tau)
         spec = MixedLogitSpec(posterior, sigma, logging_policy, sigma0)
         w_hat = solve_logging_nll_exact(logs, 0.01)
-        spec_hat = MixedLogitSpec(posterior, sigma, w_hat, sigma0)
         stability = StabilityParams(lipschitz=2.0, lam=0.01, n=n, delta=delta)
+        # Rows fixed_tau, all_tau, learned_prior share one mean_param_risk.
+        fixed, _, learned = certificates(spec, logs, tau, delta,
+                                         logs.feature_norm_bound,
+                                         learned=(w_hat, stability))
         bounds = (
             mcallester_bound(
                 emp,
                 gaussian_kl_exact(posterior, sigma, logging_policy, sigma0, d_eff),
                 n, delta),
-            mixed_logit_risk_bound(spec, logs, tau, delta),
-            data_dep_risk_bound(spec_hat, logs, tau, delta, stability),
+            fixed.value,
+            learned.value,
         )
         rng = np.random.default_rng(derive_seed(t, "bound-mc"))
         probs = np.empty_like(task.rewards)

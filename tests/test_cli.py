@@ -138,6 +138,22 @@ class TestSimulate:
         assert (tmp_path / "c.csv").read_bytes() != \
             (ws / "logs.csv").read_bytes()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_kappa_names_kappa(self, ws, tmp_path, capsys):
+        # kappa itself is finite, but kappa times a weight of 2 overflows.
+        model = tmp_path / "big.model"
+        save_model(model, SoftmaxPolicy(np.full((3, 4), 2.0), np.zeros(3)),
+                   feature_norm_bound=1.0)
+        rc, out, err = run(
+            capsys, "simulate", "--labeled", ws / "labeled.csv",
+            "--model", model, "--kappa", "1e308", "--out", tmp_path / "o.csv",
+        )
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [
+            "crmlab: error: kappa=1e+308 overflows the policy parameters"
+        ]
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestLearnLogging:
     def test_fit_beats_uniform_likelihood(self, ws, tmp_path, capsys):

@@ -68,9 +68,9 @@ GOLDEN = {
     "objective_gradient.ips_l2":
         "f869d7ebd8cd3b8b47c639a6ca2427f566e4fc1616a4bbf489db0dc416e8950f",
     "objective_gradient.poem":
-        "ec099868ab340bbd324ca20bed8dd18aba4343c73562aacf01e11c50c92fd312",
+        "a93b980b7a050cb9d2a26ffa10848a7445af28a95c16f5988cfab27f328faa38",
     "objective_gradient.poem_l2":
-        "d73f8f1a1104ecf5db22ef4cf4d9c51e4f70118b842434838c009edec42a4422",
+        "b0d583e62b0c6443e57281b9ef21e07baf2b5909f137bc9a4b63a01a6bab96be",
     "objective_gradient.logging_nll":
         "4aeb2939ba5df567bd81deaec42ca4561e67997d824bfa262b74df62b64cc7f0",
     "poem_build_surrogate":
@@ -112,9 +112,9 @@ GOLDEN = {
     "k10.objective_gradient.ips_l2":
         "158695e5fe244e3fc1ea59f408bd09e3a5d24d666b76f0c2852724326b13bec7",
     "k10.objective_gradient.poem":
-        "fb524e5293b3e4e5910d32e679150459db2a9158f8303f1a136457567f8b0b87",
+        "89ee04cb48da370944151b12cce081f44ca57fd09aa969955a9f3a0719a7e4c9",
     "k10.objective_gradient.poem_l2":
-        "925bab9c01ab85f831967205b8cbdd803e5025adacc29656a48084055497a52f",
+        "41de7c92ad5d72e81bc8b4f4b199d8c5e183da803ef2f7643d7a7075266055f5",
     "k10.objective_gradient.logging_nll":
         "1cabd07a1836c9e6464719c3aba30b218d821c36bfc286061fb1a6bc134d1aa9",
     "k10.PoemSurrogate.gradient":

@@ -81,3 +81,17 @@ def test_every_public_name_has_a_user_outside_the_tests():
     for caller in CALLERS:
         read |= _names_read(_python_source(caller))
     assert sorted(set(crmlab.__all__) - read) == []
+
+
+def test_cli_imports_no_private_name():
+    # The CLI is a thin layer over the public API of the other modules.
+    tree = ast.parse((ROOT / "src" / "crmlab" / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "crmlab")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -38,6 +38,7 @@ from crmlab import (
     save_model,
     split_for_logging,
     task_logs,
+    temper,
     zero_policy,
 )
 from conftest import one_record
@@ -128,11 +129,15 @@ CASES = {
     "kfold_split.num_folds": (
         lambda tmp: kfold_split(5, 0, seed=0),
         "num_folds must be positive"),
+    "temper.overflow": (
+        lambda tmp: temper(SoftmaxPolicy(np.full((2, 2), 2.0), np.zeros(2)),
+                           1e308),
+        "kappa=1e+308 overflows the policy parameters"),
     # learning
     "objective_gradient.poem_batch": (
         lambda tmp: objective_gradient(TrainConfig("poem"), zero_policy(1, 2),
                                        None, one_record(0.5, 1.0)),
-        "variance-regularized gradients need a batch of >= 2"),
+        "variance-regularized objectives need n >= 2"),
     "PoemSurrogate.gradient.dataset": (
         poem_surrogate_on_other_data,
         "surrogate was built for a different dataset"),
