@@ -15,8 +15,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .datasets import LoggedDataset
-from .estimators import _check_tau, mean_param_risk
-from .policies import MixedLogitSpec, SoftmaxPolicy, param_distance_sq
+from .estimators import mean_param_risk
+from .policies import (
+    MixedLogitSpec, SoftmaxPolicy, _check_count, _check_level,
+    _check_nonnegative, _check_positive, param_distance_sq,
+)
 
 __all__ = [
     "BoundInputs",
@@ -50,17 +53,16 @@ class BoundInputs:
     emp_risk: float
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        _check_tau(self.tau)
-        if not (math.isfinite(self.kl_term) and self.kl_term >= 0.0):
-            raise ValueError("kl_term must be finite and nonnegative")
+        _check_count("n", self.n, 2)
+        _check_level("delta", self.delta)
+        _check_level("tau", self.tau)
+        _check_nonnegative("kl_term", self.kl_term)
         floor = 1.0 - 1.0 / self.tau
         # Allow float round-off at the attainable minimum.
-        if self.emp_risk < floor - 1e-9 * max(1.0, 1.0 / self.tau):
-            raise ValueError(f"emp_risk {self.emp_risk} below 1 - 1/tau = {floor}")
+        if not self.emp_risk >= floor - 1e-9 * max(1.0, 1.0 / self.tau):
+            raise ValueError(
+                f"emp_risk must be at least 1 - 1/tau = {floor}, got {self.emp_risk}"
+            )
 
 
 @dataclass(frozen=True)
@@ -73,12 +75,10 @@ class StabilityParams:
     delta: float
 
     def __post_init__(self) -> None:
-        for name, value in (("lipschitz", self.lipschitz), ("lam", self.lam),
-                            ("n", self.n)):
-            if not (0.0 < value < math.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
+        _check_positive("lipschitz", self.lipschitz)
+        _check_positive("lam", self.lam)
+        _check_positive("n", self.n)
+        _check_level("delta", self.delta)
 
 
 def mcallester_bound(emp_risk: float, kl: float, n: int, delta: float) -> float:
@@ -87,12 +87,9 @@ def mcallester_bound(emp_risk: float, kl: float, n: int, delta: float) -> float:
     """
     if not (0.0 <= emp_risk <= 1.0):
         raise ValueError(f"emp_risk must lie in [0, 1], got {emp_risk}")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    if not (math.isfinite(kl) and kl >= 0.0):
-        raise ValueError("kl must be finite and nonnegative")
+    _check_count("n", n, 2)
+    _check_level("delta", delta)
+    _check_nonnegative("kl", kl)
     pen = (kl + math.log(n / delta)) / (n - 1)
     return emp_risk + math.sqrt(2.0 * emp_risk * pen) + 2.0 * pen
 
@@ -124,8 +121,8 @@ def crm_bound_all_tau(inputs: BoundInputs) -> float:
 
 
 def _check_variances(sigma: float, sigma0: float, *, ordered: bool) -> None:
-    if not (sigma > 0.0 and sigma0 > 0.0):
-        raise ValueError("variances must be positive")
+    _check_positive("sigma", sigma)
+    _check_positive("sigma0", sigma0)
     if ordered and sigma > sigma0:
         raise ValueError(
             f"sigma={sigma} must not exceed sigma0={sigma0}; the KL bound "

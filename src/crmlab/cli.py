@@ -205,8 +205,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
         prior=prior,
         feature_norm_bound=logs.feature_norm_bound,
     )
-    report_path = ns.output_dir / ns.report if ns.report else Path(str(out) + ".report.json")
-    save_train_report(report_path, report, config)
+    save_train_report(Path(str(out) + ".report.json"), report, config)
     if ns.trace is not None:
         save_trace_csv(ns.output_dir / ns.trace, report)
     final = report.objective_trace[-1] if report.objective_trace else float("nan")
@@ -378,9 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sigma", type=_positive_float, default=None,
                    help="explicit posterior variance (overrides --sigma-mode)")
-    p.add_argument("--out", required=True, help="model file output path")
-    p.add_argument("--report", default=None,
-                   help="training report path (default: <out>.report.json)")
+    p.add_argument("--out", required=True,
+                   help="model file output path; the report is <out>.report.json")
     p.add_argument("--trace", default=None,
                    help="optional per-epoch objective trace CSV")
     p.add_argument("--epochs", type=_nonneg_int, default=500)

@@ -38,7 +38,10 @@ from typing import Callable, Iterator, NamedTuple, NoReturn, Optional
 
 import numpy as np
 
-from .policies import SoftmaxPolicy, _check_dims, _gumbel_max_log
+from .policies import (
+    SoftmaxPolicy, _check_count, _check_dims, _check_nonnegative,
+    _check_norm_bound, _gumbel_max_log,
+)
 
 __all__ = [
     "LabeledDataset",
@@ -59,6 +62,28 @@ def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def _feature_matrix(features) -> np.ndarray:
+    """``features`` frozen as a nonempty (n, d) float64 matrix of finite values."""
+    X = _frozen(features, np.float64)
+    if X.ndim != 2 or X.size == 0:
+        raise ValueError("features must be a nonempty (n, d) array")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("features must be finite")
+    return X
+
+
+def _record_field(name: str, column: "_Column", values, n: int) -> np.ndarray:
+    """``values`` frozen as a length-n vector whose every entry ``column``
+    accepts: the check the CSV reader makes on the same column."""
+    arr = _frozen(values, np.int64 if column.parse is int else np.float64)
+    if arr.shape != (n,):
+        raise ValueError(f"{name} must be a length-n vector")
+    accepted = column.accepts(arr)
+    if not accepted.all():
+        raise ValueError(f"{name} must lie in {column.interval}, got {arr[~accepted][0]}")
+    return arr
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Multiclass examples: features (n×d) and integer labels in [0, k)."""
@@ -68,16 +93,8 @@ class LabeledDataset:
     k: int
 
     def __post_init__(self) -> None:
-        X = _frozen(self.features, np.float64)
-        y = _frozen(self.labels, np.int64)
-        if X.ndim != 2 or X.shape[0] == 0:
-            raise ValueError("features must be a nonempty (n, d) array")
-        if y.shape != (X.shape[0],):
-            raise ValueError("labels must be a length-n vector")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("features must be finite")
-        if self.k < 1 or y.min() < 0 or y.max() >= self.k:
-            raise ValueError("labels must lie in [0, k)")
+        X = _feature_matrix(self.features)
+        y = _record_field("labels", _index_column("label", self.k), self.labels, len(X))
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
 
@@ -110,41 +127,17 @@ class LoggedDataset:
     feature_norm_bound: Optional[float] = None
 
     def __post_init__(self) -> None:
-        X = _frozen(self.features, np.float64)
-        a = _frozen(self.actions, np.int64)
-        p = _frozen(self.propensities, np.float64)
-        r = _frozen(self.rewards, np.float64)
-        n = X.shape[0]
-        if X.ndim != 2 or X.size == 0:
-            raise ValueError("features must be a nonempty (n, d) array")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("features must be finite")
-        for name, arr in (("actions", a), ("propensities", p), ("rewards", r)):
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must be a length-n vector")
-        if self.k < 1 or a.min() < 0 or a.max() >= self.k:
-            raise ValueError("actions must lie in [0, k)")
-        if np.any(p <= 0.0) or np.any(p > 1.0):
-            raise ValueError("propensities must lie in (0, 1]")
-        if np.any(r < 0.0) or np.any(r > 1.0):
-            raise ValueError("rewards must lie in [0, 1]")
+        X = _feature_matrix(self.features)
+        object.__setattr__(self, "features", X)
+        for name, column in (("actions", _index_column("action", self.k)),
+                             ("propensities", _PROPENSITY), ("rewards", _REWARD)):
+            values = _record_field(name, column, getattr(self, name), len(X))
+            object.__setattr__(self, name, values)
         max_norm = float(np.sqrt((X * X).sum(axis=1).max()))
         if self.feature_norm_bound is None:
             object.__setattr__(self, "feature_norm_bound", max_norm)
-        # Tolerate 1 ulp of slack: bounds recomputed from serialized norms
-        # must not fail on round-off.
-        elif not max_norm * (1.0 - 1e-12) <= self.feature_norm_bound < math.inf:
-            raise ValueError(
-                f"feature_norm_bound must be finite and at least the max "
-                f"context norm {max_norm}, got {self.feature_norm_bound}"
-            )
-        for name, arr in (
-            ("features", X),
-            ("actions", a),
-            ("propensities", p),
-            ("rewards", r),
-        ):
-            object.__setattr__(self, name, arr)
+        else:
+            _check_norm_bound("feature_norm_bound", self.feature_norm_bound, max_norm)
 
     @property
     def d(self) -> int:
@@ -366,8 +359,7 @@ def kfold_split(
     fold; the holdouts partition range(n) and each train is the rest.
     Deterministic for a fixed seed; fold sizes differ by at most one.
     """
-    if num_folds < 1:
-        raise ValueError("num_folds must be positive")
+    _check_count("num_folds", num_folds, 1)
     if num_folds > n:
         raise ValueError(f"num_folds {num_folds} exceeds record count {n}")
     perm = np.random.default_rng(seed).permutation(n)
@@ -401,8 +393,7 @@ def temper(policy: SoftmaxPolicy, kappa: float) -> SoftmaxPolicy:
     ``kappa = 0`` yields the uniform policy, ``kappa = 1`` an identical
     copy; the input policy is never modified.
     """
-    if not (np.isfinite(kappa) and kappa >= 0.0):
-        raise ValueError("kappa must be a finite nonnegative real")
+    _check_nonnegative("kappa", kappa)
     with np.errstate(over="ignore"):
         weights, biases = policy.weights * kappa, policy.biases * kappa
     if not (np.isfinite(weights).all() and np.isfinite(biases).all()):

@@ -23,7 +23,10 @@ import math
 import numpy as np
 
 from .datasets import LabeledDataset, LoggedDataset
-from .policies import SoftmaxPolicy, _check_dims, _matched_probs, action_prob_matrix
+from .policies import (
+    SoftmaxPolicy, _check_dims, _check_level, _check_nonnegative,
+    _check_norm_bound, _matched_probs, _softmax_rows,
+)
 
 __all__ = [
     "ips_risk",
@@ -83,12 +86,6 @@ def _reward_mean(
     return _compensated_mean(data.rewards * _matched_probs(policy, data) / denom)
 
 
-def _check_tau(tau: float) -> float:
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    return float(tau)
-
-
 def ips_risk(policy: SoftmaxPolicy, data: LoggedDataset) -> float:
     """Inverse-propensity-scored risk estimate.
 
@@ -125,7 +122,7 @@ def truncated_ips_risk(policy: SoftmaxPolicy, data: LoggedDataset, tau: float) -
     tau : float
         Truncation level in (0, 1).
     """
-    tau = _check_tau(tau)
+    _check_level("tau", tau)
     return 1.0 - _reward_mean(policy, data, np.maximum(data.propensities, tau))
 
 
@@ -149,21 +146,16 @@ def mean_param_risk(
     mean : SoftmaxPolicy
         Mean of the Gaussian weight distribution.
     sigma : float
-        Isotropic weight variance, >= 0.
+        Isotropic weight variance, finite and >= 0.
     B : float
-        Context norm bound; must be at least the dataset's stored bound.
+        Context norm bound; finite and at least the dataset's stored bound.
     data : LoggedDataset
     tau : float
         Truncation level in (0, 1).
     """
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if B < data.feature_norm_bound * (1.0 - 1e-12):
-        raise ValueError(
-            f"B={B} is below the dataset feature norm bound "
-            f"{data.feature_norm_bound}"
-        )
-    tau = _check_tau(tau)
+    _check_nonnegative("sigma", sigma)
+    _check_norm_bound("B", B, data.feature_norm_bound)
+    _check_level("tau", tau)
     shrink = math.exp(-0.5 * sigma * B * B)
     return 1.0 - shrink * _reward_mean(mean, data, np.maximum(data.propensities, tau))
 
@@ -183,7 +175,7 @@ def expected_reward_stochastic(policy: SoftmaxPolicy, test: LabeledDataset) -> f
         stochastic policy under 0/1 match rewards.
     """
     _check_dims(policy, test)
-    P = action_prob_matrix(policy, test.features)
+    P = _softmax_rows(test.features @ policy.weights.T + policy.biases)
     return _compensated_mean(P[np.arange(len(test)), test.labels])
 
 

@@ -73,13 +73,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .datasets import LoggedDataset, kfold_split
-from .estimators import (
-    _check_tau,
-    _compensated_mean,
-    _poem_statistic,
-    truncated_ips_risk,
+from .estimators import _compensated_mean, _poem_statistic, truncated_ips_risk
+from .policies import (
+    SoftmaxPolicy, _check_count, _check_dims, _check_level, _check_nonnegative,
+    _check_positive, _matched_probs, _softmax_rows,
 )
-from .policies import SoftmaxPolicy, _check_dims, _matched_probs, _softmax_rows
 from .seeding import derive_seed
 
 __all__ = [
@@ -142,13 +140,11 @@ class TrainConfig:
             raise ValueError(
                 f"unknown objective {self.objective!r}; pick one of {OBJECTIVES}"
             )
-        if not (self.lam >= 0.0 and self.lambda_l2 >= 0.0):
-            raise ValueError("regularization weights must be nonnegative")
-        _check_tau(self.tau)
-        if not (0.0 < self.sigma0 < math.inf):
-            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
+        _check_nonnegative("lam", self.lam, finite=False)
+        _check_nonnegative("lambda_l2", self.lambda_l2, finite=False)
+        _check_level("tau", self.tau)
+        _check_positive("sigma0", self.sigma0)
+        _check_count("epochs", self.epochs, 0)
 
 
 @dataclass(frozen=True)
@@ -244,8 +240,7 @@ def objective_value(
     obj = config.objective
 
     if obj in POEM_FAMILY:
-        if data.n < 2:
-            raise ValueError("variance-regularized objectives need n >= 2")
+        _check_count("n", data.n, 2)
         _, _, mean_u, var_u = _poem_statistic(pi, p, r, tau)
         data_term = -mean_u + config.lam * math.sqrt(var_u / data.n)
     elif obj == "wnll_lpr":
@@ -540,28 +535,22 @@ def poem_build_surrogate(
 
     with q = lam·sqrt(n) / (2·sqrt(S_t)·(n−1)) and constant
     q·mean_u² + (lam/2)·sqrt(S_t/n).  A zero anchor variance degenerates
-    the majorizer; the penalty is then dropped for the epoch (logged).
+    the majorizer: the surrogate drops the penalty and is marked
+    ``degenerate``, which :func:`train` logs for its epoch.
     """
-    if data.n < 2:
-        raise ValueError("variance-regularized objectives need n >= 2")
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
-    _check_tau(tau)
+    _check_count("n", data.n, 2)
+    _check_nonnegative("lam", lam, finite=False)
+    _check_level("tau", tau)
     n = data.n
     pi = _matched_probs(policy_anchor, data)
     _, _, mean_u, var_u = _poem_statistic(pi, data.propensities, data.rewards, tau)
     if lam == 0.0 or var_u <= 0.0:
-        if lam > 0.0:
-            logger.warning(
-                "anchor sample variance is zero; dropping the variance "
-                "penalty for this epoch"
-            )
         return PoemSurrogate(
             alpha=np.zeros(n),
             beta=np.full(n, -1.0),
             const=0.0,
             tau=tau,
-            degenerate=var_u <= 0.0 and lam > 0.0,
+            degenerate=lam > 0.0,
         )
     q = lam * math.sqrt(n) / (2.0 * math.sqrt(var_u) * (n - 1))
     return PoemSurrogate(
@@ -589,11 +578,9 @@ def closed_form_sigma(data: LoggedDataset, tau: float, sigma0: float) -> float:
     though τ·M = mean(r_i·(τ/max(p_i, τ))) stays in range; only then is
     sigma* formed from τ·M, so every other case keeps the formula's bits.
     """
-    _check_tau(tau)
-    if not (sigma0 > 0.0):
-        raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    if data.n < 2:
-        raise ValueError("need n >= 2")
+    _check_level("tau", tau)
+    _check_positive("sigma0", sigma0)
+    _check_count("n", data.n, 2)
     B = data.feature_norm_bound
     floor = np.maximum(data.propensities, tau)
     with np.errstate(over="ignore"):
@@ -670,6 +657,9 @@ def train(
             surrogate = poem_build_surrogate(
                 SoftmaxPolicy(W, b), data, config.tau, config.lam
             )
+            if surrogate.degenerate:
+                logger.warning("epoch %d: anchor sample variance is zero; "
+                               "dropping the variance penalty", epoch)
             epoch_columns = columns + (surrogate.alpha, surrogate.beta)
         perm = rng.permutation(n)
         X = data.features[perm]
@@ -733,8 +723,7 @@ def learn_logging_policy(
     and stable to single-record changes.  Biases stay at zero for the same
     reason; add a constant feature column if an intercept is wanted.
     """
-    if not (lam > 0.0):
-        raise ValueError("lam must be positive for the regularized fit")
+    _check_positive("lam", lam)
     config = TrainConfig(
         objective="logging_nll", lam=lam, epochs=epochs, seed=seed,
         train_biases=False,
@@ -815,8 +804,7 @@ def cross_validate(
     """
     if len(lambda_grid) == 0:
         raise ValueError("lambda_grid must be nonempty")
-    if num_folds < 2:
-        raise ValueError("num_folds must be at least 2")
+    _check_count("num_folds", num_folds, 2)
     if config.objective == "logging_nll":
         raise ValueError("cross-validation needs a policy objective, not logging_nll")
     _check_prior(config.objective, prior, data)
@@ -922,8 +910,7 @@ def solve_logging_nll_exact(data: LoggedDataset, lam: float) -> SoftmaxPolicy:
     ``FloatingPointError`` if the step cap comes first.  Each step solves a
     (k·d)-square system: this is for exact baselines, not big fits.
     """
-    if not (lam > 0.0):
-        raise ValueError("lam must be positive")
+    _check_positive("lam", lam)
     config = TrainConfig("logging_nll", lam=lam, train_biases=False)
     X, n, d, k = data.features, data.n, data.d, data.k
     stop = max(2.0 * lam * _NEWTON_TOL, np.finfo(float).eps * data.feature_norm_bound)

@@ -108,8 +108,7 @@ class MixedLogitSpec:
         if self.mean.weights.shape != self.prior_mean.weights.shape:
             raise ValueError("mean and prior_mean must have equal dimensions")
         v, pv = self.variance, self.prior_variance
-        if not (0.0 < pv < np.inf):
-            raise ValueError(f"prior_variance must be positive and finite, got {pv}")
+        _check_positive("prior_variance", pv)
         # A finite bound above makes a NaN or infinite variance fail here too.
         if not (0.0 <= v <= pv):
             raise ValueError(f"variance {v} must lie in [0, prior_variance {pv}]")
@@ -122,7 +121,44 @@ def _check_dims(policy: SoftmaxPolicy, data) -> None:
         raise ValueError(f"policy has d={policy.d} features, data has d={data.d}")
 
 
-def _validate_context(policy: SoftmaxPolicy, x: np.ndarray) -> np.ndarray:
+# The one check of each kind of numeric input, which every public function
+# calls instead of comparing on its own.  NaN fails every comparison here.
+
+
+def _check_level(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_nonnegative(name: str, value: float, *, finite: bool = True) -> None:
+    """``finite=False`` is the rule of penalty weights: +inf is accepted, and
+    training with it diverges."""
+    if not (value >= 0.0 and (value < np.inf or not finite)):
+        domain = "nonnegative and finite" if finite else "nonnegative"
+        raise ValueError(f"{name} must be {domain}, got {value}")
+
+
+def _check_count(name: str, value: int, minimum: int) -> None:
+    if not value >= minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
+def _check_norm_bound(name: str, bound: float, norm: float) -> None:
+    """A finite bound on ``norm``, with 1e-12 relative slack so that bounds
+    recomputed from serialized norms pass."""
+    if not norm * (1.0 - 1e-12) <= bound < np.inf:
+        raise ValueError(f"{name} must be finite and cover the norm {norm}, got {bound}")
+
+
+def _validate_context(
+    policy: SoftmaxPolicy, x: np.ndarray, a: Optional[int] = None
+) -> np.ndarray:
+    """``x`` as a finite length-d context, for an action index ``a`` in [0, k)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (policy.d,):
         raise ValueError(
@@ -130,6 +166,8 @@ def _validate_context(policy: SoftmaxPolicy, x: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("context features must be finite")
+    if a is not None and not 0 <= a < policy.k:
+        raise ValueError(f"a must lie in [0, {policy.k}), got {a}")
     return x
 
 
@@ -238,11 +276,8 @@ def mixed_logit_prob_mc(
     Returns ``(estimate, std_error)``; the standard error uses the
     unbiased sample variance and is NaN when ``samples == 1``.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    x = _validate_context(spec.mean, x)
-    if not (0 <= a < spec.mean.k):
-        raise ValueError("action index out of range")
+    _check_count("samples", samples, 1)
+    x = _validate_context(spec.mean, x, a)
     mu = spec.mean.logits(x)
     scale = float(np.sqrt(spec.variance) * np.linalg.norm(x))
     # z is (samples, k) but stored action-major: each column is contiguous.
@@ -271,13 +306,8 @@ def mixed_logit_prob_bounds(
     where softmax is taken at the mean policy; the upper bound is clamped
     to 1.  At σ = 0 both sides collapse to the exact softmax probability.
     """
-    x = _validate_context(spec.mean, x)
-    if not (0 <= a < spec.mean.k):
-        raise ValueError("action index out of range")
-    norm = float(np.linalg.norm(x))
-    # 1 ulp of relative slack so contexts at the stored bound pass intact.
-    if norm > B * (1.0 + 1e-12):
-        raise ValueError(f"context norm {norm} exceeds feature bound {B}")
+    x = _validate_context(spec.mean, x, a)
+    _check_norm_bound("B", B, float(np.linalg.norm(x)))
     p = float(action_probs(spec.mean, x)[a])
     sb2 = spec.variance * B * B
     lower = p * float(np.exp(-0.5 * sb2))

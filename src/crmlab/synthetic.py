@@ -17,9 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import LabeledDataset, LoggedDataset
+from .datasets import _REWARD, LabeledDataset, LoggedDataset
 from .learning import learn_logging_policy
-from .policies import SoftmaxPolicy, _check_dims, _gumbel_max_log, action_prob_matrix
+from .policies import (
+    SoftmaxPolicy, _check_count, _check_dims, _check_nonnegative, _gumbel_max_log,
+    action_prob_matrix,
+)
 
 __all__ = [
     "EnumerableTask",
@@ -58,7 +61,7 @@ class EnumerableTask:
             raise ValueError("one reward row per context required")
         if probs.shape != (contexts.shape[0],):
             raise ValueError("context_probs must have one entry per context")
-        if np.any(rewards < 0.0) or np.any(rewards > 1.0):
+        if not _REWARD.accepts(rewards).all():
             raise ValueError("rewards must lie in [0, 1]")
         if np.any(probs < 0.0) or not np.isclose(probs.sum(), 1.0):
             raise ValueError("context_probs must be a distribution")
@@ -143,8 +146,7 @@ def task_logs(
     Gumbel-max sampler, propensities are the exact softmax probabilities of
     the sampled actions, and rewards come from the reward table.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_count("n", n, 1)
     _check_dims(policy, task)
     rng = np.random.default_rng(seed)
     ctx_idx = rng.choice(task.contexts.shape[0], size=n, p=task.context_probs)
@@ -179,8 +181,7 @@ class BlobTask:
         centers = np.array(self.centers, dtype=np.float64)
         if centers.ndim != 2:
             raise ValueError("centers must be (k, d)")
-        if not (self.noise >= 0.0):
-            raise ValueError("noise must be nonnegative")
+        _check_nonnegative("noise", self.noise)
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
 
@@ -197,8 +198,8 @@ def blob_task(
     num_classes: int = 10, dim: int = 20, noise: float = 1.0, seed: int = 7
 ) -> BlobTask:
     """Draw class centers uniformly on the unit sphere."""
-    if num_classes < 2 or dim < 1:
-        raise ValueError("need at least 2 classes and 1 dimension")
+    _check_count("num_classes", num_classes, 2)
+    _check_count("dim", dim, 1)
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((num_classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
@@ -208,8 +209,7 @@ def blob_task(
 def sample_labeled(task: BlobTask, n: int, seed: int) -> LabeledDataset:
     """Sample n labeled examples: uniform label, center-plus-noise feature,
     renormalized to unit length so the feature norm bound is exactly 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_count("n", n, 1)
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, task.k, size=n)
     X = task.centers[labels] + task.noise * rng.standard_normal((n, task.d))
