@@ -186,9 +186,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
         seed=derive_seed(ns.seed, "train"),
     )
     report = train(config, logs, prior=prior)
-    if ns.sigma is not None:
-        sigma = ns.sigma
-    elif ns.sigma_mode == "closed-form":
+    if ns.sigma_mode == "closed-form":
         if report.sigma_star is None:
             raise ValueError(
                 f"objective {ns.objective!r} has no closed-form sigma"
@@ -375,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="posterior variance written to the model file: fixed 1/n or "
              "the closed-form minimizer",
     )
-    p.add_argument("--sigma", type=_positive_float, default=None,
-                   help="explicit posterior variance (overrides --sigma-mode)")
     p.add_argument("--out", required=True,
                    help="model file output path; the report is <out>.report.json")
     p.add_argument("--trace", default=None,

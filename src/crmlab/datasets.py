@@ -62,14 +62,21 @@ def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
-def _feature_matrix(features) -> np.ndarray:
-    """``features`` frozen as a nonempty (n, d) float64 matrix of finite values."""
-    X = _frozen(features, np.float64)
+def _feature_matrix(name: str, values) -> np.ndarray:
+    """``values`` frozen as a nonempty (n, d) float64 matrix of finite values."""
+    X = _frozen(values, np.float64)
     if X.ndim != 2 or X.size == 0:
-        raise ValueError("features must be a nonempty (n, d) array")
+        raise ValueError(f"{name} must be a nonempty (n, d) array")
     if not np.all(np.isfinite(X)):
-        raise ValueError("features must be finite")
+        raise ValueError(f"{name} must be finite")
     return X
+
+
+def _check_column(name: str, column: "_Column", arr: np.ndarray) -> None:
+    """Reject ``arr`` unless ``column`` accepts its every entry."""
+    accepted = column.accepts(arr)
+    if not accepted.all():
+        raise ValueError(f"{name} must lie in {column.interval}, got {arr[~accepted][0]}")
 
 
 def _record_field(name: str, column: "_Column", values, n: int) -> np.ndarray:
@@ -78,9 +85,7 @@ def _record_field(name: str, column: "_Column", values, n: int) -> np.ndarray:
     arr = _frozen(values, np.int64 if column.parse is int else np.float64)
     if arr.shape != (n,):
         raise ValueError(f"{name} must be a length-n vector")
-    accepted = column.accepts(arr)
-    if not accepted.all():
-        raise ValueError(f"{name} must lie in {column.interval}, got {arr[~accepted][0]}")
+    _check_column(name, column, arr)
     return arr
 
 
@@ -93,7 +98,7 @@ class LabeledDataset:
     k: int
 
     def __post_init__(self) -> None:
-        X = _feature_matrix(self.features)
+        X = _feature_matrix("features", self.features)
         y = _record_field("labels", _index_column("label", self.k), self.labels, len(X))
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
@@ -127,7 +132,7 @@ class LoggedDataset:
     feature_norm_bound: Optional[float] = None
 
     def __post_init__(self) -> None:
-        X = _feature_matrix(self.features)
+        X = _feature_matrix("features", self.features)
         object.__setattr__(self, "features", X)
         for name, column in (("actions", _index_column("action", self.k)),
                              ("propensities", _PROPENSITY), ("rewards", _REWARD)):

@@ -76,7 +76,7 @@ from .datasets import LoggedDataset, kfold_split
 from .estimators import _compensated_mean, _poem_statistic, truncated_ips_risk
 from .policies import (
     SoftmaxPolicy, _check_count, _check_dims, _check_level, _check_nonnegative,
-    _check_positive, _matched_probs, _softmax_rows,
+    _check_positive, _distance_sq, _matched_probs, _softmax_rows,
 )
 from .seeding import derive_seed
 
@@ -184,16 +184,8 @@ def _check_prior(
             raise ValueError(f"objective {objective!r} does not take a prior policy")
     elif prior is None:
         raise ValueError(f"objective {objective!r} requires a prior policy")
-    elif prior.weights.shape != (data.k, data.d):
-        raise ValueError(
-            f"prior weights have shape {prior.weights.shape}, "
-            f"data needs {(data.k, data.d)}"
-        )
-
-
-def _weights_penalty_sq(W: np.ndarray, W0: Optional[np.ndarray]) -> float:
-    diff = W if W0 is None else W - W0
-    return float(np.sum(diff * diff))
+    else:
+        _check_dims(prior, data, "prior")
 
 
 def _penalty(
@@ -219,7 +211,7 @@ def _penalized(
     if penalty is None:
         return value
     weight, center = penalty
-    return value + weight * _weights_penalty_sq(W, center)
+    return value + weight * _distance_sq(W, center)
 
 
 def objective_value(
@@ -286,7 +278,7 @@ def _objective_certified(
     :func:`objective_value` computes it.  Anything NaN or infinite fails the
     certificate; a failure only means "evaluate the objective".
     """
-    S = math.sqrt(_weights_penalty_sq(W, None)) * data.feature_norm_bound
+    S = math.sqrt(_distance_sq(W, None)) * data.feature_norm_bound
     S += float(np.max(np.abs(b)))
     if not S < _LOGIT_BOUND:
         return False
@@ -502,23 +494,18 @@ class PoemSurrogate:
         return _compensated_mean(self.alpha * u * u + self.beta * u) + self.const
 
     def gradient(
-        self,
-        policy: SoftmaxPolicy,
-        data: LoggedDataset,
-        indices: Optional[np.ndarray] = None,
+        self, policy: SoftmaxPolicy, data: LoggedDataset
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient of the batch-averaged surrogate over ``indices``
-        (all records when None)."""
+        """Gradient of the surrogate averaged over every record of ``data``."""
         if data.n != self.alpha.shape[0]:
             raise ValueError("surrogate was built for a different dataset")
+        _check_dims(policy, data)
         # The surrogate majorizes the poem data term; poem_l2's ridge is not
         # part of it.
         config = TrainConfig(objective="poem", tau=self.tau)
-        idx = slice(None) if indices is None else indices
         columns = _coefficient_columns(config, data) + (self.alpha, self.beta)
-        columns = tuple(c[idx] for c in columns)
         return _fresh_gradient(
-            config, policy, None, data.features[idx], data.actions[idx], columns
+            config, policy, None, data.features, data.actions, columns
         )
 
 

@@ -105,8 +105,7 @@ class MixedLogitSpec:
     prior_variance: float
 
     def __post_init__(self) -> None:
-        if self.mean.weights.shape != self.prior_mean.weights.shape:
-            raise ValueError("mean and prior_mean must have equal dimensions")
+        _check_dims(self.prior_mean, self.mean, "prior_mean")
         v, pv = self.variance, self.prior_variance
         _check_positive("prior_variance", pv)
         # A finite bound above makes a NaN or infinite variance fail here too.
@@ -114,11 +113,18 @@ class MixedLogitSpec:
             raise ValueError(f"variance {v} must lie in [0, prior_variance {pv}]")
 
 
-def _check_dims(policy: SoftmaxPolicy, data) -> None:
-    """Reject a policy whose feature count is not ``data.d`` (of a dataset
-    or a task)."""
-    if policy.d != data.d:
-        raise ValueError(f"policy has d={policy.d} features, data has d={data.d}")
+def _check_dims(policy: SoftmaxPolicy, other, name: str = "policy") -> None:
+    """The one shape rule: reject ``policy`` unless its action and feature
+    counts (k, d) are those of ``other``, a dataset, a task or a policy."""
+    if (policy.k, policy.d) != (other.k, other.d):
+        raise ValueError(f"{name} has k={policy.k}, d={policy.d}, "
+                         f"expected k={other.k}, d={other.d}")
+
+
+def _distance_sq(W: np.ndarray, W0: Optional[np.ndarray]) -> float:
+    """‖W − W0‖², or ‖W‖² when ``W0`` is None."""
+    diff = W if W0 is None else W - W0
+    return float(np.sum(diff * diff))
 
 
 # The one check of each kind of numeric input, which every public function
@@ -317,10 +323,8 @@ def mixed_logit_prob_bounds(
 
 def param_distance_sq(a: SoftmaxPolicy, b: SoftmaxPolicy) -> float:
     """Squared Euclidean distance between weight matrices; biases excluded."""
-    if a.weights.shape != b.weights.shape:
-        raise ValueError("policies must have equal dimensions")
-    diff = a.weights - b.weights
-    return float(np.sum(diff * diff))
+    _check_dims(b, a)
+    return _distance_sq(a.weights, b.weights)
 
 
 # -----------------------------------------------------------------------
@@ -363,8 +367,8 @@ def save_model(
     :func:`load_model`.  The file's ``log_propensity_upper_bound`` key is
     always false; :func:`load_model` ignores it.
     """
-    if prior is not None and prior.weights.shape != policy.weights.shape:
-        raise ValueError("prior dimensions must match the policy")
+    if prior is not None:
+        _check_dims(prior, policy, "prior")
     for key, value in (("sigma", sigma), ("sigma0", sigma0),
                        ("feature_norm_bound", feature_norm_bound)):
         _optional_number(path, key, value)

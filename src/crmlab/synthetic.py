@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import _REWARD, LabeledDataset, LoggedDataset
+from .datasets import (
+    _REWARD, LabeledDataset, LoggedDataset, _check_column, _feature_matrix,
+)
 from .learning import learn_logging_policy
 from .policies import (
     SoftmaxPolicy, _check_count, _check_dims, _check_nonnegative, _gumbel_max_log,
@@ -52,20 +54,19 @@ class EnumerableTask:
     context_probs: np.ndarray
 
     def __post_init__(self) -> None:
-        contexts = np.array(self.contexts, dtype=np.float64)
+        contexts = _feature_matrix("contexts", self.contexts)
         rewards = np.array(self.rewards, dtype=np.float64)
         probs = np.array(self.context_probs, dtype=np.float64)
-        if contexts.ndim != 2 or rewards.ndim != 2:
-            raise ValueError("contexts and rewards must be 2-D")
+        if rewards.ndim != 2:
+            raise ValueError("rewards must be 2-D")
         if rewards.shape[0] != contexts.shape[0]:
             raise ValueError("one reward row per context required")
         if probs.shape != (contexts.shape[0],):
             raise ValueError("context_probs must have one entry per context")
-        if not _REWARD.accepts(rewards).all():
-            raise ValueError("rewards must lie in [0, 1]")
+        _check_column("rewards", _REWARD, rewards)
         if np.any(probs < 0.0) or not np.isclose(probs.sum(), 1.0):
             raise ValueError("context_probs must be a distribution")
-        for arr in (contexts, rewards, probs):
+        for arr in (rewards, probs):
             arr.setflags(write=False)
         object.__setattr__(self, "contexts", contexts)
         object.__setattr__(self, "rewards", rewards)
@@ -120,6 +121,7 @@ def default_logging_policy(task: EnumerableTask) -> SoftmaxPolicy:
 
 def exact_risk(task: EnumerableTask, policy: SoftmaxPolicy) -> float:
     """True risk of a softmax policy: 1 − Σ_c P(c) Σ_a π(a|x_c)·R[c,a]."""
+    _check_dims(policy, task)
     probs = action_prob_matrix(policy, task.contexts)
     return exact_risk_of_probs(task, probs)
 
@@ -128,11 +130,13 @@ def exact_risk_of_probs(task: EnumerableTask, probs: np.ndarray) -> float:
     """True risk for explicit per-context action probabilities (c×k).
 
     Accepts any stochastic policy evaluated at the task contexts, e.g. a
-    Monte Carlo estimate of a mixed-logit policy.
+    Monte Carlo estimate of a mixed-logit policy, so the entries must lie
+    in [0, 1] but rows need not sum to exactly 1.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != task.rewards.shape:
         raise ValueError(f"probs must have shape {task.rewards.shape}")
+    _check_column("probs", _REWARD, probs)
     reward = float(np.einsum("c,ca,ca->", task.context_probs, probs, task.rewards))
     return 1.0 - reward
 

@@ -206,16 +206,7 @@ class TestTrain:
         assert len(report["objective_trace"]) == 5
         assert len(trace.read_text().strip().splitlines()) == 6
 
-    def test_explicit_sigma_and_closed_form_mode(self, ws, tmp_path, capsys):
-        rc, out, _ = run(
-            capsys, "train", "--logged", ws / "logs.csv", "--k", "3",
-            "--objective", "ips_l2", "--epochs", "2",
-            "--sigma", "0.5", "--out", tmp_path / "s1.model",
-        )
-        assert rc == 0
-        assert float(kv(out)["sigma"]) == 0.5
-        assert load_model(tmp_path / "s1.model").sigma == 0.5
-
+    def test_closed_form_mode(self, ws, tmp_path, capsys):
         rc, out, _ = run(
             capsys, "train", "--logged", ws / "logs.csv", "--k", "3",
             "--objective", "ips_l2", "--epochs", "2",
@@ -276,16 +267,18 @@ class TestTrain:
         assert list(tmp_path.iterdir()) == [prior]
 
     def test_sigma_above_sigma0_rejected(self, ws, tmp_path, capsys):
-        # save_model refuses the pair before it writes anything.
+        # save_model refuses the pair before it writes anything.  The fixed
+        # sigma is 1/n = 1/120.
         model = tmp_path / "x.model"
         rc, out, err = run(
             capsys, "train", "--logged", ws / "logs.csv", "--k", "3",
             "--objective", "ips_l2", "--epochs", "1",
-            "--sigma", "2.0", "--sigma0", "1.0", "--out", model,
+            "--sigma0", "0.001", "--out", model,
         )
         assert rc == 2 and out == ""
         assert err == (
-            f"crmlab: error: {model}: sigma=2.0 must lie in (0, sigma0=1.0]\n"
+            f"crmlab: error: {model}: sigma={1.0 / 120.0} must lie in "
+            f"(0, sigma0=0.001]\n"
         )
         assert list(tmp_path.iterdir()) == []
 

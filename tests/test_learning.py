@@ -16,13 +16,20 @@ from crmlab import (
     OBJECTIVES,
     DivergenceError,
     LoggedDataset,
+    MixedLogitSpec,
     SoftmaxPolicy,
     TrainConfig,
+    argmax_accuracy,
     blob_task,
+    certificates,
     closed_form_sigma,
     cross_validate,
     derive_seed,
+    exact_risk,
+    expected_reward_stochastic,
+    ips_risk,
     learn_logging_policy,
+    mean_param_risk,
     objective_gradient,
     objective_value,
     param_distance_sq,
@@ -249,26 +256,38 @@ def anchor_data():
 
 class TestDimensionCheck:
     def test_every_entry_point_names_both_dimensions(self, task):
-        # poem_build_surrogate once failed inside numpy's matmul instead.
+        # A policy with more actions than the log once got a finite risk and
+        # certificate, one with fewer an IndexError, and a wrong-d policy
+        # failed inside numpy's matmul in poem_build_surrogate and
+        # PoemSurrogate.gradient.  The log, the labeled data and the task
+        # all have k=3, d=5.
         data = random_logged(np.random.default_rng(50), 30, 5, 3)
         labeled = sample_labeled(blob_task(3, 5, noise=0.3, seed=1), 30, 2)
-        policy = zero_policy(4, 3)
-        calls = {
-            "objective_value":
+        surrogate = poem_build_surrogate(zero_policy(5, 3), data, 0.1, 0.5)
+        B = data.feature_norm_bound
+        for k, d in [(3, 4), (4, 5), (2, 5)]:
+            policy = zero_policy(d, k)
+            spec = MixedLogitSpec(policy, 0.01, policy, 1.0)
+            calls = [
+                lambda: ips_risk(policy, data),
+                lambda: truncated_ips_risk(policy, data, 0.1),
+                lambda: mean_param_risk(policy, 0.01, B, data, 0.1),
+                lambda: certificates(spec, data, 0.1, 0.05, B),
+                lambda: expected_reward_stochastic(policy, labeled),
+                lambda: argmax_accuracy(policy, labeled),
                 lambda: objective_value(cfg("ips_l2"), policy, None, data),
-            "objective_gradient":
                 lambda: objective_gradient(cfg("ips_l2"), policy, None, data),
-            "poem_build_surrogate":
                 lambda: poem_build_surrogate(policy, data, 0.1, 0.5),
-            "simulate_logs": lambda: simulate_logs(policy, labeled, seed=0),
-        }
-        for call in calls.values():
-            with pytest.raises(ValueError,
-                               match=r"^policy has d=4 features, data has d=5$"):
-                call()
-        with pytest.raises(ValueError, match=rf"^policy has d={task.d + 1} "
-                                             rf"features, data has d={task.d}$"):
-            task_logs(task, zero_policy(task.d + 1, task.k), 10, seed=0)
+                lambda: surrogate.value(policy, data),
+                lambda: surrogate.gradient(policy, data),
+                lambda: simulate_logs(policy, labeled, seed=0),
+                lambda: task_logs(task, policy, 10, seed=0),
+                lambda: exact_risk(task, policy),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match=rf"^policy has k={k}, d={d}, "
+                                                     rf"expected k=3, d=5$"):
+                    call()
 
     def test_wrong_shape_prior_names_both_shapes(self):
         # objective_value and objective_gradient once failed inside numpy's
@@ -283,8 +302,8 @@ class TestDimensionCheck:
             lambda: cross_validate(data, [1e-3], 2, config, prior=prior),
         ]
         for call in calls:
-            with pytest.raises(ValueError, match=r"^prior weights have shape "
-                                                 r"\(4, 3\), data needs \(4, 5\)$"):
+            with pytest.raises(ValueError,
+                               match=r"^prior has k=4, d=3, expected k=4, d=5$"):
                 call()
 
 

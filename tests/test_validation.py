@@ -37,6 +37,7 @@ from crmlab import (
     mixed_logit_prob_bounds,
     mixed_logit_prob_mc,
     objective_gradient,
+    param_distance_sq,
     poem_build_surrogate,
     sample_labeled,
     save_model,
@@ -186,6 +187,12 @@ CASES = {
         lambda tmp: poem_build_surrogate(POLICY, logged(), 0.01, math.nan),
         "lam must be nonnegative, got nan"),
     # policies
+    "MixedLogitSpec.prior_mean": (
+        lambda tmp: MixedLogitSpec(POLICY, 0.1, zero_policy(2, 4), 1.0),
+        "prior_mean has k=4, d=2, expected k=3, d=2"),
+    "param_distance_sq.dimensions": (
+        lambda tmp: param_distance_sq(POLICY, zero_policy(3, 3)),
+        "policy has k=3, d=3, expected k=3, d=2"),
     "SoftmaxPolicy.biases": (
         lambda tmp: SoftmaxPolicy(np.zeros((2, 3)), np.zeros(3)),
         "biases must be a 1-D array of length k"),
@@ -207,7 +214,7 @@ CASES = {
         "B must be finite and cover the norm 1.4142135623730951, got nan"),
     "save_model.prior": (
         lambda tmp: save_model(tmp / "m.model", POLICY, prior=zero_policy(3, 3)),
-        "prior dimensions must match the policy"),
+        "prior has k=3, d=3, expected k=3, d=2"),
     "load_model.dimensions": (
         model_with_wrong_d,
         "<tmp>/m.model: stored dimensions disagree with arrays"),
@@ -218,7 +225,16 @@ CASES = {
     # synthetic
     "EnumerableTask.ndim": (
         lambda tmp: enumerable(contexts=np.ones(5)),
-        "contexts and rewards must be 2-D"),
+        "contexts must be a nonempty (n, d) array"),
+    "EnumerableTask.rewards_ndim": (
+        lambda tmp: enumerable(rewards=np.ones(5)),
+        "rewards must be 2-D"),
+    "EnumerableTask.contexts_nan": (
+        lambda tmp: enumerable(contexts=np.where(np.eye(5), math.nan, 0.0)),
+        "contexts must be finite"),
+    "EnumerableTask.contexts_inf": (
+        lambda tmp: enumerable(contexts=np.where(np.eye(5), math.inf, 0.0)),
+        "contexts must be finite"),
     "EnumerableTask.reward_rows": (
         lambda tmp: enumerable(rewards=np.zeros((4, 3))),
         "one reward row per context required"),
@@ -227,16 +243,23 @@ CASES = {
         "context_probs must have one entry per context"),
     "EnumerableTask.rewards_range": (
         lambda tmp: enumerable(rewards=np.full((5, 3), 1.5)),
-        "rewards must lie in [0, 1]"),
+        "rewards must lie in [0, 1], got 1.5"),
     "EnumerableTask.rewards_nan": (
         lambda tmp: enumerable(rewards=np.full((5, 3), math.nan)),
-        "rewards must lie in [0, 1]"),
+        "rewards must lie in [0, 1], got nan"),
     "EnumerableTask.context_probs_sum": (
         lambda tmp: enumerable(context_probs=np.full(5, 0.3)),
         "context_probs must be a distribution"),
     "exact_risk_of_probs.shape": (
         lambda tmp: exact_risk_of_probs(enumerable_task(), np.ones((5, 2))),
         "probs must have shape (5, 3)"),
+    "exact_risk_of_probs.nan": (
+        lambda tmp: exact_risk_of_probs(enumerable_task(),
+                                        np.where(np.eye(5, 3), math.nan, 0.5)),
+        "probs must lie in [0, 1], got nan"),
+    "exact_risk_of_probs.negative": (
+        lambda tmp: exact_risk_of_probs(enumerable_task(), np.full((5, 3), -1.0)),
+        "probs must lie in [0, 1], got -1.0"),
     "task_logs.n": (
         lambda tmp: task_logs(enumerable_task(), zero_policy(5, 3), 0, seed=0),
         "n must be at least 1, got 0"),
