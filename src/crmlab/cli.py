@@ -11,6 +11,10 @@ derivation in :mod:`crmlab.seeding`; adding a pipeline stage therefore
 never perturbs the randomness of earlier stages.  Outputs are byte-identical
 across reruns with equal flags, except for recorded wall times in training
 reports and trace files.
+
+``simulate``, ``evaluate`` and ``bound`` take the action count k from the
+model file, as a CSV stores none, so ``evaluate`` and ``bound`` accept a
+model with more actions than its labeled or logged file used.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -34,7 +39,6 @@ from .learning import (
     cross_validate,
     learn_logging_policy,
     objective_value,
-    save_trace_csv,
     save_train_report,
     train,
 )
@@ -100,15 +104,10 @@ def _grid(text: str) -> tuple[float, ...]:
 
 
 def _write_csv(path: Optional[Path], header: list[str], rows: list[list]) -> None:
-    if path is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write ``header`` and ``rows`` as CSV lines to ``path``, or to stdout."""
+    with (nullcontext(sys.stdout) if path is None
+          else open(path, "w", newline="", encoding="utf-8")) as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _fmt(value: float) -> str:
@@ -205,7 +204,9 @@ def cmd_train(ns: argparse.Namespace) -> int:
     )
     save_train_report(Path(str(out) + ".report.json"), report, config)
     if ns.trace is not None:
-        save_trace_csv(ns.output_dir / ns.trace, report)
+        rows = zip(report.objective_trace, report.epoch_wall_times)
+        _write_csv(ns.output_dir / ns.trace, ["epoch", "objective", "wall_time"],
+                   [[i, _fmt(obj), _fmt(wt)] for i, (obj, wt) in enumerate(rows)])
     final = report.objective_trace[-1] if report.objective_trace else float("nan")
     print(f"objective={ns.objective}")
     print(f"final_objective={_fmt(final)}")

@@ -40,7 +40,7 @@ import numpy as np
 
 from .policies import (
     SoftmaxPolicy, _check_count, _check_dims, _check_nonnegative,
-    _check_norm_bound, _gumbel_max_log,
+    _check_norm_bound, _feature_matrix, _frozen, _gumbel_max_log, _max_row_norm,
 )
 
 __all__ = [
@@ -54,22 +54,6 @@ __all__ = [
     "simulate_logs",
     "temper",
 ]
-
-
-def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
-def _feature_matrix(name: str, values) -> np.ndarray:
-    """``values`` frozen as a nonempty (n, d) float64 matrix of finite values."""
-    X = _frozen(values, np.float64)
-    if X.ndim != 2 or X.size == 0:
-        raise ValueError(f"{name} must be a nonempty (n, d) array")
-    if not np.all(np.isfinite(X)):
-        raise ValueError(f"{name} must be finite")
-    return X
 
 
 def _check_column(name: str, column: "_Column", arr: np.ndarray) -> None:
@@ -138,7 +122,7 @@ class LoggedDataset:
                              ("propensities", _PROPENSITY), ("rewards", _REWARD)):
             values = _record_field(name, column, getattr(self, name), len(X))
             object.__setattr__(self, name, values)
-        max_norm = float(np.sqrt((X * X).sum(axis=1).max()))
+        max_norm = _max_row_norm(X)
         if self.feature_norm_bound is None:
             object.__setattr__(self, "feature_norm_bound", max_norm)
         else:
@@ -364,9 +348,8 @@ def kfold_split(
     fold; the holdouts partition range(n) and each train is the rest.
     Deterministic for a fixed seed; fold sizes differ by at most one.
     """
-    _check_count("num_folds", num_folds, 1)
-    if num_folds > n:
-        raise ValueError(f"num_folds {num_folds} exceeds record count {n}")
+    _check_count("num_folds", num_folds, 1, maximum=n)
+    _check_count("seed", seed, 0)
     perm = np.random.default_rng(seed).permutation(n)
     fold_of = np.empty(n, dtype=np.int64)
     fold_of[perm] = np.arange(n) % num_folds
@@ -385,6 +368,7 @@ def simulate_logs(
     equals the true label, else 0.
     """
     _check_dims(logging_policy, data)
+    _check_count("seed", seed, 0)
     actions, propensities = _gumbel_max_log(
         logging_policy, data.features, np.random.default_rng(seed)
     )

@@ -25,7 +25,7 @@ import numpy as np
 from .datasets import LabeledDataset, LoggedDataset
 from .policies import (
     SoftmaxPolicy, _check_dims, _check_level, _check_nonnegative,
-    _check_norm_bound, _matched_probs, _softmax_rows,
+    _check_norm_bound, _matched_probs,
 )
 
 __all__ = [
@@ -78,12 +78,11 @@ def _poem_statistic(
     return ratio, u, mean_u, _compensated_mean(squares, ddof=1)
 
 
-def _reward_mean(
-    policy: SoftmaxPolicy, data: LoggedDataset, denom: np.ndarray
-) -> float:
-    """Compensated mean of r_i·π(a_i|x_i)/denom_i: the importance-weighted
-    reward of every risk estimator here."""
-    return _compensated_mean(data.rewards * _matched_probs(policy, data) / denom)
+def _reward_mean(pi: np.ndarray, data: LoggedDataset, tau: float = 0.0) -> float:
+    """Compensated mean of r_i·π_i/max(p_i, tau) for π_i = π(a_i|x_i): the
+    importance-weighted reward of every risk estimator here and of the IPS
+    objectives.  ``tau = 0`` leaves the propensities unfloored."""
+    return _compensated_mean(data.rewards * pi / np.maximum(data.propensities, tau))
 
 
 def ips_risk(policy: SoftmaxPolicy, data: LoggedDataset) -> float:
@@ -103,7 +102,7 @@ def ips_risk(policy: SoftmaxPolicy, data: LoggedDataset) -> float:
         risk of ``policy`` because the propensities are the logging
         policy's exact action probabilities.
     """
-    return 1.0 - _reward_mean(policy, data, data.propensities)
+    return 1.0 - _reward_mean(_matched_probs(policy, data), data)
 
 
 def truncated_ips_risk(policy: SoftmaxPolicy, data: LoggedDataset, tau: float) -> float:
@@ -123,7 +122,7 @@ def truncated_ips_risk(policy: SoftmaxPolicy, data: LoggedDataset, tau: float) -
         Truncation level in (0, 1).
     """
     _check_level("tau", tau)
-    return 1.0 - _reward_mean(policy, data, np.maximum(data.propensities, tau))
+    return 1.0 - _reward_mean(_matched_probs(policy, data), data, tau)
 
 
 def mean_param_risk(
@@ -157,7 +156,7 @@ def mean_param_risk(
     _check_norm_bound("B", B, data.feature_norm_bound)
     _check_level("tau", tau)
     shrink = math.exp(-0.5 * sigma * B * B)
-    return 1.0 - shrink * _reward_mean(mean, data, np.maximum(data.propensities, tau))
+    return 1.0 - shrink * _reward_mean(_matched_probs(mean, data), data, tau)
 
 
 def expected_reward_stochastic(policy: SoftmaxPolicy, test: LabeledDataset) -> float:
@@ -174,9 +173,7 @@ def expected_reward_stochastic(policy: SoftmaxPolicy, test: LabeledDataset) -> f
         ``(1/n) sum_i pi(label_i | x_i)``, the expected reward of the
         stochastic policy under 0/1 match rewards.
     """
-    _check_dims(policy, test)
-    P = _softmax_rows(test.features @ policy.weights.T + policy.biases)
-    return _compensated_mean(P[np.arange(len(test)), test.labels])
+    return _compensated_mean(_matched_probs(policy, test, test.labels))
 
 
 def argmax_accuracy(policy: SoftmaxPolicy, test: LabeledDataset) -> float:
@@ -185,5 +182,4 @@ def argmax_accuracy(policy: SoftmaxPolicy, test: LabeledDataset) -> float:
     Ties in the logits resolve to the lowest action index.
     """
     _check_dims(policy, test)
-    logits = test.features @ policy.weights.T + policy.biases
-    return float(np.mean(np.argmax(logits, axis=1) == test.labels))
+    return float(np.mean(np.argmax(policy.logits(test.features), axis=1) == test.labels))

@@ -60,7 +60,6 @@ worker process (which may not have children), the jobs run in process.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -73,7 +72,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .datasets import LoggedDataset, kfold_split
-from .estimators import _compensated_mean, _poem_statistic, truncated_ips_risk
+from .estimators import (
+    _compensated_mean, _poem_statistic, _reward_mean, truncated_ips_risk,
+)
 from .policies import (
     SoftmaxPolicy, _check_count, _check_dims, _check_level, _check_nonnegative,
     _check_positive, _distance_sq, _matched_probs, _softmax_rows,
@@ -98,7 +99,6 @@ __all__ = [
     "CVRow",
     "solve_logging_nll_exact",
     "save_train_report",
-    "save_trace_csv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -145,6 +145,7 @@ class TrainConfig:
         _check_level("tau", self.tau)
         _check_positive("sigma0", self.sigma0)
         _check_count("epochs", self.epochs, 0)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ def objective_value(
         with np.errstate(divide="ignore"):
             data_term = _compensated_mean(-np.log(pi))
     else:
-        data_term = _compensated_mean(-r * pi / np.maximum(p, tau))
+        data_term = -_reward_mean(pi, data, tau)
     W0 = None if prior is None else prior.weights
     return _penalized(config, data_term, policy.weights, W0)
 
@@ -910,7 +911,7 @@ def solve_logging_nll_exact(data: LoggedDataset, lam: float) -> SoftmaxPolicy:
             return policy
         # The Hessian (1/n)·sum_i (diag P_i − P_i P_iᵀ) ⊗ x_i x_iᵀ + 2·lam·I:
         # with rows A_i = P_i ⊗ x_i it is blockdiag_c(A_cᵀ X) − AᵀA, over n.
-        P = _softmax_rows(X @ policy.weights.T)
+        P = _softmax_rows(policy.logits(X))
         A = P[:, :, None] * X[:, None, :]
         H = -(A.reshape(n, k * d).T @ A.reshape(n, k * d))
         c = np.arange(k)
@@ -957,13 +958,3 @@ def save_train_report(path, report: TrainReport, config: TrainConfig) -> None:
         "wall_time": report.wall_time,
     }
     Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
-
-
-def save_trace_csv(path, report: TrainReport) -> None:
-    """Write the per-epoch trace as CSV columns (epoch, objective, wall_time)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "objective", "wall_time"])
-        rows = zip(report.objective_trace, report.epoch_wall_times)
-        for i, (obj, wt) in enumerate(rows):
-            writer.writerow([i, repr(obj), repr(wt)])

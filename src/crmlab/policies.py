@@ -19,6 +19,7 @@ ties break toward the lowest action index.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -58,16 +59,14 @@ class SoftmaxPolicy:
     biases: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=np.float64)
-        b = np.array(self.biases, dtype=np.float64)
+        w = _frozen(self.weights, np.float64)
+        b = _frozen(self.biases, np.float64)
         if w.ndim != 2:
             raise ValueError("weights must be a 2-D (k, d) array")
         if b.ndim != 1 or b.shape[0] != w.shape[0]:
             raise ValueError("biases must be a 1-D array of length k")
         if not np.all(np.isfinite(w)) or not np.all(np.isfinite(b)):
             raise ValueError("policy parameters must be finite")
-        w.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
 
@@ -80,7 +79,15 @@ class SoftmaxPolicy:
         return self.weights.shape[1]
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        return self.weights @ x + self.biases
+        """The forward pass x·Wᵀ + b, for one context (d,) or a matrix of
+        them (n, d); the one place it is written."""
+        return x @ self.weights.T + self.biases
+
+
+def _frozen(arr, dtype) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 def zero_policy(d: int, k: int) -> SoftmaxPolicy:
@@ -149,9 +156,16 @@ def _check_nonnegative(name: str, value: float, *, finite: bool = True) -> None:
         raise ValueError(f"{name} must be {domain}, got {value}")
 
 
-def _check_count(name: str, value: int, minimum: int) -> None:
+def _check_count(
+    name: str, value: int, minimum: int, maximum: Optional[int] = None
+) -> None:
+    """An integer in [minimum, maximum]: a count, or a seed (minimum 0)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if not value >= minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    if maximum is not None and not value <= maximum:
+        raise ValueError(f"{name} must be at most {maximum}, got {value}")
 
 
 def _check_norm_bound(name: str, bound: float, norm: float) -> None:
@@ -159,6 +173,29 @@ def _check_norm_bound(name: str, bound: float, norm: float) -> None:
     recomputed from serialized norms pass."""
     if not norm * (1.0 - 1e-12) <= bound < np.inf:
         raise ValueError(f"{name} must be finite and cover the norm {norm}, got {bound}")
+
+
+def _feature_matrix(name: str, values, d: Optional[int] = None) -> np.ndarray:
+    """The one context-matrix check: ``values`` frozen as a nonempty (n, d)
+    float64 matrix of finite values, with ``d`` columns when ``d`` is given."""
+    X = _frozen(values, np.float64)
+    if X.ndim != 2 or X.size == 0 or d not in (None, X.shape[1]):
+        width = "d" if d is None else d
+        raise ValueError(f"{name} must be a nonempty (n, {width}) array")
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"{name} must be finite")
+    return X
+
+
+def _max_row_norm(X: np.ndarray) -> float:
+    """max_i ‖X_i‖, the default feature-norm bound; rescaled by the largest
+    entry only when the squares overflow, so all else keeps its bits."""
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt((X * X).sum(axis=1).max()))
+    if norm == np.inf:
+        scale = float(np.abs(X).max())
+        return scale * _max_row_norm(X / scale)
+    return norm
 
 
 def _validate_context(
@@ -220,23 +257,16 @@ def action_probs(policy: SoftmaxPolicy, x: np.ndarray) -> np.ndarray:
 
 def action_prob_matrix(policy: SoftmaxPolicy, X: np.ndarray) -> np.ndarray:
     """Row-wise action distributions for a batch of contexts (n×d → n×k)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != policy.d:
-        raise ValueError(f"context matrix must have shape (n, {policy.d})")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("context features must be finite")
-    return _softmax_rows(X @ policy.weights.T + policy.biases)
+    return _softmax_rows(policy.logits(_feature_matrix("contexts", X, policy.d)))
 
 
-def _matched_probs(policy: SoftmaxPolicy, data) -> np.ndarray:
-    """π(a_i|x_i) of ``policy`` at every logged record of ``data``.
-
-    The dataset has already checked its features, so only the dimensions
-    are checked here (:func:`_check_dims`).
-    """
+def _matched_probs(policy: SoftmaxPolicy, data, actions=None) -> np.ndarray:
+    """π(a_i|x_i) of ``policy`` at every context x_i of ``data``, for its
+    logged actions or the given ``actions`` (labels).  The dataset has
+    checked its features, so only :func:`_check_dims` runs here."""
     _check_dims(policy, data)
-    P = _softmax_rows(data.features @ policy.weights.T + policy.biases)
-    return P[np.arange(data.n), data.actions]
+    P = _softmax_rows(policy.logits(data.features))
+    return P[np.arange(len(data)), data.actions if actions is None else actions]
 
 
 def _gumbel_max_log(
@@ -245,7 +275,7 @@ def _gumbel_max_log(
     """Log ``policy`` at the contexts ``X``: per row, the Gumbel-max action
     argmax(logits − ln(−ln u)) for uniforms u clamped inside (0, 1), and its
     exact softmax probability as the propensity."""
-    logits = X @ policy.weights.T + policy.biases
+    logits = policy.logits(X)
     P = _softmax_rows(logits)
     u = np.clip(rng.uniform(size=logits.shape), _U_LO, _U_HI)
     actions = np.argmax(logits - np.log(-np.log(u)), axis=1)

@@ -17,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import (
-    _REWARD, LabeledDataset, LoggedDataset, _check_column, _feature_matrix,
-)
+from .datasets import _REWARD, LabeledDataset, LoggedDataset, _check_column
 from .learning import learn_logging_policy
 from .policies import (
-    SoftmaxPolicy, _check_count, _check_dims, _check_nonnegative, _gumbel_max_log,
-    action_prob_matrix,
+    SoftmaxPolicy, _check_count, _check_dims, _check_nonnegative, _feature_matrix,
+    _frozen, _gumbel_max_log, _max_row_norm, action_prob_matrix,
 )
 
 __all__ = [
@@ -55,19 +53,17 @@ class EnumerableTask:
 
     def __post_init__(self) -> None:
         contexts = _feature_matrix("contexts", self.contexts)
-        rewards = np.array(self.rewards, dtype=np.float64)
-        probs = np.array(self.context_probs, dtype=np.float64)
-        if rewards.ndim != 2:
-            raise ValueError("rewards must be 2-D")
-        if rewards.shape[0] != contexts.shape[0]:
-            raise ValueError("one reward row per context required")
-        if probs.shape != (contexts.shape[0],):
-            raise ValueError("context_probs must have one entry per context")
+        c = contexts.shape[0]
+        rewards = _frozen(self.rewards, np.float64)
+        probs = _frozen(self.context_probs, np.float64)
+        if rewards.ndim != 2 or rewards.shape[0] != c:
+            raise ValueError(f"rewards must be a ({c}, k) array, got shape {rewards.shape}")
+        if probs.shape != (c,):
+            raise ValueError(f"context_probs must have shape ({c},), got {probs.shape}")
         _check_column("rewards", _REWARD, rewards)
-        if np.any(probs < 0.0) or not np.isclose(probs.sum(), 1.0):
-            raise ValueError("context_probs must be a distribution")
-        for arr in (rewards, probs):
-            arr.setflags(write=False)
+        _check_column("context_probs", _REWARD, probs)
+        if not np.isclose(probs.sum(), 1.0):
+            raise ValueError(f"context_probs must sum to 1, got sum {probs.sum()}")
         object.__setattr__(self, "contexts", contexts)
         object.__setattr__(self, "rewards", rewards)
         object.__setattr__(self, "context_probs", probs)
@@ -82,7 +78,7 @@ class EnumerableTask:
 
     @property
     def feature_norm_bound(self) -> float:
-        return float(np.max(np.linalg.norm(self.contexts, axis=1)))
+        return _max_row_norm(self.contexts)
 
 
 def enumerable_task() -> EnumerableTask:
@@ -122,8 +118,7 @@ def default_logging_policy(task: EnumerableTask) -> SoftmaxPolicy:
 def exact_risk(task: EnumerableTask, policy: SoftmaxPolicy) -> float:
     """True risk of a softmax policy: 1 − Σ_c P(c) Σ_a π(a|x_c)·R[c,a]."""
     _check_dims(policy, task)
-    probs = action_prob_matrix(policy, task.contexts)
-    return exact_risk_of_probs(task, probs)
+    return exact_risk_of_probs(task, action_prob_matrix(policy, task.contexts))
 
 
 def exact_risk_of_probs(task: EnumerableTask, probs: np.ndarray) -> float:
@@ -151,6 +146,7 @@ def task_logs(
     the sampled actions, and rewards come from the reward table.
     """
     _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
     _check_dims(policy, task)
     rng = np.random.default_rng(seed)
     ctx_idx = rng.choice(task.contexts.shape[0], size=n, p=task.context_probs)
@@ -182,11 +178,8 @@ class BlobTask:
     noise: float
 
     def __post_init__(self) -> None:
-        centers = np.array(self.centers, dtype=np.float64)
-        if centers.ndim != 2:
-            raise ValueError("centers must be (k, d)")
+        centers = _feature_matrix("centers", self.centers)
         _check_nonnegative("noise", self.noise)
-        centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
 
     @property
@@ -204,6 +197,7 @@ def blob_task(
     """Draw class centers uniformly on the unit sphere."""
     _check_count("num_classes", num_classes, 2)
     _check_count("dim", dim, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((num_classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
@@ -214,6 +208,7 @@ def sample_labeled(task: BlobTask, n: int, seed: int) -> LabeledDataset:
     """Sample n labeled examples: uniform label, center-plus-noise feature,
     renormalized to unit length so the feature norm bound is exactly 1."""
     _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, task.k, size=n)
     X = task.centers[labels] + task.noise * rng.standard_normal((n, task.d))
@@ -256,7 +251,7 @@ def split_for_logging(
     for the supervised fit, leaving the rest for bandit conversion.
     """
     n = len(data)
-    if not (0 < num_train < n):
-        raise ValueError("num_train must lie strictly between 0 and n")
+    _check_count("num_train", num_train, 1, maximum=n - 1)
+    _check_count("seed", seed, 0)
     perm = np.random.default_rng(seed).permutation(n)
     return data.subset(perm[:num_train]), data.subset(perm[num_train:])

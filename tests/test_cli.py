@@ -206,6 +206,24 @@ class TestTrain:
         assert len(report["objective_trace"]) == 5
         assert len(trace.read_text().strip().splitlines()) == 6
 
+    def test_trace_csv_rows_match_the_report(self, ws, tmp_path, capsys):
+        rc, _, _ = run(
+            capsys, "train", "--logged", ws / "logs.csv", "--k", "3",
+            "--objective", "ips_l2", "--lambda", "1e-3", "--epochs", "3",
+            "--seed", "3", "--out", tmp_path / "m.model", "--trace", "trace.csv",
+            "--output-dir", tmp_path,
+        )
+        assert rc == 0
+        report = json.loads((tmp_path / "m.model.report.json").read_text())
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert lines[0] == "epoch,objective,wall_time"
+        assert len(lines) == 4
+        for epoch, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            assert int(cells[0]) == epoch
+            assert float(cells[1]) == report["objective_trace"][epoch]
+            assert float(cells[2]) >= 0.0
+
     def test_closed_form_mode(self, ws, tmp_path, capsys):
         rc, out, _ = run(
             capsys, "train", "--logged", ws / "logs.csv", "--k", "3",
@@ -625,6 +643,98 @@ class TestUnreadableInput:
         assert rc == 2 and out == ""
         assert err.startswith("crmlab: error:") and err.count("\n") == 1
         assert str(paths[role]) in err and needle in err
+
+
+# Every subcommand with its input files as {role} placeholders: labeled and
+# logged are CSVs, every other role a model file.
+FILE_COMMANDS = {
+    "simulate": ["simulate", "--labeled", "{labeled}", "--model", "{model}",
+                 "--out", "o.csv"],
+    "learn-logging": ["learn-logging", "--logged", "{logged}", "--k", "3",
+                      "--epochs", "1", "--out", "o.model"],
+    "train": ["train", "--logged", "{logged}", "--k", "3", "--objective",
+              "ips_lpr", "--prior-model", "{prior}", "--epochs", "1",
+              "--out", "o.model"],
+    "tune": ["tune", "--logged", "{logged}", "--k", "3", "--method", "ips_lpr",
+             "--prior-model", "{prior}", "--grid", "0.1", "--folds", "2",
+             "--epochs", "1", "--out", "o.csv"],
+    "evaluate": ["evaluate", "--model", "{model}", "--labeled", "{labeled}"],
+    "bound": ["bound", "--model", "{model}", "--logged", "{logged}",
+              "--prior-model", "{prior}", "--learned-prior", "{learned}"],
+}
+CSV_HEADERS = {"labeled": "f0,f1,label", "logged": "f0,f1,action,propensity,reward"}
+# Four records, so each training fold of a two-fold tune has two.
+CSV_ROWS = {"labeled": ["0.5,1.0,2", "1.0,0.0,0", "0.0,1.0,1", "0.5,0.5,0"],
+            "logged": ["0.5,1.0,2,0.5,1.0", "1.0,0.0,0,0.25,0.0",
+                       "0.0,1.0,1,0.5,0.5", "0.5,0.5,0,1.0,1.0"]}
+
+
+def last_row_cells(edit):
+    """A CSV defect: the last row's cells replaced by ``edit`` of them."""
+    def defect(header, rows):
+        return [header, *rows[:-1], ",".join(edit(rows[-1].split(",")))]
+    return defect
+
+
+# Defects of a CSV file, given its header and good rows (column 2 is the
+# action or label) ...
+CSV_DEFECTS = {
+    "empty": lambda header, rows: [],
+    "bad_header": lambda header, rows: [header.replace("f1", "g1"), *rows],
+    "non_finite_cell": last_row_cells(lambda cells: ["nan", *cells[1:]]),
+    "truncated_row": last_row_cells(lambda cells: cells[:-1]),
+    "action_at_k": last_row_cells(lambda cells: [*cells[:2], "3", *cells[3:]]),
+}
+# ... and of a model file, given the text of a good one.
+MODEL_DEFECTS = {
+    "empty": lambda text: "",
+    "non_finite_cell": lambda text: text.replace("0.0", "NaN", 1),
+    "truncated": lambda text: text[:len(text) // 2],
+    "foreign_json": lambda text: json.dumps({"format": "other", "weights": [[0.0]]}),
+}
+FILE_CASES = [
+    (command, role, defect)
+    for command, argv in FILE_COMMANDS.items()
+    for role in [arg[1:-1] for arg in argv if arg.startswith("{")]
+    for defect in (CSV_DEFECTS if role in CSV_HEADERS else MODEL_DEFECTS)
+]
+
+
+def file_command(tmp_path, command, role=None, defect=None):
+    """The argv of ``command`` on good input files in ``tmp_path``, with the
+    file of ``role`` given ``defect``."""
+    good_model = zero_policy(2, 3)
+    save_model(tmp_path / "good.model", good_model, sigma=0.5, sigma0=1.0,
+               prior=good_model)
+    argv = [arg.format(**{name: tmp_path / f"{name}.in" for name in
+                          ("labeled", "logged", "model", "prior", "learned")})
+            for arg in FILE_COMMANDS[command]]
+    for name in ("model", "prior", "learned"):
+        text = (tmp_path / "good.model").read_text()
+        if name == role:
+            text = MODEL_DEFECTS[defect](text)
+        (tmp_path / f"{name}.in").write_text(text)
+    for name, header in CSV_HEADERS.items():
+        lines = [header, *CSV_ROWS[name]]
+        if name == role:
+            lines = CSV_DEFECTS[defect](header, CSV_ROWS[name])
+        (tmp_path / f"{name}.in").write_text("".join(f"{line}\n" for line in lines))
+    return [*argv, "--output-dir", tmp_path]
+
+
+class TestMalformedInputFile:
+    @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+    def test_good_files_run(self, tmp_path, capsys, command):
+        rc, _, err = run(capsys, *file_command(tmp_path, command))
+        assert rc == 0 and err == ""
+
+    @pytest.mark.parametrize("command,role,defect", FILE_CASES)
+    def test_exits_two_with_one_line_naming_file(self, tmp_path, capsys,
+                                                 command, role, defect):
+        rc, out, err = run(capsys, *file_command(tmp_path, command, role, defect))
+        assert rc == 2 and out == ""
+        assert err.startswith("crmlab: error:") and err.count("\n") == 1
+        assert str(tmp_path / f"{role}.in") in err
 
 
 BAD_MODEL_EDITS = {

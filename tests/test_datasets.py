@@ -94,6 +94,15 @@ class TestLoggedDataset:
         assert loose.feature_norm_bound == 2.0 * expected
         assert loose.subset([0, 1]).feature_norm_bound == 2.0 * expected
 
+    def test_default_bound_of_huge_features_is_finite(self):
+        # The squares of these rows overflow; the norms do not.
+        X = np.array([[3e200, 4e200], [-1e300, 0.0], [1e-300, 2e-300]])
+        data = LoggedDataset(X, np.zeros(3, dtype=int), np.ones(3),
+                             np.zeros(3), 2)
+        assert data.feature_norm_bound == 1e300
+        assert LoggedDataset(X[:1], [0], [1.0], [0.0], 2).feature_norm_bound \
+            == pytest.approx(5e200, rel=1e-15)
+
     def test_rejects_zero_width_features(self):
         with pytest.raises(ValueError, match="nonempty"):
             LoggedDataset(np.zeros((3, 0)), np.zeros(3, dtype=int), np.ones(3),

@@ -35,7 +35,6 @@ from crmlab import (
     param_distance_sq,
     poem_build_surrogate,
     sample_labeled,
-    save_trace_csv,
     save_train_report,
     solve_logging_nll_exact,
     simulate_logs,
@@ -1101,16 +1100,3 @@ class TestReportSerialization:
         assert doc["objective_trace"] == report.objective_trace
         assert doc["final_objective"] == report.objective_trace[-1]
         assert doc["sigma_star"] == report.sigma_star
-
-    def test_trace_csv(self, tmp_path, logs400):
-        config = cfg("ips_l2", lam=1e-3, epochs=3, seed=3)
-        report = train(config, logs400)
-        path = tmp_path / "trace.csv"
-        save_trace_csv(path, report)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,objective,wall_time"
-        assert len(lines) == 4
-        for epoch, line in enumerate(lines[1:]):
-            cells = line.split(",")
-            assert int(cells[0]) == epoch
-            assert float(cells[1]) == report.objective_trace[epoch]

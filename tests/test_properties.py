@@ -1,20 +1,25 @@
 """Property tests of the estimators and the POEM surrogate over generated
-logs, and of the risk bounds and certificates over generated inputs.
+logs, of the risk bounds and certificates over generated inputs, and of the
+logged-CSV and model-file round trips.
 
 hypothesis comes with the ``test`` extra (``pip install .[test]``); without
 it this module is skipped.  Runs are derandomized and keep no example
-database, so every run checks the same examples and writes no files.
+database, so every run checks the same examples; only the round trips write
+files, into temporary directories they remove.
 """
 
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from crmlab import (  # noqa: E402
     BoundInputs,
@@ -27,9 +32,13 @@ from crmlab import (  # noqa: E402
     crm_bound_all_tau,
     crm_bound_fixed_tau,
     ips_risk,
+    load_logged,
+    load_model,
     mcallester_bound,
     objective_value,
     poem_build_surrogate,
+    save_logged,
+    save_model,
     truncated_ips_risk,
 )
 
@@ -182,3 +191,86 @@ def test_each_certificate_is_the_bound_of_its_own_numbers(
             row.n, at_delta, row.tau, row.c_term / 2, row.emp_risk))
         if row.bound != "learned_prior":
             assert row.c_term == 2.0 * row.kl_bound
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def bits(value):
+    """The bytes of a float64 array or scalar, so -0.0 differs from 0.0."""
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@st.composite
+def logged_datasets(draw):
+    """A logged dataset of arbitrary finite features and arbitrary records
+    in the CSV domains."""
+    n = draw(st.integers(1, 20))
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    return LoggedDataset(
+        draw(arrays(np.float64, (n, d), elements=finite)),
+        draw(arrays(np.int64, n, elements=st.integers(0, k - 1))),
+        draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0, exclude_min=True))),
+        draw(arrays(np.float64, n, elements=unit)),
+        k,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(logged_datasets())
+def test_logged_csv_round_trip_is_bit_exact(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "logs.csv"
+        save_logged(path, data)
+        back = load_logged(path, data.k)
+    for name in ("features", "propensities", "rewards"):
+        assert bits(getattr(back, name)) == bits(getattr(data, name)), name
+    assert back.actions.tolist() == data.actions.tolist()
+    assert bits(back.feature_norm_bound) == bits(data.feature_norm_bound)
+
+
+@st.composite
+def policies(draw, k, d):
+    return SoftmaxPolicy(draw(arrays(np.float64, (k, d), elements=finite)),
+                         draw(arrays(np.float64, k, elements=finite)))
+
+
+@st.composite
+def model_files(draw):
+    """Arguments of ``save_model``: a policy of arbitrary finite parameters
+    and each optional field either left out or drawn in its domain."""
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 4))
+    positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    sigma0 = draw(st.none() | positive)
+    sigma = draw(st.none() | (positive if sigma0 is None
+                              else st.floats(0.0, sigma0, exclude_min=True)))
+    return draw(policies(k, d)), dict(
+        sigma=sigma, sigma0=sigma0,
+        prior=draw(st.none() | policies(k, d)),
+        feature_norm_bound=draw(st.none() | finite),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(model_files())
+def test_model_file_round_trip_is_bit_exact(model):
+    policy, fields = model
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.model"
+        save_model(path, policy, **fields)
+        back = load_model(path)
+    pairs = [(back.policy, policy)]
+    if fields["prior"] is not None:
+        pairs.append((back.prior, fields["prior"]))
+    else:
+        assert back.prior is None
+    for got, want in pairs:
+        assert bits(got.weights) == bits(want.weights)
+        assert bits(got.biases) == bits(want.biases)
+    for name in ("sigma", "sigma0", "feature_norm_bound"):
+        got, want = getattr(back, name), fields[name]
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert bits(got) == bits(want), name

@@ -95,3 +95,15 @@ def test_cli_imports_no_private_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_forward_pass_is_written_once():
+    # x·Wᵀ + b lives in SoftmaxPolicy.logits; every other forward pass calls
+    # it.  The in-place matmul of the training step spells W.T and is not
+    # counted.
+    uses = [
+        path.name
+        for path in sorted((ROOT / "src" / "crmlab").glob("*.py"))
+        for _ in range(path.read_text(encoding="utf-8").count("weights.T"))
+    ]
+    assert uses == ["policies.py"]

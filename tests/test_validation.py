@@ -30,6 +30,7 @@ from crmlab import (
     gaussian_kl_bound,
     gaussian_kl_exact,
     kfold_split,
+    learn_logging_policy,
     load_labeled,
     load_model,
     mcallester_bound,
@@ -41,6 +42,7 @@ from crmlab import (
     poem_build_surrogate,
     sample_labeled,
     save_model,
+    simulate_logs,
     solve_logging_nll_exact,
     split_for_logging,
     task_logs,
@@ -60,6 +62,11 @@ def logged(n=4, **columns):
                   propensities=np.full(n, 0.5), rewards=np.ones(n))
     values.update(columns)
     return LoggedDataset(k=3, **values)
+
+
+def labeled(n=4):
+    """A valid (n, 2) labeled set with k = 3."""
+    return LabeledDataset(np.ones((n, 2)), np.zeros(n, dtype=int), 3)
 
 
 def enumerable(**fields):
@@ -151,6 +158,15 @@ CASES = {
     "kfold_split.num_folds": (
         lambda tmp: kfold_split(5, 0, seed=0),
         "num_folds must be at least 1, got 0"),
+    "kfold_split.num_folds_above_n": (
+        lambda tmp: kfold_split(3, 5, seed=0),
+        "num_folds must be at most 3, got 5"),
+    "kfold_split.seed": (
+        lambda tmp: kfold_split(5, 2, seed=-1),
+        "seed must be at least 0, got -1"),
+    "simulate_logs.seed": (
+        lambda tmp: simulate_logs(zero_policy(2, 3), labeled(), seed=-1),
+        "seed must be at least 0, got -1"),
     "temper.overflow": (
         lambda tmp: temper(SoftmaxPolicy(np.full((2, 2), 2.0), np.zeros(2)),
                            1e308),
@@ -163,6 +179,18 @@ CASES = {
         lambda tmp: mean_param_risk(POLICY, 0.1, math.nan, logged(), 0.1),
         "B must be finite and cover the norm 1.4142135623730951, got nan"),
     # learning
+    "TrainConfig.seed": (
+        lambda tmp: TrainConfig("ips_l2", seed=-1),
+        "seed must be at least 0, got -1"),
+    "TrainConfig.epochs_float": (
+        lambda tmp: TrainConfig("ips_l2", epochs=1.5),
+        "epochs must be an integer, got 1.5"),
+    "TrainConfig.seed_bool": (
+        lambda tmp: TrainConfig("ips_l2", seed=True),
+        "seed must be an integer, got True"),
+    "learn_logging_policy.seed": (
+        lambda tmp: learn_logging_policy(logged(), 0.1, seed=-3),
+        "seed must be at least 0, got -3"),
     "objective_gradient.poem_batch": (
         lambda tmp: objective_gradient(TrainConfig("poem"), zero_policy(1, 2),
                                        None, one_record(0.5, 1.0)),
@@ -198,10 +226,14 @@ CASES = {
         "biases must be a 1-D array of length k"),
     "action_prob_matrix.shape": (
         lambda tmp: action_prob_matrix(POLICY, np.ones((4, 3))),
-        "context matrix must have shape (n, 2)"),
+        "contexts must be a nonempty (n, 2) array"),
     "action_prob_matrix.finite": (
         lambda tmp: action_prob_matrix(POLICY, [[0.0, math.nan]]),
-        "context features must be finite"),
+        "contexts must be finite"),
+    "mixed_logit_prob_mc.samples_float": (
+        lambda tmp: mixed_logit_prob_mc(SPEC, X, 0, 2.5,
+                                        np.random.default_rng(0)),
+        "samples must be an integer, got 2.5"),
     "mixed_logit_prob_mc.action": (
         lambda tmp: mixed_logit_prob_mc(SPEC, X, 3, 10,
                                         np.random.default_rng(0)),
@@ -228,7 +260,7 @@ CASES = {
         "contexts must be a nonempty (n, d) array"),
     "EnumerableTask.rewards_ndim": (
         lambda tmp: enumerable(rewards=np.ones(5)),
-        "rewards must be 2-D"),
+        "rewards must be a (5, k) array, got shape (5,)"),
     "EnumerableTask.contexts_nan": (
         lambda tmp: enumerable(contexts=np.where(np.eye(5), math.nan, 0.0)),
         "contexts must be finite"),
@@ -237,10 +269,10 @@ CASES = {
         "contexts must be finite"),
     "EnumerableTask.reward_rows": (
         lambda tmp: enumerable(rewards=np.zeros((4, 3))),
-        "one reward row per context required"),
+        "rewards must be a (5, k) array, got shape (4, 3)"),
     "EnumerableTask.context_probs_shape": (
         lambda tmp: enumerable(context_probs=np.full(4, 0.25)),
-        "context_probs must have one entry per context"),
+        "context_probs must have shape (5,), got (4,)"),
     "EnumerableTask.rewards_range": (
         lambda tmp: enumerable(rewards=np.full((5, 3), 1.5)),
         "rewards must lie in [0, 1], got 1.5"),
@@ -249,7 +281,10 @@ CASES = {
         "rewards must lie in [0, 1], got nan"),
     "EnumerableTask.context_probs_sum": (
         lambda tmp: enumerable(context_probs=np.full(5, 0.3)),
-        "context_probs must be a distribution"),
+        "context_probs must sum to 1, got sum 1.5"),
+    "EnumerableTask.context_probs_negative": (
+        lambda tmp: enumerable(context_probs=[0.5, 0.5, 0.5, -0.5, 0.0]),
+        "context_probs must lie in [0, 1], got -0.5"),
     "exact_risk_of_probs.shape": (
         lambda tmp: exact_risk_of_probs(enumerable_task(), np.ones((5, 2))),
         "probs must have shape (5, 3)"),
@@ -263,22 +298,51 @@ CASES = {
     "task_logs.n": (
         lambda tmp: task_logs(enumerable_task(), zero_policy(5, 3), 0, seed=0),
         "n must be at least 1, got 0"),
+    "task_logs.n_float": (
+        lambda tmp: task_logs(enumerable_task(), zero_policy(5, 3), 2.5, seed=0),
+        "n must be an integer, got 2.5"),
+    "task_logs.seed": (
+        lambda tmp: task_logs(enumerable_task(), zero_policy(5, 3), 2, seed=-1),
+        "seed must be at least 0, got -1"),
     "BlobTask.centers": (
         lambda tmp: BlobTask(centers=np.ones(3), noise=0.1),
-        "centers must be (k, d)"),
+        "centers must be a nonempty (n, d) array"),
+    "BlobTask.centers_empty": (
+        lambda tmp: BlobTask(centers=np.zeros((0, 3)), noise=0.1),
+        "centers must be a nonempty (n, d) array"),
+    "BlobTask.centers_nan": (
+        lambda tmp: BlobTask(centers=[[math.nan, 0.0], [0.0, 1.0]], noise=0.1),
+        "centers must be finite"),
+    "BlobTask.centers_inf": (
+        lambda tmp: BlobTask(centers=[[math.inf, 0.0], [0.0, 1.0]], noise=0.1),
+        "centers must be finite"),
     "BlobTask.noise": (
         lambda tmp: BlobTask(centers=np.eye(3), noise=-1.0),
         "noise must be nonnegative and finite, got -1.0"),
     "blob_task.classes": (
         lambda tmp: blob_task(num_classes=1),
         "num_classes must be at least 2, got 1"),
+    "blob_task.seed": (
+        lambda tmp: blob_task(seed=-7),
+        "seed must be at least 0, got -7"),
     "sample_labeled.n": (
         lambda tmp: sample_labeled(blob_task(3, 2), 0, seed=0),
         "n must be at least 1, got 0"),
+    "sample_labeled.seed": (
+        lambda tmp: sample_labeled(blob_task(3, 2), 4, seed=1.0),
+        "seed must be an integer, got 1.0"),
     "split_for_logging.num_train": (
         lambda tmp: split_for_logging(sample_labeled(blob_task(3, 2), 4, 0),
                                       4, seed=0),
-        "num_train must lie strictly between 0 and n"),
+        "num_train must be at most 3, got 4"),
+    "split_for_logging.num_train_zero": (
+        lambda tmp: split_for_logging(sample_labeled(blob_task(3, 2), 4, 0),
+                                      0, seed=0),
+        "num_train must be at least 1, got 0"),
+    "split_for_logging.seed": (
+        lambda tmp: split_for_logging(sample_labeled(blob_task(3, 2), 4, 0),
+                                      2, seed=-1),
+        "seed must be at least 0, got -1"),
 }
 
 
