@@ -703,22 +703,22 @@ FILE_CASES = [
 def file_command(tmp_path, command, role=None, defect=None):
     """The argv of ``command`` on good input files in ``tmp_path``, with the
     file of ``role`` given ``defect``."""
-    good_model = zero_policy(2, 3)
-    save_model(tmp_path / "good.model", good_model, sigma=0.5, sigma0=1.0,
-               prior=good_model)
-    argv = [arg.format(**{name: tmp_path / f"{name}.in" for name in
-                          ("labeled", "logged", "model", "prior", "learned")})
-            for arg in FILE_COMMANDS[command]]
-    for name in ("model", "prior", "learned"):
-        text = (tmp_path / "good.model").read_text()
-        if name == role:
-            text = MODEL_DEFECTS[defect](text)
-        (tmp_path / f"{name}.in").write_text(text)
-    for name, header in CSV_HEADERS.items():
-        lines = [header, *CSV_ROWS[name]]
-        if name == role:
-            lines = CSV_DEFECTS[defect](header, CSV_ROWS[name])
-        (tmp_path / f"{name}.in").write_text("".join(f"{line}\n" for line in lines))
+    policy = zero_policy(2, 3)
+    save_model(tmp_path / "good.model", policy, sigma=0.5, sigma0=1.0,
+               prior=policy)
+    model_text = (tmp_path / "good.model").read_text()
+    paths = {}
+    for name in ("labeled", "logged", "model", "prior", "learned"):
+        if name in CSV_HEADERS:
+            lines = [CSV_HEADERS[name], *CSV_ROWS[name]]
+            if name == role:
+                lines = CSV_DEFECTS[defect](CSV_HEADERS[name], CSV_ROWS[name])
+            text = "".join(f"{line}\n" for line in lines)
+        else:
+            text = MODEL_DEFECTS[defect](model_text) if name == role else model_text
+        paths[name] = tmp_path / f"{name}.in"
+        paths[name].write_text(text)
+    argv = [arg.format(**paths) for arg in FILE_COMMANDS[command]]
     return [*argv, "--output-dir", tmp_path]
 
 
