@@ -7,6 +7,12 @@ promises identical outputs must show.  The only masked values are wall
 times: the ``wall_time=`` line of ``train``, the report's ``wall_time``
 field and the trace's wall-time column.
 
+The ``bounds.`` entries evaluate each closed-form risk bound over one fixed
+grid of (emp_risk, kl, n, delta, tau), the edges included: kl = 0, emp_risk
+at and just below the 1 - 1/tau floor, n = 2 and n = 10**15, and the
+smallest subnormal tau, where the all-tau bound is inf.  A point that is
+rejected digests as its exception type and message.
+
 The ``k10.`` entries repeat the training digests at the pipeline's shape
 (k=10, d=20, 450 records, so every epoch ends in a 50-record batch).  From
 k=8 numpy sums each softmax row pairwise rather than in sequence, so only
@@ -31,10 +37,14 @@ import numpy as np
 
 from crmlab import (
     OBJECTIVES,
+    BoundInputs,
     SoftmaxPolicy,
     TrainConfig,
     blob_task,
+    crm_bound_all_tau,
+    crm_bound_fixed_tau,
     cross_validate,
+    mcallester_bound,
     objective_gradient,
     poem_build_surrogate,
     sample_labeled,
@@ -81,6 +91,12 @@ GOLDEN = {
         "c2f50bf5e8e15227fd2b8f492ab6677fd7f9c52c3a318855e52c8272fa72327c",
     "cross_validate":
         "6b56fc444004370eb9e4a6317a559e241739cccc83a92cbe67a92375a12b175e",
+    "bounds.mcallester_bound":
+        "11c584b3cf59c6b5c9d2cb3aa08914842596794dc0247ba0e14ba37bbc67c410",
+    "bounds.crm_bound_fixed_tau":
+        "970073dcca3b52d1463326ff71e997a550458ce4e3262e5f43e085b36d4de7fb",
+    "bounds.crm_bound_all_tau":
+        "3af220d24682aabe53a0294269beec55f98e6489f2ffc9b8baa5e92bee15fd1e",
     "k10.train.ips_lpr":
         "e0b0da263265c2c16aeb18607a013e890666537f8bf2241a6bfee8d1cd74abf3",
     "k10.train.wnll_lpr":
@@ -280,6 +296,47 @@ def pipeline_shape_digests() -> dict[str, str]:
     return out
 
 
+# Each bound as a function of one grid point (emp_risk, kl, n, delta, tau).
+BOUNDS = {
+    "mcallester_bound":
+        lambda emp, kl, n, delta, tau: mcallester_bound(emp, kl, n, delta),
+    "crm_bound_fixed_tau":
+        lambda emp, kl, n, delta, tau: crm_bound_fixed_tau(
+            BoundInputs(n=n, delta=delta, tau=tau, kl_term=kl, emp_risk=emp)),
+    "crm_bound_all_tau":
+        lambda emp, kl, n, delta, tau: crm_bound_all_tau(
+            BoundInputs(n=n, delta=delta, tau=tau, kl_term=kl, emp_risk=emp)),
+}
+
+
+def _bound_grid():
+    """Every (emp_risk, kl, n, delta, tau) point of the bound digests: at
+    each tau, emp_risk at the floor 1 - 1/tau, inside and outside the
+    round-off slack below it, and three values in [0, 1]."""
+    for tau in (5e-324, 1e-3, 0.05, 0.3, 0.999):
+        floor = 1.0 - 1.0 / tau
+        slack = 1e-9 * max(1.0, 1.0 / tau)
+        for emp in (floor, floor - 0.5 * slack, floor - 2.0 * slack,
+                    0.0, 0.37, 1.0):
+            for kl in (0.0, 1.5, 1e6):
+                for n in (2, 1000, 10**15):
+                    for delta in (1e-6, 0.05, 0.5):
+                        yield emp, kl, n, delta, tau
+
+
+def bound_digests() -> dict[str, str]:
+    out = {}
+    for name, bound in BOUNDS.items():
+        results = []
+        for point in _bound_grid():
+            try:
+                results.append(bound(*point))
+            except (ValueError, ArithmeticError) as exc:
+                results.append(f"{type(exc).__name__}: {exc}")
+        out[f"bounds.{name}"] = _digest(results)
+    return out
+
+
 _MASKS = {
     "stdout": (re.compile(rb"^wall_time=.*$", re.M), b"wall_time=<masked>"),
     "report": (re.compile(rb'"wall_time": [^,\n}]+'), b'"wall_time": null'),
@@ -364,9 +421,10 @@ def _blas_config() -> str:
 
 
 def _group(name: str) -> str:
-    """The test that checks entry ``name``: "cli", "k10" or "" (library)."""
+    """The test that checks entry ``name``: "bounds", "cli", "k10" or ""
+    (library)."""
     head = name.split(".")[0]
-    return head if head in ("cli", "k10") else ""
+    return head if head in ("bounds", "cli", "k10") else ""
 
 
 def _check(actual: dict[str, str], group: str) -> None:
@@ -383,6 +441,10 @@ def _check(actual: dict[str, str], group: str) -> None:
 
 def test_library_outputs_match_golden_digests():
     _check(library_digests(), "")
+
+
+def test_bound_outputs_match_golden_digests():
+    _check(bound_digests(), "bounds")
 
 
 def test_pipeline_shape_outputs_match_golden_digests():
