@@ -22,7 +22,6 @@ from .policies import (
 )
 
 __all__ = [
-    "BoundInputs",
     "StabilityParams",
     "mcallester_bound",
     "crm_bound_fixed_tau",
@@ -35,34 +34,6 @@ __all__ = [
     "mixed_logit_risk_bound",
     "data_dep_risk_bound",
 ]
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Everything a truncated-risk bound consumes.
-
-    ``kl_term`` is KL(Q‖P) or any upper bound on it; ``emp_risk`` is the
-    truncated empirical risk (or its upper bound), which can never fall
-    below ``1 - 1/tau``.
-    """
-
-    n: int
-    delta: float
-    tau: float
-    kl_term: float
-    emp_risk: float
-
-    def __post_init__(self) -> None:
-        _check_count("n", self.n, 2)
-        _check_level("delta", self.delta)
-        _check_level("tau", self.tau)
-        _check_nonnegative("kl_term", self.kl_term)
-        floor = 1.0 - 1.0 / self.tau
-        # Allow float round-off at the attainable minimum.
-        if not self.emp_risk >= floor - 1e-9 * max(1.0, 1.0 / self.tau):
-            raise ValueError(
-                f"emp_risk must be at least 1 - 1/tau = {floor}, got {self.emp_risk}"
-            )
 
 
 @dataclass(frozen=True)
@@ -81,43 +52,61 @@ class StabilityParams:
         _check_level("delta", self.delta)
 
 
+def _check_inputs(emp_risk: float, kl: float, n: int, delta: float,
+                  tau: Optional[float] = None) -> None:
+    """The input rules of every bound.  ``kl`` is KL(Q‖P) or any upper bound
+    on it; a truncated risk (``tau`` given) is at least 1 − 1/τ, any other
+    risk lies in [0, 1]."""
+    _check_count("n", n, 2)
+    _check_level("delta", delta)
+    _check_nonnegative("kl", kl)
+    if tau is not None:
+        _check_level("tau", tau)
+        floor = 1.0 - 1.0 / tau
+        # Allow float round-off at the attainable minimum.
+        if not emp_risk >= floor - 1e-9 * max(1.0, 1.0 / tau):
+            raise ValueError(f"emp_risk must be at least 1 - 1/tau = {floor}, got {emp_risk}")
+    elif not (0.0 <= emp_risk <= 1.0):
+        raise ValueError(f"emp_risk must lie in [0, 1], got {emp_risk}")
+
+
+def _pac_bayes(emp: float, gap: float, pen: float, c: float) -> float:
+    """The one form of every bound here: emp + sqrt(c·gap·pen) + c·pen."""
+    return emp + math.sqrt(c * gap * pen) + c * pen
+
+
 def mcallester_bound(emp_risk: float, kl: float, n: int, delta: float) -> float:
     """PAC-Bayes bound for [0, 1] losses:
     emp + sqrt(2·emp·(kl + ln(n/δ))/(n−1)) + 2(kl + ln(n/δ))/(n−1).
     """
-    if not (0.0 <= emp_risk <= 1.0):
-        raise ValueError(f"emp_risk must lie in [0, 1], got {emp_risk}")
-    _check_count("n", n, 2)
-    _check_level("delta", delta)
-    _check_nonnegative("kl", kl)
-    pen = (kl + math.log(n / delta)) / (n - 1)
-    return emp_risk + math.sqrt(2.0 * emp_risk * pen) + 2.0 * pen
+    _check_inputs(emp_risk, kl, n, delta)
+    return _pac_bayes(emp_risk, emp_risk, (kl + math.log(n / delta)) / (n - 1), 2.0)
 
 
-def crm_bound_fixed_tau(inputs: BoundInputs) -> float:
+def crm_bound_fixed_tau(emp_risk: float, kl: float, n: int, delta: float,
+                        tau: float) -> float:
     """Risk bound for the truncated estimator at one fixed truncation level:
     emp + sqrt(2·(emp−1+1/τ)·pen) + 2·pen,  pen = (KL + ln(n/δ))/(τ(n−1)).
     """
-    pen = (inputs.kl_term + math.log(inputs.n / inputs.delta)) / (
-        inputs.tau * (inputs.n - 1)
-    )
+    _check_inputs(emp_risk, kl, n, delta, tau)
+    pen = (kl + math.log(n / delta)) / (tau * (n - 1))
     # emp - 1 + 1/tau is >= 0 up to round-off; clamp so sqrt stays real.
-    gap = max(inputs.emp_risk - 1.0 + 1.0 / inputs.tau, 0.0)
-    return inputs.emp_risk + math.sqrt(2.0 * gap * pen) + 2.0 * pen
+    return _pac_bayes(emp_risk, max(emp_risk - 1.0 + 1.0 / tau, 0.0), pen, 2.0)
 
 
-def crm_bound_all_tau(inputs: BoundInputs) -> float:
+def crm_bound_all_tau(emp_risk: float, kl: float, n: int, delta: float,
+                      tau: float) -> float:
     """Risk bound valid simultaneously over all truncation levels >= τ
     (covering construction; looser constants than the fixed-τ bound):
     emp + sqrt(4·(emp−1+2/τ)·pen) + 4·pen,  pen = (KL + ln(2n/(δτ)))/(τ(n−1)).
     """
+    _check_inputs(emp_risk, kl, n, delta, tau)
     # At the smallest subnormal tau, delta·tau underflows to 0: the log term
     # is then inf, as it is wherever 2n/(delta·tau) overflows.
-    scale = inputs.delta * inputs.tau
-    log_term = math.log(2.0 * inputs.n / scale) if scale > 0.0 else math.inf
-    pen = (inputs.kl_term + log_term) / (inputs.tau * (inputs.n - 1))
-    gap = max(inputs.emp_risk - 1.0 + 2.0 / inputs.tau, 0.0)
-    return inputs.emp_risk + math.sqrt(4.0 * gap * pen) + 4.0 * pen
+    scale = delta * tau
+    log_term = math.log(2.0 * n / scale) if scale > 0.0 else math.inf
+    pen = (kl + log_term) / (tau * (n - 1))
+    return _pac_bayes(emp_risk, max(emp_risk - 1.0 + 2.0 / tau, 0.0), pen, 4.0)
 
 
 def _check_variances(sigma: float, sigma0: float, *, ordered: bool) -> None:
@@ -249,8 +238,7 @@ def certificates(
     return [
         Certificate(
             kind, data.n, tau, delta, sigma, sigma0, emp, kl_exact, kl_bound, c,
-            bound(BoundInputs(n=data.n, delta=at_delta, tau=tau,
-                              kl_term=0.5 * c, emp_risk=emp)),
+            bound(emp, 0.5 * c, data.n, at_delta, tau),
         )
         for kind, bound, at_delta, c in kinds
     ]

@@ -414,25 +414,6 @@ def _batch_gradient(
     return ws.grad
 
 
-def _fresh_gradient(
-    config: TrainConfig,
-    policy: SoftmaxPolicy,
-    W0: Optional[np.ndarray],
-    X: np.ndarray,
-    a: np.ndarray,
-    columns: tuple[np.ndarray, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_batch_gradient` at ``policy`` on the batch (X, a), returned
-    as new (weights, biases) arrays that no later call touches."""
-    m = X.shape[0]
-    k, d = policy.weights.shape
-    grad = _batch_gradient(
-        config, policy.weights, policy.biases, W0, X, np.arange(m) * k + a,
-        columns, _StepWorkspace(m, k, d),
-    )
-    return grad[:, :d].copy(), grad[:, d].copy()
-
-
 def objective_gradient(
     config: TrainConfig,
     policy: SoftmaxPolicy,
@@ -455,10 +436,14 @@ def objective_gradient(
     if config.objective in POEM_FAMILY:
         surrogate = poem_build_surrogate(policy, batch, config.tau, config.lam)
         columns += (surrogate.alpha, surrogate.beta)
-    return _fresh_gradient(
-        config, policy, None if prior is None else prior.weights,
-        batch.features, batch.actions, columns,
+    m, (k, d) = batch.n, policy.weights.shape
+    grad = _batch_gradient(
+        config, policy.weights, policy.biases,
+        None if prior is None else prior.weights, batch.features,
+        np.arange(m) * k + batch.actions, columns, _StepWorkspace(m, k, d),
     )
+    # New arrays: no later call writes into them.
+    return grad[:, :d].copy(), grad[:, d].copy()
 
 
 # -----------------------------------------------------------------------
@@ -493,21 +478,6 @@ class PoemSurrogate:
             self.tau, moments=False,
         )
         return _compensated_mean(self.alpha * u * u + self.beta * u) + self.const
-
-    def gradient(
-        self, policy: SoftmaxPolicy, data: LoggedDataset
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient of the surrogate averaged over every record of ``data``."""
-        if data.n != self.alpha.shape[0]:
-            raise ValueError("surrogate was built for a different dataset")
-        _check_dims(policy, data)
-        # The surrogate majorizes the poem data term; poem_l2's ridge is not
-        # part of it.
-        config = TrainConfig(objective="poem", tau=self.tau)
-        columns = _coefficient_columns(config, data) + (self.alpha, self.beta)
-        return _fresh_gradient(
-            config, policy, None, data.features, data.actions, columns
-        )
 
 
 def poem_build_surrogate(

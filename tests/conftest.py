@@ -8,12 +8,14 @@ import pytest
 from crmlab import (
     LoggedDataset,
     SoftmaxPolicy,
+    TrainConfig,
     default_logging_policy,
     enumerable_task,
     objective_value,
     task_logs,
     zero_policy,
 )
+from crmlab.learning import _batch_gradient, _coefficient_columns, _StepWorkspace
 
 
 @pytest.fixture(scope="session")
@@ -125,6 +127,25 @@ def fd_gradient(config, policy, prior, data, h=1e-5):
         bm[i] -= h
         gb[i] = (value(W0, bp) - value(W0, bm)) / (2 * h)
     return gW, gb
+
+
+def surrogate_gradient(surrogate, policy, data, workspace=None):
+    """Gradient of a POEM surrogate averaged over every record of ``data``,
+    as new (weights, biases) arrays: the training kernel fed the
+    surrogate's (alpha, beta) columns, the step :func:`train` takes inside
+    a POEM epoch.  The surrogate majorizes the ``poem`` data term only, so
+    no ridge enters.  ``workspace`` lets calls share step buffers, as
+    training steps do."""
+    config = TrainConfig(objective="poem", tau=surrogate.tau)
+    columns = _coefficient_columns(config, data) + (surrogate.alpha,
+                                                     surrogate.beta)
+    (k, d), m = policy.weights.shape, data.n
+    grad = _batch_gradient(
+        config, policy.weights, policy.biases, None, data.features,
+        np.arange(m) * k + data.actions, columns,
+        workspace or _StepWorkspace(m, k, d),
+    )
+    return grad[:, :d].copy(), grad[:, d].copy()
 
 
 def rel_gradient_error(analytic, numeric):

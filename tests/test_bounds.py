@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from crmlab import (
-    BoundInputs,
     Certificate,
     MixedLogitSpec,
     SoftmaxPolicy,
@@ -34,23 +33,32 @@ def policy_with_distance_sq(dist_sq, k=1, d=2):
 
 
 class TestBoundInputs:
+    """The input rules of both truncated bounds, (emp_risk, kl, n, delta, tau)."""
+
+    BOUNDS = (crm_bound_fixed_tau, crm_bound_all_tau)
+
     def test_accepts_valid(self):
-        BoundInputs(n=100, delta=0.1, tau=0.05, kl_term=3.0, emp_risk=0.4)
+        for bound in self.BOUNDS:
+            assert math.isfinite(bound(0.4, 3.0, 100, 0.1, 0.05))
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            BoundInputs(n=1, delta=0.1, tau=0.05, kl_term=0.0, emp_risk=0.5)
+        for bound in self.BOUNDS:
+            with pytest.raises(ValueError):
+                bound(0.5, 0.0, 1, 0.1, 0.05)
 
     def test_rejects_emp_risk_below_floor(self):
-        with pytest.raises(ValueError):
-            BoundInputs(n=10, delta=0.1, tau=0.5, kl_term=0.0, emp_risk=-1.1)
+        for bound in self.BOUNDS:
+            with pytest.raises(ValueError):
+                bound(-1.1, 0.0, 10, 0.1, 0.5)
 
     def test_accepts_emp_risk_at_floor(self):
-        BoundInputs(n=10, delta=0.1, tau=0.5, kl_term=0.0, emp_risk=-1.0)
+        for bound in self.BOUNDS:
+            assert math.isfinite(bound(-1.0, 0.0, 10, 0.1, 0.5))
 
     def test_rejects_infinite_kl(self):
-        with pytest.raises(ValueError):
-            BoundInputs(n=10, delta=0.1, tau=0.5, kl_term=math.inf, emp_risk=0.5)
+        for bound in self.BOUNDS:
+            with pytest.raises(ValueError):
+                bound(0.5, math.inf, 10, 0.1, 0.5)
 
 
 class TestMcallester:
@@ -82,50 +90,45 @@ class TestMcallester:
 class TestCrmFixedTau:
     def test_minimum_empirical_risk_kills_sqrt_term(self):
         tau, n, delta, kl = 0.2, 101, 0.1, 2.0
-        inputs = BoundInputs(n=n, delta=delta, tau=tau, kl_term=kl,
-                             emp_risk=1.0 - 1.0 / tau)
         pen = (kl + math.log(n / delta)) / (tau * (n - 1))
-        assert crm_bound_fixed_tau(inputs) == pytest.approx(
+        assert crm_bound_fixed_tau(1.0 - 1.0 / tau, kl, n, delta, tau) == pytest.approx(
             1.0 - 1.0 / tau + 2.0 * pen, rel=1e-15
         )
 
     def test_hand_value(self):
-        inputs = BoundInputs(n=1001, delta=0.05, tau=0.1, kl_term=0.0, emp_risk=0.5)
         pen = math.log(1001 / 0.05) / (0.1 * 1000)
         expected = 0.5 + math.sqrt(2 * (0.5 - 1 + 10) * pen) + 2 * pen
-        assert crm_bound_fixed_tau(inputs) == pytest.approx(expected, rel=1e-15)
+        assert crm_bound_fixed_tau(0.5, 0.0, 1001, 0.05, 0.1) == pytest.approx(
+            expected, rel=1e-15)
 
 
 class TestCrmAllTau:
     def test_hand_value(self):
-        inputs = BoundInputs(n=1001, delta=0.05, tau=0.1, kl_term=0.0, emp_risk=0.5)
         pen = math.log(2 * 1001 / (0.05 * 0.1)) / (0.1 * 1000)
         expected = 0.5 + math.sqrt(4 * (0.5 - 1 + 20) * pen) + 4 * pen
-        assert crm_bound_all_tau(inputs) == pytest.approx(expected, rel=1e-15)
+        assert crm_bound_all_tau(0.5, 0.0, 1001, 0.05, 0.1) == pytest.approx(
+            expected, rel=1e-15)
 
     def test_dominates_fixed_tau(self):
         rng = np.random.default_rng(30)
         for _ in range(50):
             tau = float(rng.uniform(0.01, 0.9))
-            inputs = BoundInputs(
-                n=int(rng.integers(2, 5000)),
-                delta=float(rng.uniform(0.01, 0.5)),
-                tau=tau,
-                kl_term=float(rng.uniform(0, 50)),
-                emp_risk=float(rng.uniform(1 - 1 / tau, 1)),
-            )
-            assert crm_bound_all_tau(inputs) >= crm_bound_fixed_tau(inputs)
+            n = int(rng.integers(2, 5000))
+            delta = float(rng.uniform(0.01, 0.5))
+            kl = float(rng.uniform(0, 50))
+            inputs = (float(rng.uniform(1 - 1 / tau, 1)), kl, n, delta, tau)
+            assert crm_bound_all_tau(*inputs) >= crm_bound_fixed_tau(*inputs)
 
     def test_delta_halving_adds_ln2_inside_log(self):
-        base = BoundInputs(n=500, delta=0.2, tau=0.1, kl_term=1.0, emp_risk=0.5)
-        halved = BoundInputs(n=500, delta=0.1, tau=0.1, kl_term=1.0, emp_risk=0.5)
+        base = (0.5, 1.0, 500, 0.2, 0.1)
+        halved = (0.5, 1.0, 500, 0.1, 0.1)
         scale = 0.1 * 499
         log_base = math.log(2 * 500 / (0.2 * 0.1))
         expected = 0.5 + math.sqrt(
             4 * (0.5 - 1 + 20) * (1.0 + log_base + math.log(2)) / scale
         ) + 4 * (1.0 + log_base + math.log(2)) / scale
-        assert crm_bound_all_tau(halved) == pytest.approx(expected, rel=1e-14)
-        assert crm_bound_all_tau(halved) > crm_bound_all_tau(base)
+        assert crm_bound_all_tau(*halved) == pytest.approx(expected, rel=1e-14)
+        assert crm_bound_all_tau(*halved) > crm_bound_all_tau(*base)
 
 
 class TestGaussianKl:
@@ -384,10 +387,8 @@ class TestCertificates:
         assert [r.emp_risk for r in rows] == [expected] * 3
         bounds = (crm_bound_fixed_tau, crm_bound_all_tau, crm_bound_fixed_tau)
         for row, bound, delta in zip(rows, bounds, (0.1, 0.1, 0.05)):
-            assert row.value == bound(BoundInputs(
-                n=logs400.n, delta=delta, tau=0.05, kl_term=0.5 * row.c_term,
-                emp_risk=expected,
-            ))
+            assert row.value == bound(expected, 0.5 * row.c_term, logs400.n,
+                                      delta, 0.05)
 
     def test_complexity_terms_are_against_their_own_priors(self, logs400):
         spec, w_hat, stability = certificate_cases(logs400)[7]
@@ -424,15 +425,10 @@ class TestBoundMonotonicity:
                 kl = float(rng.uniform(0, 10))
                 emp = float(rng.uniform(1 - 1 / tau, 1))
                 n = int(rng.integers(10, 2000))
-                base = bound(BoundInputs(n=n, delta=delta, tau=tau,
-                                         kl_term=kl, emp_risk=emp))
-                more_kl = bound(BoundInputs(n=n, delta=delta, tau=tau,
-                                            kl_term=kl + 1, emp_risk=emp))
-                more_emp = bound(BoundInputs(n=n, delta=delta, tau=tau,
-                                             kl_term=kl,
-                                             emp_risk=min(emp + 0.1, 1.0)))
-                more_n = bound(BoundInputs(n=2 * n, delta=delta, tau=tau,
-                                           kl_term=kl, emp_risk=emp))
+                base = bound(emp, kl, n, delta, tau)
+                more_kl = bound(emp, kl + 1, n, delta, tau)
+                more_emp = bound(min(emp + 0.1, 1.0), kl, n, delta, tau)
+                more_n = bound(emp, kl, 2 * n, delta, tau)
                 assert more_kl >= base
                 assert more_emp >= base
                 assert more_n <= base

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from crmlab import (
-    BoundInputs,
     LabeledDataset,
     SoftmaxPolicy,
     crm_bound_all_tau,
@@ -882,11 +881,10 @@ class TestBound:
         assert set(rows) == set(bounds)
         for kind, (bound, delta_scale) in bounds.items():
             r = rows[kind]
-            expected = bound(BoundInputs(
-                n=int(r["n"]), delta=delta_scale * float(r["delta"]),
-                tau=float(r["tau"]), kl_term=0.5 * float(r["c_term"]),
-                emp_risk=float(r["emp_risk"]),
-            ))
+            expected = bound(
+                float(r["emp_risk"]), 0.5 * float(r["c_term"]), int(r["n"]),
+                delta_scale * float(r["delta"]), float(r["tau"]),
+            )
             assert float(r["value"]) == expected, kind
 
     @pytest.mark.parametrize(

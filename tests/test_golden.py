@@ -37,7 +37,6 @@ import numpy as np
 
 from crmlab import (
     OBJECTIVES,
-    BoundInputs,
     SoftmaxPolicy,
     TrainConfig,
     blob_task,
@@ -57,6 +56,7 @@ from crmlab import (
     train,
 )
 from crmlab.cli import main
+from conftest import surrogate_gradient
 
 GOLDEN = {
     "train.ips_lpr":
@@ -254,7 +254,8 @@ def library_digests() -> dict[str, str]:
         surrogate.alpha, surrogate.beta, surrogate.const, surrogate.degenerate,
     )
     out["PoemSurrogate.value"] = _digest(surrogate.value(policy, logs))
-    out["PoemSurrogate.gradient"] = _digest(*surrogate.gradient(policy, logs))
+    out["PoemSurrogate.gradient"] = _digest(
+        *surrogate_gradient(surrogate, policy, logs))
 
     best, table = cross_validate(
         logs, [0.1, 1.0], 3, replace(_config("poem", epochs=4), seed=17)
@@ -292,7 +293,8 @@ def pipeline_shape_digests() -> dict[str, str]:
             *objective_gradient(_config(objective), policy, prior, batch)
         )
     surrogate = poem_build_surrogate(logging, logs, POEM_TAU, 0.5)
-    out["k10.PoemSurrogate.gradient"] = _digest(*surrogate.gradient(policy, logs))
+    out["k10.PoemSurrogate.gradient"] = _digest(
+        *surrogate_gradient(surrogate, policy, logs))
     return out
 
 
@@ -300,12 +302,8 @@ def pipeline_shape_digests() -> dict[str, str]:
 BOUNDS = {
     "mcallester_bound":
         lambda emp, kl, n, delta, tau: mcallester_bound(emp, kl, n, delta),
-    "crm_bound_fixed_tau":
-        lambda emp, kl, n, delta, tau: crm_bound_fixed_tau(
-            BoundInputs(n=n, delta=delta, tau=tau, kl_term=kl, emp_risk=emp)),
-    "crm_bound_all_tau":
-        lambda emp, kl, n, delta, tau: crm_bound_all_tau(
-            BoundInputs(n=n, delta=delta, tau=tau, kl_term=kl, emp_risk=emp)),
+    "crm_bound_fixed_tau": crm_bound_fixed_tau,
+    "crm_bound_all_tau": crm_bound_all_tau,
 }
 
 

@@ -55,6 +55,7 @@ from conftest import (
     random_logged,
     rel_gradient_error,
     smooth_logged,
+    surrogate_gradient,
 )
 
 
@@ -257,9 +258,8 @@ class TestDimensionCheck:
     def test_every_entry_point_names_both_dimensions(self, task):
         # A policy with more actions than the log once got a finite risk and
         # certificate, one with fewer an IndexError, and a wrong-d policy
-        # failed inside numpy's matmul in poem_build_surrogate and
-        # PoemSurrogate.gradient.  The log, the labeled data and the task
-        # all have k=3, d=5.
+        # failed inside numpy's matmul in poem_build_surrogate.  The log, the
+        # labeled data and the task all have k=3, d=5.
         data = random_logged(np.random.default_rng(50), 30, 5, 3)
         labeled = sample_labeled(blob_task(3, 5, noise=0.3, seed=1), 30, 2)
         surrogate = poem_build_surrogate(zero_policy(5, 3), data, 0.1, 0.5)
@@ -278,7 +278,6 @@ class TestDimensionCheck:
                 lambda: objective_gradient(cfg("ips_l2"), policy, None, data),
                 lambda: poem_build_surrogate(policy, data, 0.1, 0.5),
                 lambda: surrogate.value(policy, data),
-                lambda: surrogate.gradient(policy, data),
                 lambda: simulate_logs(policy, labeled, seed=0),
                 lambda: task_logs(task, policy, 10, seed=0),
                 lambda: exact_risk(task, policy),
@@ -348,7 +347,7 @@ class TestPoemSurrogate:
                 anchor.weights + 0.2 * rng.normal(size=anchor.weights.shape),
                 anchor.biases,
             )
-            gW, gb = s.gradient(pol, data)
+            gW, gb = surrogate_gradient(s, pol, data)
             h = 1e-5
             fdW = np.zeros_like(gW)
             for idx in np.ndindex(pol.weights.shape):
@@ -392,18 +391,24 @@ class TestPoemSurrogate:
         anchor = SoftmaxPolicy(rng.normal(size=(3, 3)), rng.normal(size=3))
         s = poem_build_surrogate(anchor, data, tau, lam)
         exact = self.exact_poem_gradient(anchor, data, tau, lam)
-        assert rel_gradient_error(s.gradient(anchor, data), exact) <= 1e-12
+        assert rel_gradient_error(surrogate_gradient(s, anchor, data),
+                                  exact) <= 1e-12
 
     def test_gradient_returns_arrays_no_later_call_writes(self, anchor_data):
+        # Training steps share one workspace; a step leaves nothing in it
+        # that the next one reads.
         anchor, data = anchor_data
         s = poem_build_surrogate(anchor, data, 0.15, 0.8)
         other = SoftmaxPolicy(anchor.weights + 0.5, anchor.biases - 0.5)
-        first = s.gradient(anchor, data)
+        shared = learning._StepWorkspace(data.n, anchor.k, anchor.d)
+        first = surrogate_gradient(s, anchor, data, shared)
         kept = [g.copy() for g in first]
-        second = s.gradient(other, data)
+        second = surrogate_gradient(s, other, data, shared)
         assert not np.array_equal(first[0], second[0])
-        for g, expected in zip(first, kept):
+        for g, expected, fresh in zip(first, kept,
+                                      surrogate_gradient(s, anchor, data)):
             np.testing.assert_array_equal(g, expected)
+            np.testing.assert_array_equal(g, fresh)
 
     def test_zero_variance_anchor_degenerates_without_logging(self, caplog):
         # The surrogate only marks the anchor; train logs it for its epoch.

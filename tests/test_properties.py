@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from crmlab import (  # noqa: E402
-    BoundInputs,
     LoggedDataset,
     MixedLogitSpec,
     SoftmaxPolicy,
@@ -146,7 +145,7 @@ def test_crm_bound_grows_with_kl_and_risk_and_shrinks_with_n(
     emps = [floor + f * (1.0 - floor) for f in fractions]
 
     def bound(emp, kl_term, size):
-        return crm_bound_fixed_tau(BoundInputs(size, delta, tau, kl_term, emp))
+        return crm_bound_fixed_tau(emp, kl_term, size, delta, tau)
 
     base = bound(emps[0], kl[0], n[1])
     assert bound(emps[1], kl[0], n[1]) >= base
@@ -187,8 +186,8 @@ def test_each_certificate_is_the_bound_of_its_own_numbers(
     assert [r.bound for r in rows] == list(kinds)[:3 if with_learned else 2]
     for row in rows:
         bound, at_delta = kinds[row.bound]
-        assert row.value == bound(BoundInputs(
-            row.n, at_delta, row.tau, row.c_term / 2, row.emp_risk))
+        assert row.value == bound(row.emp_risk, row.c_term / 2, row.n,
+                                  at_delta, row.tau)
         if row.bound != "learned_prior":
             assert row.c_term == 2.0 * row.kl_bound
 

@@ -13,7 +13,6 @@ import pytest
 
 from crmlab import (
     BlobTask,
-    BoundInputs,
     EnumerableTask,
     LabeledDataset,
     LoggedDataset,
@@ -23,6 +22,7 @@ from crmlab import (
     TrainConfig,
     action_prob_matrix,
     blob_task,
+    crm_bound_fixed_tau,
     closed_form_sigma,
     derive_seed,
     enumerable_task,
@@ -93,18 +93,16 @@ def model_with_wrong_d(tmp):
 
 def poem_surrogate_on_other_data(tmp):
     surrogate = poem_build_surrogate(POLICY, logged(4), 0.01, 0.1)
-    return surrogate.gradient(POLICY, logged(5))
+    return surrogate.value(POLICY, logged(5))
 
 
 CASES = {
     # bounds
-    "BoundInputs.delta": (
-        lambda tmp: BoundInputs(n=10, delta=1.0, tau=0.1, kl_term=0.0,
-                                emp_risk=0.5),
+    "crm_bound_fixed_tau.delta": (
+        lambda tmp: crm_bound_fixed_tau(0.5, 0.0, 10, 1.0, 0.1),
         "delta must lie in (0, 1), got 1.0"),
-    "BoundInputs.emp_risk_nan": (
-        lambda tmp: BoundInputs(n=10, delta=0.1, tau=0.1, kl_term=0.0,
-                                emp_risk=math.nan),
+    "crm_bound_fixed_tau.emp_risk_nan": (
+        lambda tmp: crm_bound_fixed_tau(math.nan, 0.0, 10, 0.1, 0.1),
         "emp_risk must be at least 1 - 1/tau = -9.0, got nan"),
     "StabilityParams.delta": (
         lambda tmp: StabilityParams(lipschitz=1.0, lam=1.0, n=10, delta=0.0),
@@ -201,7 +199,7 @@ CASES = {
     "solve_logging_nll_exact.lam_inf": (
         lambda tmp: solve_logging_nll_exact(logged(), math.inf),
         "lam must be positive and finite, got inf"),
-    "PoemSurrogate.gradient.dataset": (
+    "PoemSurrogate.value.dataset": (
         poem_surrogate_on_other_data,
         "surrogate was built for a different dataset"),
     "poem_build_surrogate.n": (
