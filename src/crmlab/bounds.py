@@ -48,7 +48,7 @@ class StabilityParams:
     def __post_init__(self) -> None:
         _check_positive("lipschitz", self.lipschitz)
         _check_positive("lam", self.lam)
-        _check_positive("n", self.n)
+        _check_count("n", self.n, 1)
         _check_level("delta", self.delta)
 
 
@@ -220,8 +220,13 @@ def certificates(
     ``all_tau`` rows are :func:`crm_bound_fixed_tau` and
     :func:`crm_bound_all_tau` at KL term C/2.  ``learned = (ŵ, stability)``
     adds the ``learned_prior`` row: the fixed-τ bound at the term Ĉ of
-    :func:`data_dep_c_term` against ŵ, at δ/2.
+    :func:`data_dep_c_term` against ŵ, at δ/2.  ``stability`` must hold
+    the log's own n and this call's δ, which that term's slack assumes.
     """
+    if learned is not None and (learned[1].n, learned[1].delta) != (data.n, delta):
+        raise ValueError(
+            f"stability must have the log's n={data.n} and delta={delta}, "
+            f"got n={learned[1].n}, delta={learned[1].delta}")
     mean, sigma, sigma0 = spec.mean, spec.variance, spec.prior_variance
     d_eff = mean.k * mean.d
     emp = mean_param_risk(mean, sigma, B, data, tau)

@@ -751,10 +751,12 @@ def cross_validate(
     held-out fold; scores are averaged over folds.  Returns the winning
     value (ties break toward the smaller one; runs that diverge score −inf)
     and the full table, or raises ``FloatingPointError`` when every grid
-    value scores −inf, since there is then no value to select.  The grid
-    always drives ``lam`` (the distance penalty for LPR/L2 methods, the
-    variance penalty for the POEM methods); ``poem_l2``'s ridge weight stays
-    at ``config.lambda_l2``.
+    value scores −inf, since there is then no value to select.  A
+    ``num_folds`` whose largest holdout leaves fewer than two training
+    records is rejected before any job runs.  The grid always drives
+    ``lam`` (the distance penalty for LPR/L2 methods, the variance penalty
+    for the POEM methods); ``poem_l2``'s ridge weight stays at
+    ``config.lambda_l2``.
 
     Each job's seed depends only on its own (value, fold) tag, and the
     jobs run in worker processes (see the module docstring); the table is
@@ -766,6 +768,13 @@ def cross_validate(
     if config.objective == "logging_nll":
         raise ValueError("cross-validation needs a policy objective, not logging_nll")
     _check_prior(config.objective, prior, data)
+    # The largest holdout has ceil(n / num_folds) records; training needs 2.
+    train_size = data.n + (-data.n // num_folds)
+    if train_size < 2:
+        raise ValueError(
+            f"num_folds={num_folds} leaves {train_size} of the {data.n} "
+            "records for training; training needs at least 2"
+        )
     splits = kfold_split(data.n, num_folds, derive_seed(config.seed, "cv-folds"))
     jobs = [
         (lam, *splits[fold], derive_seed(config.seed, f"cv:lam={lam!r}:fold={fold}"))

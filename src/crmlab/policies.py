@@ -464,16 +464,13 @@ def load_model(path) -> ModelFile:
             raise ValueError("stored dimensions disagree with arrays")
         prior = None
         if doc.get("prior_weights") is not None:
+            # The shape rule runs before the stored biases are read, so a
+            # prior of another k is named as such.
             prior_weights = np.array(doc["prior_weights"])
-            if prior_weights.shape != policy.weights.shape:
-                raise ValueError(
-                    f"prior_weights has shape {prior_weights.shape}, "
-                    f"expected {policy.weights.shape}"
-                )
-            prior_biases = doc.get("prior_biases")
-            if prior_biases is None:
-                prior_biases = np.zeros(policy.k)
-            prior = SoftmaxPolicy(prior_weights, np.array(prior_biases))
+            prior = SoftmaxPolicy(prior_weights, np.zeros(prior_weights.shape[:1]))
+            _check_dims(prior, policy, "prior_weights")
+            if doc.get("prior_biases") is not None:
+                prior = SoftmaxPolicy(prior_weights, np.array(doc["prior_biases"]))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     sigma = _optional_number(path, "sigma", doc.get("sigma"))

@@ -318,9 +318,10 @@ class TestDataDepRiskBound:
         assert learned > known
 
 
-def certificate_cases(logs):
+def certificate_cases(logs, delta=0.1):
     """Twelve (spec, ŵ, stability) triples on ``logs``: random posterior
-    means, priors and learned priors at assorted variances."""
+    means, priors and learned priors at assorted variances, with the
+    stability parameters at the log's n and confidence ``delta``."""
     rng = np.random.default_rng(37)
     k, d = logs.k, logs.d
     cases = []
@@ -333,7 +334,7 @@ def certificate_cases(logs):
             sigma = float(rng.uniform(1e-4, sigma0))
             stability = StabilityParams(float(rng.uniform(0.5, 4.0)),
                                         float(rng.uniform(1e-3, 1.0)),
-                                        logs.n, 0.1)
+                                        logs.n, delta)
             cases.append((MixedLogitSpec(theta, sigma, prior, sigma0),
                           w_hat, stability))
     return cases
@@ -360,7 +361,7 @@ class TestCertificates:
     @pytest.mark.parametrize("tau,delta", [(0.05, 0.1), (0.3, 0.01)])
     def test_library_bounds_read_their_rows(self, logs400, tau, delta):
         B = logs400.feature_norm_bound
-        for spec, w_hat, stability in certificate_cases(logs400):
+        for spec, w_hat, stability in certificate_cases(logs400, delta):
             fixed = certificates(spec, logs400, tau, delta, B)[0]
             assert fixed.bound == "fixed_tau"
             assert mixed_logit_risk_bound(spec, logs400, tau, delta).hex() == \

@@ -469,6 +469,21 @@ class TestTune:
         assert rc == 2
         assert err.startswith("crmlab: error:")
 
+    def test_one_record_training_fold_names_num_folds(self, ws, tmp_path,
+                                                      capsys):
+        # This once failed inside training with "n must be at least 2,
+        # got 1", which named neither the folds nor the record count.
+        path = tmp_path / "two.csv"
+        save_logged(path, load_logged(ws / "logs.csv", k=3).subset([0, 1]))
+        rc, out, err = run(
+            capsys, "tune", "--logged", path, "--k", "3",
+            "--method", "ips_l2", "--grid", "0.1", "--folds", "2",
+            "--epochs", "1", "--out", tmp_path / "cv.csv",
+        )
+        assert rc == 2 and out == ""
+        assert err == ("crmlab: error: num_folds=2 leaves 1 of the 2 records "
+                       "for training; training needs at least 2\n")
+
     def test_lpr_method_requires_prior(self, ws, tmp_path, capsys):
         rc, _, err = run(
             capsys, "tune", "--logged", ws / "logs.csv", "--k", "3",

@@ -22,8 +22,10 @@ from crmlab import (
     TrainConfig,
     action_prob_matrix,
     blob_task,
+    certificates,
     crm_bound_fixed_tau,
     closed_form_sigma,
+    cross_validate,
     derive_seed,
     enumerable_task,
     exact_risk_of_probs,
@@ -107,6 +109,19 @@ CASES = {
     "StabilityParams.delta": (
         lambda tmp: StabilityParams(lipschitz=1.0, lam=1.0, n=10, delta=0.0),
         "delta must lie in (0, 1), got 0.0"),
+    "StabilityParams.n_float": (
+        lambda tmp: StabilityParams(lipschitz=1.0, lam=1.0, n=2.5, delta=0.1),
+        "n must be an integer, got 2.5"),
+    "certificates.stability_n": (
+        lambda tmp: certificates(SPEC, logged(), 0.1, 0.1, 2.0, learned=(
+            POLICY, StabilityParams(1.0, 1.0, 10**12, 0.1))),
+        "stability must have the log's n=4 and delta=0.1, got "
+        "n=1000000000000, delta=0.1"),
+    "certificates.stability_delta": (
+        lambda tmp: certificates(SPEC, logged(), 0.1, 0.1, 2.0, learned=(
+            POLICY, StabilityParams(1.0, 1.0, 4, 0.99))),
+        "stability must have the log's n=4 and delta=0.1, got n=4, "
+        "delta=0.99"),
     "mcallester_bound.n": (
         lambda tmp: mcallester_bound(0.5, 0.0, 1, 0.1),
         "n must be at least 2, got 1"),
@@ -193,6 +208,11 @@ CASES = {
         lambda tmp: objective_gradient(TrainConfig("poem"), zero_policy(1, 2),
                                        None, one_record(0.5, 1.0)),
         "n must be at least 2, got 1"),
+    "cross_validate.training_fold": (
+        lambda tmp: cross_validate(logged(2), [0.1], 2,
+                                   TrainConfig("ips_l2", epochs=1)),
+        "num_folds=2 leaves 1 of the 2 records for training; training needs "
+        "at least 2"),
     "closed_form_sigma.sigma0_inf": (
         lambda tmp: closed_form_sigma(logged(), 0.1, math.inf),
         "sigma0 must be positive and finite, got inf"),
