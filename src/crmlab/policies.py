@@ -464,10 +464,12 @@ def load_model(path) -> ModelFile:
             raise ValueError("stored dimensions disagree with arrays")
         prior = None
         if doc.get("prior_weights") is not None:
+            prior_weights = np.array(doc["prior_weights"])
+            if prior_weights.ndim != 2:
+                raise ValueError("prior_weights must be a 2-D (k, d) array")
             # The shape rule runs before the stored biases are read, so a
             # prior of another k is named as such.
-            prior_weights = np.array(doc["prior_weights"])
-            prior = SoftmaxPolicy(prior_weights, np.zeros(prior_weights.shape[:1]))
+            prior = SoftmaxPolicy(prior_weights, np.zeros(len(prior_weights)))
             _check_dims(prior, policy, "prior_weights")
             if doc.get("prior_biases") is not None:
                 prior = SoftmaxPolicy(prior_weights, np.array(doc["prior_biases"]))

@@ -757,6 +757,8 @@ BAD_MODEL_EDITS = {
     "future_version": (lambda doc: doc.update(version=99), "version"),
     "prior_shape": (lambda doc: doc.update(prior_weights=[[0.0] * 4] * 4),
                     "prior_weights"),
+    "prior_1d": (lambda doc: doc.update(prior_weights=[0.0] * 4),
+                 "prior_weights"),
     "sigma_above_sigma0": (lambda doc: doc.update(sigma=2.0), "sigma"),
     "sigma_zero": (lambda doc: doc.update(sigma=0.0), "sigma"),
     "sigma_not_a_number": (lambda doc: doc.update(sigma="big"), "sigma"),
