@@ -23,7 +23,6 @@ import argparse
 import csv
 import math
 import sys
-from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -104,10 +103,19 @@ def _grid(text: str) -> tuple[float, ...]:
 
 
 def _write_csv(path: Optional[Path], header: list[str], rows: list[list]) -> None:
-    """Write ``header`` and ``rows`` as CSV lines to ``path``, or to stdout."""
-    with (nullcontext(sys.stdout) if path is None
-          else open(path, "w", newline="", encoding="utf-8")) as fh:
-        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    """Write ``header`` and ``rows`` as CSV lines to ``path``, or to stdout.
+
+    A failed file write raises OSError ``cannot write <path>: <reason>``,
+    the message of the library's writers.
+    """
+    if path is None:
+        csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
+        return
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _fmt(value: float) -> str:

@@ -41,6 +41,7 @@ import numpy as np
 from .policies import (
     SoftmaxPolicy, _check_count, _check_dims, _check_nonnegative,
     _check_norm_bound, _feature_matrix, _frozen, _gumbel_max_log, _max_row_norm,
+    _writing,
 )
 
 __all__ = [
@@ -290,7 +291,7 @@ def _write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
     write unquoted, so the bytes match a ``csv.writer`` of the same rows.
     """
     n = columns[0].shape[0]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _BLOCK_ROWS):
             block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]

@@ -66,7 +66,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -77,7 +76,7 @@ from .estimators import (
 )
 from .policies import (
     SoftmaxPolicy, _check_count, _check_dims, _check_level, _check_nonnegative,
-    _check_positive, _distance_sq, _matched_probs, _softmax_rows,
+    _check_positive, _distance_sq, _matched_probs, _softmax_rows, _writing,
 )
 from .seeding import derive_seed
 
@@ -936,4 +935,5 @@ def save_train_report(path, report: TrainReport, config: TrainConfig) -> None:
         "sigma_star": report.sigma_star,
         "wall_time": report.wall_time,
     }
-    Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    with _writing(path) as fh:
+        fh.write(json.dumps(doc, indent=1))

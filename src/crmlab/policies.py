@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -44,6 +45,11 @@ __all__ = [
 # transform so Gumbel noise stays finite.
 _U_LO = np.finfo(np.float64).tiny
 _U_HI = np.nextafter(1.0, 0.0)
+
+# Rows of normals that mixed_logit_prob_mc draws and pushes through the
+# softmax at a time: an (8192, k) block stays in cache where whole
+# (samples, k) arrays do not.
+_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -299,15 +305,21 @@ def mixed_logit_prob_mc(
     probabilities rather than argmax indicators keeps the mean unchanged
     and shrinks the variance.
 
-    The normals are drawn as one ``(samples, k)`` block, exactly as
-    ``mean_logits + scale * rng.standard_normal((samples, k))`` would draw
-    them, so the generator advances by the same amount; the logits are then
-    stored action-major (one contiguous length-``samples`` vector per
-    action), which turns the softmax's row max and row sum into k − 1
-    elementwise vector operations instead of ``samples`` length-k loops.
-    For k ≤ 7 the result is bit-identical to that row-major expression;
-    from k = 8 numpy sums a row pairwise, so the estimate may differ in the
-    last ulp.
+    The normals are drawn in blocks of ``_BLOCK_ROWS`` (8192) rows, in
+    order, so they are exactly the draws of one call
+    ``mean_logits + scale * rng.standard_normal((samples, k))`` and the
+    generator ends in the same state.  Each block's logits are stored
+    action-major (one contiguous vector per action), which turns the
+    softmax's row max and row sum into k − 1 elementwise vector operations
+    instead of one length-k loop per row.  Only the probabilities of ``a``
+    are kept, so memory is O(samples + _BLOCK_ROWS·k), and the estimate and
+    standard error are taken over all of them at once, in the summation
+    order of an unblocked call.  A last block of one row joins the block
+    before it: a (1, k) block is contiguous along its row, and from k = 8
+    numpy would sum that row pairwise instead of in action order.  So the
+    result has the bits of the unblocked action-major expression, which
+    for k ≤ 7 are those of the row-major expression above; from k = 8 the
+    row-major one sums each row pairwise and may differ in the last ulp.
 
     Returns ``(estimate, std_error)``; the standard error uses the
     unbiased sample variance and is NaN when ``samples == 1``.
@@ -316,12 +328,20 @@ def mixed_logit_prob_mc(
     x = _validate_context(spec.mean, x, a)
     mu = spec.mean.logits(x)
     scale = float(np.sqrt(spec.variance) * np.linalg.norm(x))
-    # z is (samples, k) but stored action-major: each column is contiguous.
-    z = np.multiply(
-        rng.standard_normal((samples, spec.mean.k)).T, scale, order="C"
-    ).T
-    z += mu
-    p = _softmax_rows(z)[:, a]
+    p = np.empty(samples)
+    start = 0
+    while start < samples:
+        stop = start + _BLOCK_ROWS
+        if stop + 1 >= samples:  # the last block, a one-row tail folded in
+            stop = samples
+        # z is the block's (rows, k) logits stored action-major: each column
+        # is contiguous.
+        z = np.multiply(
+            rng.standard_normal((stop - start, spec.mean.k)).T, scale, order="C"
+        ).T
+        z += mu
+        p[start:stop] = _softmax_rows(z)[:, a]
+        start = stop
     estimate = float(p.mean())
     if samples > 1:
         std_error = float(p.std(ddof=1) / np.sqrt(samples))
@@ -367,6 +387,18 @@ def param_distance_sq(a: SoftmaxPolicy, b: SoftmaxPolicy) -> float:
 
 _MODEL_FORMAT = "crmlab-model"
 _MODEL_VERSION = 1
+
+
+@contextmanager
+def _writing(path):
+    """``path`` opened for writing text.  An OSError from opening, writing
+    or closing it is raised again as ``cannot write <path>: <reason>``, so
+    the message names the file; the CLI's CSV writer words it the same."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -417,7 +449,8 @@ def save_model(
         "feature_norm_bound": feature_norm_bound,
         "log_propensity_upper_bound": False,
     }
-    Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    with _writing(path) as fh:
+        fh.write(json.dumps(doc, indent=1))
 
 
 def _check_sigma(path, sigma: Optional[float], sigma0: Optional[float]) -> None:

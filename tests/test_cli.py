@@ -1,7 +1,11 @@
 import argparse
+import builtins
 import csv
+import errno
+import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -749,6 +753,45 @@ class TestMalformedInputFile:
         assert rc == 2 and out == ""
         assert err.startswith("crmlab: error:") and err.count("\n") == 1
         assert str(tmp_path / f"{role}.in") in err
+
+
+# The file each subcommand writes last, with the flags that ask for it.
+LAST_WRITES = {
+    "simulate": ([], "o.csv"),
+    "learn-logging": ([], "o.model"),
+    "train": ([], "o.model.report.json"),
+    "train-trace": (["--trace", "t.csv"], "t.csv"),
+    "tune": ([], "o.csv"),
+    "evaluate": (["--out", "m.csv"], "m.csv"),
+    "bound": (["--out", "b.csv"], "b.csv"),
+}
+
+
+class _FullDisk(io.StringIO):
+    """A file opened on a full disk: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestFullDisk:
+    @pytest.mark.parametrize("case", sorted(LAST_WRITES))
+    def test_exits_two_with_one_line_naming_file(self, tmp_path, capsys,
+                                                 monkeypatch, case):
+        flags, name = LAST_WRITES[case]
+        argv = [*file_command(tmp_path, case.removesuffix("-trace")), *flags]
+        target = str(tmp_path / name)
+        real_open = builtins.open
+
+        def open_on_full_disk(file, mode="r", *args, **kwargs):
+            if "w" in mode and os.fspath(file) == target:
+                return _FullDisk()
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", open_on_full_disk)
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert err == f"crmlab: error: cannot write {target}: No space left on device\n"
 
 
 BAD_MODEL_EDITS = {

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from crmlab import (
     save_model,
     zero_policy,
 )
-from crmlab.policies import _gumbel_max_log, _softmax_rows
+from crmlab.policies import _BLOCK_ROWS, _gumbel_max_log, _softmax_rows
 
 
 def bias_policy(biases, d=1):
@@ -128,6 +129,11 @@ class TestMixedLogitSpec:
         assert repr(bad) in str(info.value)
 
 
+# Sample counts on both sides of the MC's block boundaries.
+BLOCK_EDGES = [1, 2, 7, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+               2 * _BLOCK_ROWS + 1, 200_000]
+
+
 class TestMixedLogitMC:
     def test_tiny_variance_recovers_softmax(self):
         rng = np.random.default_rng(11)
@@ -172,40 +178,85 @@ class TestMixedLogitMC:
             mixed_logit_prob_mc(spec, np.ones(1), 0, 0, np.random.default_rng(2))
 
     @pytest.mark.parametrize("k", [2, 3, 5, 7])
-    @pytest.mark.parametrize("samples", [1, 2, 7, 200_000])
+    @pytest.mark.parametrize("samples", BLOCK_EDGES)
     def test_bit_identical_to_row_major_reference(self, k, samples):
         # The estimate must equal, bit for bit, the plain row-major
         # expression on an identically seeded generator, and leave that
         # generator in the same state.
-        rng = np.random.default_rng(100 * k + samples)
-        d = 3
-        W = rng.normal(size=(k, d))
-        b = rng.normal(size=k)
-        x = rng.normal(size=d)
-        for weight_scale, variance in [(1.0, 0.5), (1.0, 0.0), (300.0, 0.7)]:
-            pol = SoftmaxPolicy(weight_scale * W, b)
-            spec = MixedLogitSpec(pol, variance, pol, 1.0)
-            mu = pol.logits(x)
-            scale = float(np.sqrt(variance) * np.linalg.norm(x))
-            for a in (0, k - 1):
-                seed = 7 * k + samples + a
-                got_rng = np.random.default_rng(seed)
-                ref_rng = np.random.default_rng(seed)
-                est, se = mixed_logit_prob_mc(spec, x, a, samples, got_rng)
-                z = mu + scale * ref_rng.standard_normal((samples, k))
-                p = _softmax_rows(z)[:, a]
-                ref_est = float(p.mean())
-                ref_se = (
-                    float(p.std(ddof=1) / np.sqrt(samples))
-                    if samples > 1
-                    else float("nan")
-                )
-                assert est == ref_est
-                if samples == 1:
-                    assert math.isnan(se)
-                else:
-                    assert se == ref_se
-                assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        _check_against_reference(_row_major_probs, k, samples)
+
+    @pytest.mark.parametrize("k", [8, 9, 10, 16])
+    @pytest.mark.parametrize("samples", BLOCK_EDGES)
+    def test_blocks_bit_identical_to_one_action_major_block(self, k, samples):
+        # From k = 8 numpy sums a contiguous row pairwise, so the reference
+        # is the unblocked action-major expression; samples = block + 1
+        # would leave a one-row block, which must not be summed apart.
+        _check_against_reference(_action_major_probs, k, samples)
+
+    def test_peak_memory_below_one_full_block(self):
+        # One (samples, k) float64 array at k = 10 and 200 000 samples is
+        # 16 MB; drawing them all at once peaked at about twice that.
+        rng = np.random.default_rng(5)
+        pol = SoftmaxPolicy(rng.normal(size=(10, 20)), rng.normal(size=10))
+        spec = MixedLogitSpec(pol, 0.5, pol, 1.0)
+        x = rng.normal(size=20)
+        tracemalloc.start()
+        try:
+            mixed_logit_prob_mc(spec, x, 3, 200_000, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000 * 10 * 8
+
+
+def _row_major_probs(mu, scale, samples, a, rng):
+    """π(a) over one row-major (samples, k) draw."""
+    z = mu + scale * rng.standard_normal((samples, mu.shape[0]))
+    return _softmax_rows(z)[:, a]
+
+
+def _action_major_probs(mu, scale, samples, a, rng):
+    """π(a) over one (samples, k) draw stored action-major, the unblocked
+    form of mixed_logit_prob_mc."""
+    z = np.multiply(
+        rng.standard_normal((samples, mu.shape[0])).T, scale, order="C"
+    ).T
+    z += mu
+    return _softmax_rows(z)[:, a]
+
+
+def _check_against_reference(reference, k, samples):
+    """mixed_logit_prob_mc equals ``reference``'s mean and standard error bit
+    for bit, and leaves its generator in the same state, over three
+    (weight scale, variance) settings and the first and last action."""
+    rng = np.random.default_rng(100 * k + samples)
+    d = 3
+    W = rng.normal(size=(k, d))
+    b = rng.normal(size=k)
+    x = rng.normal(size=d)
+    for weight_scale, variance in [(1.0, 0.5), (1.0, 0.0), (300.0, 0.7)]:
+        pol = SoftmaxPolicy(weight_scale * W, b)
+        spec = MixedLogitSpec(pol, variance, pol, 1.0)
+        mu = pol.logits(x)
+        scale = float(np.sqrt(variance) * np.linalg.norm(x))
+        for a in (0, k - 1):
+            seed = 7 * k + samples + a
+            got_rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            est, se = mixed_logit_prob_mc(spec, x, a, samples, got_rng)
+            p = reference(mu, scale, samples, a, ref_rng)
+            ref_est = float(p.mean())
+            ref_se = (
+                float(p.std(ddof=1) / np.sqrt(samples))
+                if samples > 1
+                else float("nan")
+            )
+            assert est == ref_est
+            if samples == 1:
+                assert math.isnan(se)
+            else:
+                assert se == ref_se
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSandwichBounds:

@@ -107,3 +107,32 @@ def test_forward_pass_is_written_once():
         for _ in range(path.read_text(encoding="utf-8").count("weights.T"))
     ]
     assert uses == ["policies.py"]
+
+
+def _in_place_exps(tree):
+    """Line numbers of the ``np.exp`` calls in ``tree`` that write into an
+    output array, by ``out=`` or a second positional argument."""
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "exp"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+        and (len(node.args) > 1 or any(kw.arg == "out" for kw in node.keywords))
+    }
+
+
+def test_softmax_is_written_once():
+    # The in-place exp of a softmax lives in policies._softmax_rows, once per
+    # branch; an inlined per-action softmax elsewhere would be a second one.
+    found, inside = set(), set()
+    for path in sorted((ROOT / "src" / "crmlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.name, line) for line in _in_place_exps(tree)}
+        if path.name == "policies.py":
+            softmax = next(node for node in ast.walk(tree)
+                           if isinstance(node, ast.FunctionDef)
+                           and node.name == "_softmax_rows")
+            inside = {(path.name, line) for line in _in_place_exps(softmax)}
+    assert len(inside) == 2
+    assert found == inside
