@@ -13,15 +13,32 @@ no thousands separators and finite features:
 Floats are serialized with shortest round-trip repr, so write -> read is
 exact.  Both formats go through one reader and one writer that work in
 blocks of ``_BLOCK_ROWS`` records, so at most one block of row strings is
-held at a time.  The reader converts a block column by column with the same
-``float``/``int`` a row-by-row parse would use and checks it with numpy;
-only when a block fails does it re-scan that block row by row, to raise a
-ValueError naming the path and line (blank lines count) of the first bad
-record.  Earlier blocks have passed, so that is the first bad record in the
-file.  A ``csv.Error`` (such as a field over the csv module's size limit)
-becomes a ValueError naming the path and line, and a UTF-8 decode error one
-naming the path.  The writer emits ``repr`` of Python floats and ints, the bytes
-``csv.writer`` gives for the same cells.
+held at a time.
+
+The reader hands each block of lines to numpy's C tokenizer
+(``np.loadtxt`` with a structured dtype: the features, then one int64 or
+float64 field per other column).  numpy reads a float to the bits
+``float`` gives and rejects every cell ``float``/``int`` reject, once the
+control characters U+001C to U+001F (which numpy strips as whitespace and
+Python does not) are ruled out.  A block numpy refuses, or one with such a
+character, a line over the csv field-size limit or a value outside its
+column's domain, goes through the row scan: ``csv.reader`` records and
+``float``/``int`` per cell.
+The row scan returns the block's values when it finds no defect, so cells
+numpy refuses but Python accepts (``1_000``, non-ASCII digits, Unicode
+space padding) load as before; otherwise it raises a ValueError naming the
+path and line (blank lines count) of the first bad record.  Earlier blocks
+have passed, so that is the first bad record in the file.  A block with a
+quote hands the rest of the file to the row scan, since a quoted cell may
+hold a line break and cross a block boundary.  A ``csv.Error`` (such as a
+field over the csv module's size limit) becomes a ValueError naming the
+path and line, and a UTF-8 decode error one naming the path.
+
+The writer emits ``repr`` of Python floats and ints, the bytes
+``csv.writer`` gives for the same cells.  Formatting is bound by ``repr``,
+so the blocks are formatted on the forked workers of
+``crmlab._jobs.map_jobs`` and written in order as they arrive; the bytes do
+not depend on the worker count.
 
 All containers are immutable after construction and safe to share across
 threads.  Simulation consumes a single sequential RNG stream per call, so a
@@ -30,14 +47,16 @@ fixed seed reproduces logs exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, NoReturn, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from ._jobs import map_jobs
 from .policies import (
     SoftmaxPolicy, _check_count, _check_dims, _check_nonnegative,
     _check_norm_bound, _feature_matrix, _frozen, _gumbel_max_log, _max_row_norm,
@@ -67,7 +86,7 @@ def _check_column(name: str, column: "_Column", arr: np.ndarray) -> None:
 def _record_field(name: str, column: "_Column", values, n: int) -> np.ndarray:
     """``values`` frozen as a length-n vector whose every entry ``column``
     accepts: the check the CSV reader makes on the same column."""
-    arr = _frozen(values, np.int64 if column.parse is int else np.float64)
+    arr = _frozen(values, column.dtype)
     if arr.shape != (n,):
         raise ValueError(f"{name} must be a length-n vector")
     _check_column(name, column, arr)
@@ -83,6 +102,7 @@ class LabeledDataset:
     k: int
 
     def __post_init__(self) -> None:
+        _check_count("k", self.k, 1)
         X = _feature_matrix("features", self.features)
         y = _record_field("labels", _index_column("label", self.k), self.labels, len(X))
         object.__setattr__(self, "features", X)
@@ -117,6 +137,7 @@ class LoggedDataset:
     feature_norm_bound: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _check_count("k", self.k, 1)
         X = _feature_matrix("features", self.features)
         object.__setattr__(self, "features", X)
         for name, column in (("actions", _index_column("action", self.k)),
@@ -168,6 +189,10 @@ class _Column(NamedTuple):
     interval: str  # for messages, e.g. "(0, 1]"
     accepts: Callable  # elementwise on a Python scalar or a numpy array
 
+    @property
+    def dtype(self) -> type:
+        return np.int64 if self.parse is int else np.float64
+
 
 def _index_column(name: str, k: int) -> _Column:
     return _Column(name, int, f"[0, {k})", lambda v: (0 <= v) & (v < k))
@@ -184,10 +209,15 @@ def _parse_cell(path, lineno: int, name: str, parse: type, text: str):
         raise ValueError(f"{path} line {lineno}: invalid {name} {text!r}") from None
 
 
-def _raise_row_error(path, block, d: int, tail: tuple[_Column, ...]) -> NoReturn:
-    """Check ``block`` row by row and raise at its first defect."""
+def _scan_rows(path, rows, d: int, tail: tuple[_Column, ...]):
+    """Parse ``(lineno, row)`` records cell by cell with ``float``/``int``.
+
+    Raises at the first defect, naming the path and line; otherwise returns
+    the (m, d) feature matrix and one vector per tail column.
+    """
     width = d + len(tail)
-    for lineno, row in block:
+    features, values = [], [[] for _ in tail]
+    for lineno, row in rows:
         if len(row) != width:
             raise ValueError(
                 f"{path} line {lineno}: expected {width} fields, got {len(row)}"
@@ -196,36 +226,43 @@ def _raise_row_error(path, block, d: int, tail: tuple[_Column, ...]) -> NoReturn
             value = _parse_cell(path, lineno, f"f{j}", float, row[j])
             if not math.isfinite(value):
                 raise ValueError(f"{path} line {lineno}: non-finite f{j} {row[j]!r}")
-        for column, text in zip(tail, row[d:]):
+            features.append(value)
+        for column, text, parsed in zip(tail, row[d:], values):
             value = _parse_cell(path, lineno, column.name, column.parse, text)
             if not column.accepts(value):
                 raise ValueError(
                     f"{path} line {lineno}: {column.name} {value} "
                     f"not in {column.interval}"
                 )
-    raise RuntimeError(f"{path}: block rejected but no row is malformed")
+            parsed.append(value)
+    return (np.array(features, np.float64).reshape(-1, d),
+            [np.array(parsed, column.dtype) for column, parsed in zip(tail, values)])
 
 
-def _convert_block(rows, d: int, tail: tuple[_Column, ...]):
-    """Column-wise conversion of one block; None if any check fails."""
-    if any(len(row) != d + len(tail) for row in rows):
+# Control characters that numpy's tokenizer strips from a cell as whitespace
+# but ``float`` and ``int`` reject.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_block(lines: list[str], text: str, dtype: np.dtype,
+                 tail: tuple[_Column, ...]):
+    """Parse a block of unquoted lines (``text`` is their concatenation)
+    with numpy's C tokenizer; None unless it accepts every line and every
+    value passes its column check, and for the blocks left to the row scan
+    (see the module docstring).  Blocks of blank lines only go there too:
+    numpy warns on them.
+    """
+    if (max(map(len, lines)) > csv.field_size_limit()
+            or text.count("\n") + text.count("\r") == len(text)
+            or any(char in text for char in _SEPARATORS)):
         return None
-    cols = list(zip(*rows))
-    m = len(rows)
     try:
-        features = np.fromiter(
-            map(float, itertools.chain.from_iterable(cols[:d])), np.float64, m * d
-        ).reshape(d, m)
-        values = [
-            np.fromiter(
-                map(column.parse, text),
-                np.int64 if column.parse is int else np.float64,
-                m,
-            )
-            for column, text in zip(tail, cols[d:])
-        ]
-    except (ValueError, OverflowError):
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                           quotechar=None, ndmin=1)
+    except ValueError:
         return None
+    features = table["features"]
+    values = [table[column.name] for column in tail]
     if not np.isfinite(features).all():
         return None
     if not all(column.accepts(v).all() for column, v in zip(tail, values)):
@@ -233,18 +270,17 @@ def _convert_block(rows, d: int, tail: tuple[_Column, ...]):
     return features, values
 
 
-def _records(path, fh) -> Iterator[list[str]]:
-    """``csv.reader`` records of ``fh``; csv and decode errors name ``path``.
-
-    A decode error names no line: the decoder reads the file in chunks.
-    """
-    reader = csv.reader(fh)
+def _records(path, lines, first: int) -> Iterator[tuple[int, list[str]]]:
+    """The nonblank ``csv.reader`` records of ``lines``, which start at
+    line ``first`` of ``path``, numbered from ``first`` (blank records
+    count).  A csv error names the path and the line it is on."""
+    reader = csv.reader(lines)
     try:
-        yield from reader
+        for lineno, row in enumerate(reader, start=first):
+            if row:
+                yield lineno, row
     except csv.Error as exc:
-        raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path} line {first - 1 + reader.line_num}: {exc}") from None
 
 
 def _read_table(
@@ -252,36 +288,59 @@ def _read_table(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Read ``f0,...,f{d-1}`` followed by the ``tail`` columns.
 
-    Returns the (n, d) feature matrix and one vector per tail column.
+    Returns the (n, d) feature matrix and one vector per tail column.  A
+    UTF-8 decode error names the path but no line: the decoder reads the
+    file in chunks.
     """
-    names = ",".join(column.name for column in tail)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _records(path, fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: no header") from None
-        d = len(header) - len(tail)
-        if (
-            d < 1
-            or header[d:] != [column.name for column in tail]
-            or header[:d] != [f"f{i}" for i in range(d)]
-        ):
-            raise ValueError(f"{path}: expected header f0,...,f{{d-1}},{names}")
-        # Line numbers count blank lines, which csv.reader yields as [].
-        records = ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
-        feature_blocks, value_blocks = [], []
-        while block := list(itertools.islice(records, _BLOCK_ROWS)):
-            converted = _convert_block([row for _, row in block], d, tail)
-            if converted is None:
-                _raise_row_error(path, block, d, tail)
-            feature_blocks.append(converted[0])
-            value_blocks.append(converted[1])
-    if not feature_blocks:
+            blocks = [block for block in _table_blocks(path, fh, tail)
+                      if len(block[0])]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not blocks:
         raise ValueError(f"{path}: no records")
+    features, values = zip(*blocks)
     # Row-major, as the rest of the package expects (row norms, matmuls).
-    X = np.concatenate(feature_blocks, axis=1).T.copy()
-    return X, [np.concatenate(parts) for parts in zip(*value_blocks)]
+    return np.concatenate(features), [np.concatenate(parts) for parts in zip(*values)]
+
+
+def _table_blocks(path, fh, tail: tuple[_Column, ...]):
+    """Check the header of ``fh``, then yield the parsed blocks of its
+    records, each a (feature matrix, tail vectors) pair."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: no header") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+    d = len(header) - len(tail)
+    if (
+        d < 1
+        or header[d:] != [column.name for column in tail]
+        or header[:d] != [f"f{i}" for i in range(d)]
+    ):
+        names = ",".join(column.name for column in tail)
+        raise ValueError(f"{path}: expected header f0,...,f{{d-1}},{names}")
+    dtype = np.dtype([("features", np.float64, (d,)),
+                      *((column.name, column.dtype) for column in tail)])
+    # A header that matches is line 1 (it has no quoted line break), and
+    # until a quote appears each line is one record (blank lines count).
+    first = 2
+    while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+        if '"' in (text := "".join(lines)):
+            # A quoted cell may hold a line break and cross into the next
+            # block, so csv.reader takes the rest of the file from here.
+            records = _records(path, itertools.chain(lines, fh), first)
+            while part := list(itertools.islice(records, _BLOCK_ROWS)):
+                yield _scan_rows(path, part, d, tail)
+            return
+        parsed = _parse_block(lines, text, dtype, tail)
+        if parsed is None:
+            parsed = _scan_rows(path, _records(path, lines, first), d, tail)
+        yield parsed
+        first += len(lines)
 
 
 def _write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -289,13 +348,19 @@ def _write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
 
     Cells are ``repr`` of Python floats and ints, which ``csv.writer`` would
     write unquoted, so the bytes match a ``csv.writer`` of the same rows.
+    Blocks are formatted on forked workers and written in order.
     """
     n = columns[0].shape[0]
+
+    def format_block(index: int) -> str:
+        start = index * _BLOCK_ROWS
+        block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
+        return "".join(",".join(map(repr, row)) + "\n" for row in zip(*block))
+
     with _writing(path) as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, n, _BLOCK_ROWS):
-            block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*block))
+        with contextlib.closing(map_jobs(format_block, -(-n // _BLOCK_ROWS))) as blocks:
+            fh.writelines(blocks)
 
 
 def load_labeled(path, k: int) -> LabeledDataset:
@@ -305,6 +370,7 @@ def load_labeled(path, k: int) -> LabeledDataset:
     ValueError naming the offending line for malformed rows, non-finite
     features, and labels outside [0, k).
     """
+    _check_count("k", k, 1)
     X, (y,) = _read_table(path, (_index_column("label", k),))
     return LabeledDataset(X, y, k)
 
@@ -323,6 +389,7 @@ def load_logged(path, k: int) -> LoggedDataset:
     Validates propensities in (0, 1] (full-support requirement) and rewards
     in [0, 1]; ``feature_norm_bound`` is the max row norm.
     """
+    _check_count("k", k, 1)
     X, (a, p, r) = _read_table(path, (_index_column("action", k), _PROPENSITY, _REWARD))
     return LoggedDataset(X, a, p, r, k)
 

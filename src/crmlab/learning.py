@@ -49,13 +49,13 @@ objective is evaluated only when the certificate fails.  Both paths raise
 the same :class:`DivergenceError` at the same point.
 
 Cross-validation builds its (value, fold) jobs first, each with its fold
-indices and a seed derived from its own (value, fold) tag, and runs them in
-min(jobs, usable CPUs) worker processes forked from the caller, so the
-workers share its data and prior without copying them.  Only a job index
-goes to a worker and only a score comes back; the scores are merged in
-(value, fold) order, so the table is bit-identical at any worker count.
-With one worker, without the ``fork`` start method, or inside a daemonic
-worker process (which may not have children), the jobs run in process.
+indices and a seed derived from its own (value, fold) tag, and maps them
+over the worker processes of ``crmlab._jobs.map_jobs``: min(jobs, usable
+CPUs) processes forked from the caller, which share its data and prior
+without copying them.  Only a job index goes to a worker and only a score
+comes back; the scores are merged in (value, fold) order, so the table is
+bit-identical at any worker count.  With one worker, without the ``fork``
+start method, or inside a daemonic worker process, the jobs run in process.
 """
 
 from __future__ import annotations
@@ -63,13 +63,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._jobs import map_jobs
 from .datasets import LoggedDataset, kfold_split
 from .estimators import (
     _compensated_mean, _poem_statistic, _reward_mean, truncated_ips_risk,
@@ -786,7 +786,7 @@ def cross_validate(
         return _cv_job(data, lam, train_idx, holdout_idx, config, prior,
                        job_seed)
 
-    scores = _run_jobs(run, len(jobs))
+    scores = list(map_jobs(run, len(jobs)))
     table: list[CVRow] = []
     for row, lam in enumerate(lambda_grid):
         fold_scores = tuple(scores[row * num_folds:(row + 1) * num_folds])
@@ -798,54 +798,6 @@ def cross_validate(
         )
     best = max(table, key=lambda row: (row.mean_score, -row.lam))
     return best.lam, table
-
-
-def _cv_workers(jobs: int) -> int:
-    """Worker processes for ``jobs`` CV jobs: at most one per usable CPU."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return min(jobs, cpus)
-
-
-# The job runner of a forked CV worker; set only in the worker processes.
-_worker_run = None
-
-
-def _init_worker(run) -> None:
-    global _worker_run
-    _worker_run = run
-
-
-def _worker_job(index: int) -> float:
-    return _worker_run(index)
-
-
-def _run_jobs(run, count: int) -> list[float]:
-    """``[run(i) for i in range(count)]``, spread over forked workers.
-
-    ``run`` reaches the workers through ``fork``, not pickling, so it may be
-    a closure over the caller's data.  An exception from a job reaches the
-    caller with its type; the jobs not yet started are cancelled.
-    """
-    workers = _cv_workers(count)
-    if workers > 1:
-        import multiprocessing
-
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and not multiprocessing.current_process().daemon):
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker, initargs=(run,),
-            )
-            try:
-                return list(pool.map(_worker_job, range(count)))
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return [run(index) for index in range(count)]
 
 
 # -----------------------------------------------------------------------

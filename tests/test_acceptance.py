@@ -58,6 +58,7 @@ from crmlab import (
     two_step_learned_lpr,
     zero_policy,
 )
+from crmlab._jobs import map_jobs
 from conftest import (
     fd_gradient,
     golden_section_min,
@@ -265,12 +266,48 @@ def reward_sweep():
     comparison at a matched lambda, and the learned-vs-known-prior
     comparison. Per seed: 200 labeled examples fit the logging policy,
     5,000 bandit records are logged, and rewards are scored on a fresh
-    4,000-example test set. Only final policies are read, so the direct
-    train calls skip the per-epoch objective trace (the private
-    ``_trace=False``; the final policies are bit-identical).
+    4,000-example test set. The seeds are independent and run on forked
+    worker processes; their results are merged in seed order. Only final
+    policies are read, so the direct train calls skip the per-epoch
+    objective trace (the private ``_trace=False``; the final policies are
+    bit-identical).
     """
     t0 = time.perf_counter()
     task = blob_task(10, 20, noise=0.25, seed=7)
+
+    def one_seed(s):
+        out = {"l2": {}, "lpr": {}}
+        pool = sample_labeled(task, 5200, seed=1000 + s)
+        head, bandit = split_for_logging(pool, 200, seed=2000 + s)
+        logging = supervised_policy(head, 0.01, epochs=1500, seed=s)
+        test = sample_labeled(task, 4000, seed=9000 + s)
+        out["logging"] = expected_reward_stochastic(logging, test)
+        logs = simulate_logs(logging, bandit, seed=3000 + s)
+        for lam in SWEEP_GRID:
+            for name, prior in (("l2", None), ("lpr", logging)):
+                fit = train(
+                    TrainConfig(objective=f"ips_{name}", lam=lam, epochs=100,
+                                seed=s),
+                    logs, prior=prior, _trace=False)
+                out[name][lam] = expected_reward_stochastic(fit.final_policy,
+                                                            test)
+        two_step = two_step_learned_lpr(
+            logs,
+            TrainConfig(objective="ips_lpr", lam=TWO_STEP_LAMBDA, epochs=100,
+                        seed=s))
+        out["learned_prior"] = expected_reward_stochastic(
+            two_step.final_policy, test)
+        flat = temper(logging, 0.0)
+        flat_logs = simulate_logs(flat, bandit, seed=3000 + s)
+        for name, prior, sink in (("ips_l2", None, "flat_l2"),
+                                  ("ips_lpr", flat, "flat_lpr")):
+            fit = train(
+                TrainConfig(objective=name, lam=MATCHED_LAMBDA, epochs=100,
+                            seed=s),
+                flat_logs, prior=prior, _trace=False)
+            out[sink] = expected_reward_stochastic(fit.final_policy, test)
+        return out
+
     out = {
         "l2": {lam: [] for lam in SWEEP_GRID},
         "lpr": {lam: [] for lam in SWEEP_GRID},
@@ -279,36 +316,12 @@ def reward_sweep():
         "flat_l2": [],
         "flat_lpr": [],
     }
-    for s in range(10):
-        pool = sample_labeled(task, 5200, seed=1000 + s)
-        head, bandit = split_for_logging(pool, 200, seed=2000 + s)
-        logging = supervised_policy(head, 0.01, epochs=1500, seed=s)
-        test = sample_labeled(task, 4000, seed=9000 + s)
-        out["logging"].append(expected_reward_stochastic(logging, test))
-        logs = simulate_logs(logging, bandit, seed=3000 + s)
-        for lam in SWEEP_GRID:
-            for name, prior in (("l2", None), ("lpr", logging)):
-                fit = train(
-                    TrainConfig(objective=f"ips_{name}", lam=lam, epochs=100,
-                                seed=s),
-                    logs, prior=prior, _trace=False)
-                out[name][lam].append(
-                    expected_reward_stochastic(fit.final_policy, test))
-        two_step = two_step_learned_lpr(
-            logs,
-            TrainConfig(objective="ips_lpr", lam=TWO_STEP_LAMBDA, epochs=100,
-                        seed=s))
-        out["learned_prior"].append(
-            expected_reward_stochastic(two_step.final_policy, test))
-        flat = temper(logging, 0.0)
-        flat_logs = simulate_logs(flat, bandit, seed=3000 + s)
-        for name, prior, sink in (("ips_l2", None, out["flat_l2"]),
-                                  ("ips_lpr", flat, out["flat_lpr"])):
-            fit = train(
-                TrainConfig(objective=name, lam=MATCHED_LAMBDA, epochs=100,
-                            seed=s),
-                flat_logs, prior=prior, _trace=False)
-            sink.append(expected_reward_stochastic(fit.final_policy, test))
+    for seed_out in map_jobs(one_seed, 10):
+        for name in ("l2", "lpr"):
+            for lam in SWEEP_GRID:
+                out[name][lam].append(seed_out[name][lam])
+        for name in ("logging", "learned_prior", "flat_l2", "flat_lpr"):
+            out[name].append(seed_out[name])
     out["elapsed"] = time.perf_counter() - t0
     return out
 

@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -22,7 +23,8 @@ from crmlab import (
     save_model,
     zero_policy,
 )
-from crmlab import learning
+import crmlab.datasets
+from crmlab import _jobs
 from crmlab.cli import build_parser, main
 from conftest import (
     floor_propensity_logged,
@@ -550,7 +552,7 @@ class TestTune:
             self, ws, tmp_path, capsys, monkeypatch):
         outputs = []
         for workers in (1, 2):
-            monkeypatch.setattr(learning, "_cv_workers",
+            monkeypatch.setattr(_jobs, "worker_count",
                                 lambda jobs, cap=workers: min(jobs, cap))
             path = tmp_path / f"cv_{workers}.csv"
             rc, out, err = run(
@@ -792,6 +794,19 @@ class TestFullDisk:
         rc, _, err = run(capsys, *argv)
         assert rc == 2
         assert err == f"crmlab: error: cannot write {target}: No space left on device\n"
+
+
+class TestNoChildLeft:
+    @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+    def test_subcommand_leaves_no_worker_running(self, tmp_path, capsys,
+                                                 monkeypatch, command):
+        # One record per CSV block and two workers, so every CSV write and
+        # every cross-validation runs on forked workers.
+        monkeypatch.setattr(crmlab.datasets, "_BLOCK_ROWS", 1)
+        monkeypatch.setattr(_jobs, "worker_count", lambda jobs: min(jobs, 2))
+        rc, _, err = run(capsys, *file_command(tmp_path, command))
+        assert rc == 0 and err == ""
+        assert multiprocessing.active_children() == []
 
 
 BAD_MODEL_EDITS = {

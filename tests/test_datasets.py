@@ -1,10 +1,15 @@
 import csv
+import errno
 import io
+import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 import crmlab.datasets
+from crmlab import _jobs
 from crmlab import (
     LabeledDataset,
     LoggedDataset,
@@ -341,6 +346,224 @@ class TestCsvBlocks:
         with pytest.raises(ValueError) as err:
             load_labeled(path, 3)
         assert str(err.value) == f"{path}: no records"
+
+
+def reference_load(path, fmt, k):
+    """Row-by-row reference reader: csv.reader records, ``float``/``int``
+    per cell, and the messages of the block reader.  It stops at the first
+    defect in file order; a file with bad UTF-8 must hold no earlier defect,
+    since the block reader decodes a whole block before checking it."""
+    tail = {"labeled": [("label", int, lambda v: 0 <= v < k, f"[0, {k})")],
+            "logged": [("action", int, lambda v: 0 <= v < k, f"[0, {k})"),
+                       ("propensity", float, lambda v: 0 < v <= 1, "(0, 1]"),
+                       ("reward", float, lambda v: 0 <= v <= 1, "[0, 1]")]}[fmt]
+    names = [name for name, *_ in tail]
+    features, values = [], [[] for _ in tail]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: no header")
+            d = len(header) - len(tail)
+            if d < 1 or header != [f"f{i}" for i in range(d)] + names:
+                raise ValueError(f"{path}: expected header f0,...,f{{d-1}},"
+                                 + ",".join(names))
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                where = f"{path} line {lineno}"
+                if len(row) != d + len(tail):
+                    raise ValueError(f"{where}: expected {d + len(tail)} "
+                                     f"fields, got {len(row)}")
+                for j, text in enumerate(row[:d]):
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise ValueError(f"{where}: invalid f{j} {text!r}")
+                    if not math.isfinite(value):
+                        raise ValueError(f"{where}: non-finite f{j} {text!r}")
+                    features.append(value)
+                for (name, parse, accepts, interval), text, parsed in zip(
+                        tail, row[d:], values):
+                    try:
+                        value = parse(text)
+                    except ValueError:
+                        raise ValueError(f"{where}: invalid {name} {text!r}")
+                    if not accepts(value):
+                        raise ValueError(f"{where}: {name} {value} not in {interval}")
+                    parsed.append(value)
+        except csv.Error as exc:
+            raise ValueError(f"{path} line {reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}")
+    if not features:
+        raise ValueError(f"{path}: no records")
+    X = np.array(features).reshape(-1, d)
+    if fmt == "labeled":
+        return LabeledDataset(X, values[0], k)
+    return LoggedDataset(X, *values, k)
+
+
+def outcome(load):
+    """What a load gives: every array with its dtype and layout, or the
+    ValueError text."""
+    try:
+        data = load()
+    except ValueError as exc:
+        return str(exc)
+    arrays = [value for value in vars(data).values() if isinstance(value, np.ndarray)]
+    return ([(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes()) for a in arrays],
+            getattr(data, "feature_norm_bound", None))
+
+
+GOOD_ROW = {"labeled": "0.5,-1.25,1", "logged": "0.5,-1.25,1,0.5,1.0"}
+LIMIT = csv.field_size_limit()
+LONG_ZERO = "0." + "0" * (LIMIT // 2) + "1"  # float accepts it; half the limit
+
+
+def rows(fmt, n, **edits):
+    """``n`` good rows of ``fmt`` with rows replaced by ``{index: row}``."""
+    out = [GOOD_ROW[fmt]] * n
+    for index, row in edits.items():
+        out[int(index[1:])] = row
+    return out
+
+
+# (format, file text after the header line).  Each case loads through
+# both readers; at SMALL_BLOCK, line 2 + 4i starts block i.
+DIFFERENTIAL = {
+    "plain": ("logged", "\n".join(rows("logged", 9)) + "\n"),
+    "quoted_cell_across_blocks": (
+        "logged", "\n".join(rows("logged", 3) + ['0.5,"', '-1.25",1,0.5,1.0']
+                            + rows("logged", 5)) + "\n"),
+    "quoted_cell_then_defect": (
+        "logged", "\n".join(rows("logged", 3) + ['0.5,"', '-1.25",1,0.5,1.0']
+                            + rows("logged", 5, r3="0.5,-1.25,1,0.5,2.0"))
+        + "\n"),
+    "underscore_digits": ("labeled", "\n".join(rows("labeled", 6, r4="1_000,2,1"))),
+    "arabic_indic_digits": ("logged", "\n".join(
+        rows("logged", 6, r5="\u0663.5,1,\u0661,0.5,1.0"))),
+    "nbsp_padding": ("labeled", "\n".join(
+        rows("labeled", 6, r1="\xa00.5\xa0,-1.25,\xa01\xa0"))),
+    "separator_padding": ("labeled", "\n".join(rows("labeled", 6, r2="\x1c0.5,2,1"))),
+    "crlf": ("logged", "\r\n".join(rows("logged", 9)) + "\r\n"),
+    "lone_cr": ("logged", "\r".join(rows("logged", 9)) + "\r"),
+    "lone_cr_then_defect": ("logged", "\r".join(
+        rows("logged", 9, r6="0.5,-1.25,3,0.5,1.0")) + "\r"),
+    "blank_lines": ("labeled", "\n\n" + "\n\n".join(rows("labeled", 5)) + "\n\n\n"),
+    "blank_lines_then_defect": ("labeled", "\n\n".join(
+        rows("labeled", 5, r4="0.5,x,1")) + "\n"),
+    "whitespace_only_line": ("labeled", "\n".join(
+        rows("labeled", 3) + ["  \t"] + rows("labeled", 3))),
+    "header_only": ("labeled", ""),
+    "header_then_blank_lines": ("logged", "\n" * 9),
+    "cell_over_field_limit": ("labeled", "\n".join(
+        rows("labeled", 5, r4="0." + "0" * LIMIT + "1,2,1"))),
+    "line_over_field_limit": ("labeled", "\n".join(
+        rows("labeled", 5, r4=f"{LONG_ZERO},{LONG_ZERO},1,2"[:-2]))),
+    "nul_byte": ("labeled", "\n".join(rows("labeled", 6, r5="0.5,\x00,1"))),
+    "non_utf8": ("labeled", "\n".join(rows("labeled", 6)) + "\n\udcff,1,1\n"),
+    "nan_feature": ("labeled", "\n".join(rows("labeled", 6, r5="nan,1,1"))),
+    "inf_feature": ("logged", "\n".join(rows("logged", 6, r5="0.5,-inf,1,0.5,1.0"))),
+    "nan_propensity": ("logged", "\n".join(rows("logged", 6, r5="0.5,1,1,nan,1.0"))),
+    "inf_reward": ("logged", "\n".join(rows("logged", 6, r5="0.5,1,1,0.5,inf"))),
+    "action_20_digits": ("logged", "\n".join(
+        rows("logged", 6, r5="0.5,1,12345678901234567890,0.5,1.0"))),
+    "int_as_float": ("labeled", "\n".join(rows("labeled", 6, r5="0.5,1,1.0"))),
+    "trailing_comma": ("labeled", "\n".join(rows("labeled", 6, r5="0.5,1,1,"))),
+}
+
+
+class TestCsvReaderMatchesReference:
+    """Every case loads to the same arrays, or the same message, as the
+    row-by-row reference, with blocks of SMALL_BLOCK lines and of the
+    default size."""
+
+    @pytest.mark.parametrize("block_rows", [SMALL_BLOCK, crmlab.datasets._BLOCK_ROWS])
+    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL))
+    def test_same_arrays_or_message(self, monkeypatch, tmp_path, case,
+                                    block_rows):
+        monkeypatch.setattr(crmlab.datasets, "_BLOCK_ROWS", block_rows)
+        fmt, body = DIFFERENTIAL[case]
+        path = tmp_path / f"{case}.csv"
+        header = TestCsvBlocks.HEADER[fmt]
+        path.write_bytes((header + "\n" + body).encode("utf-8", "surrogateescape"))
+        load = load_labeled if fmt == "labeled" else load_logged
+        expected = outcome(lambda: reference_load(path, fmt, 3))
+        assert outcome(lambda: load(path, 3)) == expected
+
+    def test_cases_load_and_fail_as_named(self, tmp_path):
+        # The cases cover both outcomes: these load, every other one fails.
+        loads = set()
+        for case, (fmt, body) in DIFFERENTIAL.items():
+            path = tmp_path / f"{case}.csv"
+            path.write_bytes((TestCsvBlocks.HEADER[fmt] + "\n" + body)
+                             .encode("utf-8", "surrogateescape"))
+            if not isinstance(outcome(lambda: reference_load(path, fmt, 3)), str):
+                loads.add(case)
+        assert loads == {
+            "plain", "quoted_cell_across_blocks", "underscore_digits",
+            "arabic_indic_digits", "nbsp_padding", "crlf", "lone_cr",
+            "blank_lines", "line_over_field_limit",
+        }
+
+
+class TestParallelWriter:
+    """Blocks formatted on forked workers give the bytes of one process."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_bytes_match_csv_writer(self, small_blocks, monkeypatch, tmp_path,
+                                    workers, n):
+        monkeypatch.setattr(_jobs, "worker_count", lambda jobs: min(jobs, workers))
+        rng = np.random.default_rng(200 + n)
+        X = awkward_features(rng, n, 2)
+        logs = LoggedDataset(X, rng.integers(0, 3, size=n),
+                             rng.uniform(0.05, 1.0, size=n),
+                             rng.uniform(0.0, 1.0, size=n), 3)
+        save_logged(tmp_path / "logs.csv", logs)
+        assert multiprocessing.active_children() == []
+        assert (tmp_path / "logs.csv").read_bytes() == csv_writer_bytes(
+            ["f0", "f1", "action", "propensity", "reward"],
+            [[*map(repr, X[i].tolist()), int(logs.actions[i]),
+              repr(float(logs.propensities[i])), repr(float(logs.rewards[i]))]
+             for i in range(n)],
+        )
+        labeled = LabeledDataset(X, logs.actions, 3)
+        save_labeled(tmp_path / "labeled.csv", labeled)
+        assert multiprocessing.active_children() == []
+        assert (tmp_path / "labeled.csv").read_bytes() == csv_writer_bytes(
+            ["f0", "f1", "label"],
+            [[*map(repr, X[i].tolist()), int(labeled.labels[i])]
+             for i in range(n)],
+        )
+
+    def test_full_disk_mid_file_names_path_and_leaves_no_child(
+            self, small_blocks, monkeypatch, tmp_path):
+        # The header is written; the first block fails while workers format
+        # the others.
+        monkeypatch.setattr(_jobs, "worker_count", lambda jobs: min(jobs, 2))
+        path = tmp_path / "logs.csv"
+        real_open = open
+
+        class FullAfterHeader(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(text)
+
+        def open_on_full_disk(file, mode="r", *args, **kwargs):
+            if "w" in mode and os.fspath(file) == os.fspath(path):
+                return FullAfterHeader()
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", open_on_full_disk)
+        logs = random_logged(np.random.default_rng(5), 10 * SMALL_BLOCK, 2, 3)
+        with pytest.raises(OSError) as err:
+            save_logged(path, logs)
+        assert str(err.value) == f"cannot write {path}: No space left on device"
+        assert multiprocessing.active_children() == []
 
 
 class TestKfoldSplit:

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from crmlab import learning
+from crmlab import _jobs, learning
 from crmlab import (
     LPR_FAMILY,
     OBJECTIVES,
@@ -871,7 +871,7 @@ class TestTwoStepLearnedPrior:
 
 def use_cv_workers(monkeypatch, workers):
     """Run cross_validate's jobs on at most ``workers`` processes."""
-    monkeypatch.setattr(learning, "_cv_workers",
+    monkeypatch.setattr(_jobs, "worker_count",
                         lambda jobs: min(jobs, workers))
 
 
@@ -1017,10 +1017,10 @@ class TestCrossValidate:
             float(os.getpid())}
 
     def test_workers_are_capped_by_jobs_and_usable_cpus(self):
-        assert learning._cv_workers(1) == 1
+        assert _jobs.worker_count(1) == 1
         cpus = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else os.cpu_count())
-        assert learning._cv_workers(10**6) == cpus
+        assert _jobs.worker_count(10**6) == cpus
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_every_value_diverged_raises_at_any_worker_count(

@@ -136,3 +136,40 @@ def test_softmax_is_written_once():
             inside = {(path.name, line) for line in _in_place_exps(softmax)}
     assert len(inside) == 2
     assert found == inside
+
+
+def _process_pool_uses(tree):
+    """Line numbers in ``tree`` that import ``multiprocessing`` or
+    ``concurrent.futures``, or name ``ProcessPoolExecutor``."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(m.split(".")[0] in ("multiprocessing", "concurrent") for m in modules):
+            lines.add(node.lineno)
+        if ((isinstance(node, ast.Name) and node.id == "ProcessPoolExecutor")
+                or (isinstance(node, ast.Attribute)
+                    and node.attr == "ProcessPoolExecutor")):
+            lines.add(node.lineno)
+    return lines
+
+
+def test_worker_processes_start_in_one_place():
+    # Cross-validation and the CSV writer fork their workers through
+    # _jobs.map_jobs; a second pool elsewhere would be a second set of
+    # rules for worker counts, daemonic callers and shutdown.
+    found, inside = set(), set()
+    for path in sorted((ROOT / "src" / "crmlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.name, line) for line in _process_pool_uses(tree)}
+        if path.name == "_jobs.py":
+            helper = next(node for node in ast.walk(tree)
+                          if isinstance(node, ast.FunctionDef)
+                          and node.name == "map_jobs")
+            inside = {(path.name, line) for line in _process_pool_uses(helper)}
+    assert inside
+    assert found == inside

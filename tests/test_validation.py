@@ -34,6 +34,7 @@ from crmlab import (
     kfold_split,
     learn_logging_policy,
     load_labeled,
+    load_logged,
     load_model,
     mcallester_bound,
     mean_param_risk,
@@ -166,8 +167,24 @@ CASES = {
     "LoggedDataset.rewards_nan": (
         lambda tmp: logged(rewards=[1.0, 1.0, math.nan, 1.0]),
         "rewards must lie in [0, 1], got nan"),
+    "LabeledDataset.k_fraction": (
+        lambda tmp: LabeledDataset(np.ones((2, 2)), np.zeros(2, dtype=int), 1.5),
+        "k must be an integer, got 1.5"),
+    "LabeledDataset.k_bool": (
+        lambda tmp: LabeledDataset(np.ones((2, 2)), np.zeros(2, dtype=int), True),
+        "k must be an integer, got True"),
+    "LoggedDataset.k_zero": (
+        lambda tmp: LoggedDataset(np.ones((1, 2)), [0], [0.5], [1.0], 0),
+        "k must be at least 1, got 0"),
     "load_labeled.no_header": (
         empty_file, "<tmp>/empty.csv: no header"),
+    # k is checked before the file is opened, so a missing file is not read.
+    "load_labeled.k": (
+        lambda tmp: load_labeled(tmp / "absent.csv", 1.5),
+        "k must be an integer, got 1.5"),
+    "load_logged.k": (
+        lambda tmp: load_logged(tmp / "absent.csv", 0),
+        "k must be at least 1, got 0"),
     "kfold_split.num_folds": (
         lambda tmp: kfold_split(5, 0, seed=0),
         "num_folds must be at least 1, got 0"),
