@@ -1,29 +1,22 @@
-"""Independent jobs mapped in order over worker processes forked from the caller.
+"""Independent jobs run over worker processes forked from the caller.
 
-Cross-validation and the CSV writer both run jobs ``run(0), ...,
-run(count - 1)`` whose results the caller consumes in index order.
-:func:`map_jobs` spreads them over :func:`worker_count` processes forked from
-the caller.  ``run`` reaches the workers through ``fork``, not pickling, so it
-may be a closure over the caller's data, which the workers then share without
-copying; only a job index goes to a worker and only its result comes back.
-The results arrive in index order whatever the worker count.  With one
-worker (one job, or one usable CPU), without the ``fork`` start method, or
-inside a daemonic worker process (which may not have children), the jobs run
-in process.
+Cross-validation runs jobs ``run(0), ..., run(count - 1)`` and merges their
+results in index order.  :func:`map_jobs` spreads them over
+:func:`worker_count` processes forked from the caller.  ``run`` reaches the
+workers through ``fork``, not pickling, so it may be a closure over the
+caller's data, which the workers then share without copying; only a job
+index goes to a worker and only its result comes back.  With one worker
+(one job, or one usable CPU), without the ``fork`` start method, or inside a
+daemonic worker process (which may not have children), the jobs run in
+process.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
 T = TypeVar("T")
-
-# Jobs submitted per worker ahead of the one whose result is awaited: enough
-# to keep every worker busy, few enough that a slow consumer holds only a
-# few results.
-_AHEAD_PER_WORKER = 2
 
 
 def worker_count(jobs: int) -> int:
@@ -48,15 +41,11 @@ def _worker_job(index: int):
     return _worker_run(index)
 
 
-def map_jobs(run: Callable[[int], T], count: int) -> Iterator[T]:
-    """``run(0), ..., run(count - 1)`` in order, computed on forked workers.
+def map_jobs(run: Callable[[int], T], count: int) -> list[T]:
+    """``[run(0), ..., run(count - 1)]``, computed on forked workers.
 
-    At most ``_AHEAD_PER_WORKER`` jobs per worker are submitted ahead of the
-    result the caller waits for, so a caller that writes each result as it
-    arrives holds only a few.  An exception from a job reaches the caller
-    with its type when its result is due; the jobs not yet started are then
-    cancelled.  Closing the iterator early (``contextlib.closing``) shuts
-    the workers down before it returns.
+    An exception from a job reaches the caller with its type; the jobs not
+    yet started are cancelled.
     """
     workers = worker_count(count)
     if workers > 1:
@@ -72,15 +61,7 @@ def map_jobs(run: Callable[[int], T], count: int) -> Iterator[T]:
                 initializer=_init_worker, initargs=(run,),
             )
             try:
-                pending = deque()
-                for index in range(count):
-                    pending.append(pool.submit(_worker_job, index))
-                    if len(pending) > _AHEAD_PER_WORKER * workers:
-                        yield pending.popleft().result()
-                while pending:
-                    yield pending.popleft().result()
+                return list(pool.map(_worker_job, range(count)))
             finally:
                 pool.shutdown(cancel_futures=True)
-            return
-    for index in range(count):
-        yield run(index)
+    return [run(index) for index in range(count)]

@@ -17,14 +17,14 @@ held at a time.
 
 The reader hands each block of lines to numpy's C tokenizer
 (``np.loadtxt`` with a structured dtype: the features, then one int64 or
-float64 field per other column).  numpy reads a float to the bits
-``float`` gives and rejects every cell ``float``/``int`` reject, once the
-control characters U+001C to U+001F (which numpy strips as whitespace and
-Python does not) are ruled out.  A block numpy refuses, or one with such a
-character, a line over the csv field-size limit or a value outside its
-column's domain, goes through the row scan: ``csv.reader`` records and
-``float``/``int`` per cell.
-The row scan returns the block's values when it finds no defect, so cells
+float64 field per other column).  numpy 2.4.6, the floor in pyproject.toml,
+reads a float to the bits ``float`` gives and rejects every cell
+``float``/``int`` reject (older releases parse an int cell such as ``1.0``
+through float), once the control characters U+001C to U+001F (which numpy
+strips as whitespace and Python does not) are ruled out.  A block numpy
+refuses, or one with such a character, a line over the csv field-size
+limit or a value outside its column's domain, goes through the row scan:
+``csv.reader`` records and ``float``/``int`` per cell.  The row scan returns the block's values when it finds no defect, so cells
 numpy refuses but Python accepts (``1_000``, non-ASCII digits, Unicode
 space padding) load as before; otherwise it raises a ValueError naming the
 path and line (blank lines count) of the first bad record.  Earlier blocks
@@ -35,10 +35,8 @@ field over the csv module's size limit) becomes a ValueError naming the
 path and line, and a UTF-8 decode error one naming the path.
 
 The writer emits ``repr`` of Python floats and ints, the bytes
-``csv.writer`` gives for the same cells.  Formatting is bound by ``repr``,
-so the blocks are formatted on the forked workers of
-``crmlab._jobs.map_jobs`` and written in order as they arrive; the bytes do
-not depend on the worker count.
+``csv.writer`` gives for the same cells, one block at a time in the calling
+process.
 
 All containers are immutable after construction and safe to share across
 threads.  Simulation consumes a single sequential RNG stream per call, so a
@@ -47,7 +45,6 @@ fixed seed reproduces logs exactly.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import itertools
 import math
@@ -56,7 +53,6 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from ._jobs import map_jobs
 from .policies import (
     SoftmaxPolicy, _check_count, _check_dims, _check_nonnegative,
     _check_norm_bound, _feature_matrix, _frozen, _gumbel_max_log, _max_row_norm,
@@ -348,19 +344,13 @@ def _write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
 
     Cells are ``repr`` of Python floats and ints, which ``csv.writer`` would
     write unquoted, so the bytes match a ``csv.writer`` of the same rows.
-    Blocks are formatted on forked workers and written in order.
     """
     n = columns[0].shape[0]
-
-    def format_block(index: int) -> str:
-        start = index * _BLOCK_ROWS
-        block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
-        return "".join(",".join(map(repr, row)) + "\n" for row in zip(*block))
-
     with _writing(path) as fh:
         fh.write(",".join(header) + "\n")
-        with contextlib.closing(map_jobs(format_block, -(-n // _BLOCK_ROWS))) as blocks:
-            fh.writelines(blocks)
+        for start in range(0, n, _BLOCK_ROWS):
+            block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*block))
 
 
 def load_labeled(path, k: int) -> LabeledDataset:

@@ -786,7 +786,7 @@ def cross_validate(
         return _cv_job(data, lam, train_idx, holdout_idx, config, prior,
                        job_seed)
 
-    scores = list(map_jobs(run, len(jobs)))
+    scores = map_jobs(run, len(jobs))
     table: list[CVRow] = []
     for row, lam in enumerate(lambda_grid):
         fold_scores = tuple(scores[row * num_folds:(row + 1) * num_folds])

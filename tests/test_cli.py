@@ -23,7 +23,6 @@ from crmlab import (
     save_model,
     zero_policy,
 )
-import crmlab.datasets
 from crmlab import _jobs
 from crmlab.cli import build_parser, main
 from conftest import (
@@ -800,9 +799,7 @@ class TestNoChildLeft:
     @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
     def test_subcommand_leaves_no_worker_running(self, tmp_path, capsys,
                                                  monkeypatch, command):
-        # One record per CSV block and two workers, so every CSV write and
-        # every cross-validation runs on forked workers.
-        monkeypatch.setattr(crmlab.datasets, "_BLOCK_ROWS", 1)
+        # Two workers, so tune's cross-validation runs on forked workers.
         monkeypatch.setattr(_jobs, "worker_count", lambda jobs: min(jobs, 2))
         rc, _, err = run(capsys, *file_command(tmp_path, command))
         assert rc == 0 and err == ""

@@ -159,9 +159,9 @@ def _process_pool_uses(tree):
 
 
 def test_worker_processes_start_in_one_place():
-    # Cross-validation and the CSV writer fork their workers through
-    # _jobs.map_jobs; a second pool elsewhere would be a second set of
-    # rules for worker counts, daemonic callers and shutdown.
+    # Cross-validation forks its workers through _jobs.map_jobs; a second
+    # pool elsewhere would be a second set of rules for worker counts,
+    # daemonic callers and shutdown.
     found, inside = set(), set()
     for path in sorted((ROOT / "src" / "crmlab").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
