@@ -45,7 +45,8 @@ def map_jobs(run: Callable[[int], T], count: int) -> list[T]:
     """``[run(0), ..., run(count - 1)]``, computed on forked workers.
 
     An exception from a job reaches the caller with its type; the jobs not
-    yet started are cancelled.
+    yet started are cancelled.  A worker that dies raises
+    ``ChildProcessError``, an ``OSError`` like a fork that fails.
     """
     workers = worker_count(count)
     if workers > 1:
@@ -54,7 +55,7 @@ def map_jobs(run: Callable[[int], T], count: int) -> list[T]:
 
         if ("fork" in multiprocessing.get_all_start_methods()
                 and not multiprocessing.current_process().daemon):
-            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"),
@@ -62,6 +63,8 @@ def map_jobs(run: Callable[[int], T], count: int) -> list[T]:
             )
             try:
                 return list(pool.map(_worker_job, range(count)))
+            except BrokenExecutor as exc:  # a worker died
+                raise ChildProcessError(str(exc)) from None
             finally:
                 pool.shutdown(cancel_futures=True)
     return [run(index) for index in range(count)]

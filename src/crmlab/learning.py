@@ -48,14 +48,16 @@ trace-free: at each epoch end a cheap certificate (see
 objective is evaluated only when the certificate fails.  Both paths raise
 the same :class:`DivergenceError` at the same point.
 
-Cross-validation builds its (value, fold) jobs first, each with its fold
-indices and a seed derived from its own (value, fold) tag, and maps them
-over the worker processes of ``crmlab._jobs.map_jobs``: min(jobs, usable
-CPUs) processes forked from the caller, which share its data and prior
-without copying them.  Only a job index goes to a worker and only a score
-comes back; the scores are merged in (value, fold) order, so the table is
-bit-identical at any worker count.  With one worker, without the ``fork``
-start method, or inside a daemonic worker process, the jobs run in process.
+Cross-validation builds its (value, fold) jobs first, each a config with
+the value as lam and a seed derived from its own (value, fold) tag, so
+every grid value is checked before any job runs.  It maps them, with their
+fold indices, over the worker processes of ``crmlab._jobs.map_jobs``:
+min(jobs, usable CPUs) processes forked from the caller, which share its
+data and prior without copying them.  Only a job index goes to a worker
+and only a score comes back; the scores are merged in (value, fold) order,
+so the table is bit-identical at any worker count.  With one worker,
+without the ``fork`` start method, or inside a daemonic worker process, the
+jobs run in process.
 """
 
 from __future__ import annotations
@@ -139,8 +141,8 @@ class TrainConfig:
             raise ValueError(
                 f"unknown objective {self.objective!r}; pick one of {OBJECTIVES}"
             )
-        _check_nonnegative("lam", self.lam, finite=False)
-        _check_nonnegative("lambda_l2", self.lambda_l2, finite=False)
+        _check_nonnegative("lam", self.lam)
+        _check_nonnegative("lambda_l2", self.lambda_l2)
         _check_level("tau", self.tau)
         _check_positive("sigma0", self.sigma0)
         _check_count("epochs", self.epochs, 0)
@@ -496,7 +498,7 @@ def poem_build_surrogate(
     ``degenerate``, which :func:`train` logs for its epoch.
     """
     _check_count("n", data.n, 2)
-    _check_nonnegative("lam", lam, finite=False)
+    _check_nonnegative("lam", lam)
     _check_level("tau", tau)
     n = data.n
     pi = _matched_probs(policy_anchor, data)
@@ -719,16 +721,13 @@ class CVRow:
 
 def _cv_job(
     data: LoggedDataset,
-    lam: float,
+    config: TrainConfig,
     train_idx: np.ndarray,
     holdout_idx: np.ndarray,
-    config: TrainConfig,
     prior: Optional[SoftmaxPolicy],
-    seed: int,
 ) -> float:
-    cfg = replace(config, lam=lam, seed=seed)
     try:
-        report = train(cfg, data.subset(train_idx), prior=prior, _trace=False)
+        report = train(config, data.subset(train_idx), prior=prior, _trace=False)
     except DivergenceError:
         return float("-inf")
     holdout = data.subset(holdout_idx)
@@ -750,9 +749,10 @@ def cross_validate(
     held-out fold; scores are averaged over folds.  Returns the winning
     value (ties break toward the smaller one; runs that diverge score −inf)
     and the full table, or raises ``FloatingPointError`` when every grid
-    value scores −inf, since there is then no value to select.  A
-    ``num_folds`` whose largest holdout leaves fewer than two training
-    records is rejected before any job runs.  The grid always drives
+    value scores −inf, since there is then no value to select.  Every grid
+    value is checked like ``TrainConfig.lam``, and a ``num_folds`` whose
+    largest holdout leaves fewer than two training records is rejected,
+    before any job runs.  The grid always drives
     ``lam`` (the distance penalty for LPR/L2 methods, the variance penalty
     for the POEM methods); ``poem_l2``'s ridge weight stays at
     ``config.lambda_l2``.
@@ -776,15 +776,15 @@ def cross_validate(
         )
     splits = kfold_split(data.n, num_folds, derive_seed(config.seed, "cv-folds"))
     jobs = [
-        (lam, *splits[fold], derive_seed(config.seed, f"cv:lam={lam!r}:fold={fold}"))
+        (replace(config, lam=lam,
+                 seed=derive_seed(config.seed, f"cv:lam={lam!r}:fold={fold}")),
+         *splits[fold])
         for lam in lambda_grid
         for fold in range(num_folds)
     ]
 
     def run(index: int) -> float:
-        lam, train_idx, holdout_idx, job_seed = jobs[index]
-        return _cv_job(data, lam, train_idx, holdout_idx, config, prior,
-                       job_seed)
+        return _cv_job(data, *jobs[index], prior)
 
     scores = map_jobs(run, len(jobs))
     table: list[CVRow] = []

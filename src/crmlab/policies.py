@@ -154,12 +154,9 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _check_nonnegative(name: str, value: float, *, finite: bool = True) -> None:
-    """``finite=False`` is the rule of penalty weights: +inf is accepted, and
-    training with it diverges."""
-    if not (value >= 0.0 and (value < np.inf or not finite)):
-        domain = "nonnegative and finite" if finite else "nonnegative"
-        raise ValueError(f"{name} must be {domain}, got {value}")
+def _check_nonnegative(name: str, value: float) -> None:
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def _check_count(

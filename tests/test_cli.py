@@ -23,7 +23,7 @@ from crmlab import (
     save_model,
     zero_policy,
 )
-from crmlab import _jobs
+from crmlab import _jobs, learning
 from crmlab.cli import build_parser, main
 from conftest import (
     floor_propensity_logged,
@@ -703,6 +703,8 @@ CSV_DEFECTS = {
     "non_finite_cell": last_row_cells(lambda cells: ["nan", *cells[1:]]),
     "truncated_row": last_row_cells(lambda cells: cells[:-1]),
     "action_at_k": last_row_cells(lambda cells: [*cells[:2], "3", *cells[3:]]),
+    "header_over_field_limit": lambda header, rows: [
+        header.replace("f0", "f" * (csv.field_size_limit() + 1)), *rows],
 }
 # ... and of a model file, given the text of a good one.
 MODEL_DEFECTS = {
@@ -803,6 +805,28 @@ class TestNoChildLeft:
         monkeypatch.setattr(_jobs, "worker_count", lambda jobs: min(jobs, 2))
         rc, _, err = run(capsys, *file_command(tmp_path, command))
         assert rc == 0 and err == ""
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failure", ["worker_dies", "fork_fails"])
+    def test_tune_worker_failure_exits_two_with_one_line(self, tmp_path, capsys,
+                                                         monkeypatch, failure):
+        # Four (lambda, fold) jobs on two forked workers.
+        monkeypatch.setattr(_jobs, "worker_count", lambda jobs: min(jobs, 2))
+        if failure == "worker_dies":
+            monkeypatch.setattr(learning, "_cv_job", lambda *args: os._exit(9))
+            message = ("A process in the process pool was terminated abruptly "
+                       "while the future was running or pending.")
+        else:
+            def no_fork():
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+            monkeypatch.setattr(os, "fork", no_fork)
+            message = f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
+        rc, out, err = run(capsys, *file_command(tmp_path, "tune"),
+                           "--grid", "0.1,0.2")
+        assert rc == 2 and out == ""
+        assert err == f"crmlab: error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
         assert multiprocessing.active_children() == []
 
 

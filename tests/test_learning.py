@@ -1,3 +1,4 @@
+import errno
 import json
 import logging
 import math
@@ -513,17 +514,19 @@ def count_objective_calls(monkeypatch):
     return calls
 
 
-def equal_u_logged():
+def equal_u_logged(propensity=0.5):
     """Logs where the zero policy gives every record the same POEM u.
 
     Rewards and propensities are constant and k=2, so at the zero policy the
     sample variance of u is exactly zero and the surrogate drops the variance
-    penalty, while the varied contexts still move the weights.
+    penalty, while the varied contexts still move the weights.  At the
+    propensity 1e-6 and tau 1e-7 the u values spread so far after the first
+    epoch that ``poem`` at lam=1e308 has an infinite epoch-end objective.
     """
     rng = np.random.default_rng(58)
     X = rng.normal(size=(120, 3))
-    return LoggedDataset(X, rng.integers(0, 2, size=120), np.full(120, 0.5),
-                         np.ones(120), 2)
+    return LoggedDataset(X, rng.integers(0, 2, size=120),
+                         np.full(120, propensity), np.ones(120), 2)
 
 
 class TestTrain:
@@ -612,8 +615,8 @@ class TestTrain:
 
     def test_nonfinite_epoch_objective_raises_on_both_paths(self,
                                                             monkeypatch):
-        data = equal_u_logged()
-        config = cfg("poem", lam=math.inf, epochs=2, seed=0)
+        data = equal_u_logged(1e-6)
+        config = cfg("poem", lam=1e308, tau=1e-7, epochs=2, seed=0)
         with pytest.raises(DivergenceError) as traced:
             train(config, data)
         calls = count_objective_calls(monkeypatch)
@@ -716,7 +719,7 @@ class TestObjectiveCertificate:
     def test_fails_on_unbounded_penalties(self, logs400):
         W = np.ones((logs400.k, logs400.d))
         assert not self.certified(cfg("ips_l2", lam=1e308), logs400, W)
-        assert not self.certified(cfg("poem", lam=math.inf), logs400, 0 * W)
+        assert not self.certified(cfg("poem", lam=1e308), logs400, 0 * W)
         assert not self.certified(cfg("poem_l2", lambda_l2=1e308), logs400, W)
 
 
@@ -904,32 +907,54 @@ class TestCrossValidate:
         logs = task_logs(task, logging_policy, 60, 1)
         with pytest.raises(FloatingPointError,
                            match="diverged for every grid value"):
-            cross_validate(logs, [math.inf], 2, cfg("ips_l2", epochs=2))
+            cross_validate(logs, [1e308], 2, cfg("ips_l2", epochs=2))
 
     def test_epoch_end_divergence_scores_minus_inf(self, monkeypatch):
         # The monkeypatched counter sees only calls made in this process.
         use_cv_workers(monkeypatch, 1)
         calls = count_objective_calls(monkeypatch)
         best, table = cross_validate(
-            equal_u_logged(), [1e-3, math.inf], 2, cfg("poem", epochs=2, seed=5),
+            equal_u_logged(1e-6), [1e-3, 1e308], 2,
+            cfg("poem", tau=1e-7, epochs=2, seed=5),
         )
         assert best == 1e-3
         assert math.isfinite(table[0].mean_score)
         assert table[1].fold_scores == (float("-inf"),) * 2
-        # Only the lam=inf jobs fail the certificate, once each at epoch 0.
+        # Only the lam=1e308 jobs fail the certificate, once each at epoch 0.
         assert len(calls) == 2
 
     def test_record_terms_summing_past_float_max(self):
-        # The finite lambda's jobs overflow only inside the record sum and
-        # score a finite value; the infinite lambda's jobs diverge and score
-        # -inf.  Neither aborts the grid.
+        # The small lambda's jobs overflow only inside the record sum and
+        # score a finite value; the 1e308 lambda's jobs diverge (2·lam
+        # overflows in the penalty gradient) and score -inf.  Neither aborts
+        # the grid.
         best, table = cross_validate(
-            floor_propensity_logged(), [1e-3, math.inf], 2,
+            floor_propensity_logged(), [1e-3, 1e308], 2,
             cfg("ips_l2", tau=1e-307, epochs=2),
         )
         assert best == 1e-3
         assert all(math.isfinite(s) for s in table[0].fold_scores)
         assert table[1].fold_scores == (float("-inf"),) * 2
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0],
+                             ids=["inf", "nan", "negative"])
+    def test_bad_grid_value_raises_before_any_job(self, monkeypatch, logs400,
+                                                  bad):
+        use_cv_workers(monkeypatch, 2)
+        jobs, forks = [], []
+        monkeypatch.setattr(learning, "_cv_job",
+                            lambda *args: jobs.append(args) or 0.0)
+
+        def no_fork():
+            forks.append(os.getpid())
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(ValueError) as err:
+            cross_validate(logs400, [1e-3, bad], 2, cfg("ips_l2"))
+        assert str(err.value) == f"lam must be nonnegative and finite, got {bad}"
+        assert jobs == [] and forks == []
+        assert multiprocessing.active_children() == []
 
     def test_ties_break_to_smaller_lambda(self, logs400, logging_policy):
         # A zero-epoch budget makes every grid value train to the same zero
@@ -1029,7 +1054,8 @@ class TestCrossValidate:
         logs = task_logs(task, logging_policy, 60, 1)
         with pytest.raises(FloatingPointError,
                            match="diverged for every grid value"):
-            cross_validate(logs, [math.inf, 1e308], 2, cfg("ips_l2", epochs=2))
+            cross_validate(logs, [1e308, sys.float_info.max], 2,
+                           cfg("ips_l2", epochs=2))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_job_error_reaches_caller_with_its_type(self, monkeypatch,

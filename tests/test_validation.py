@@ -218,6 +218,12 @@ CASES = {
     "TrainConfig.seed_bool": (
         lambda tmp: TrainConfig("ips_l2", seed=True),
         "seed must be an integer, got True"),
+    "TrainConfig.lam_inf": (
+        lambda tmp: TrainConfig("ips_l2", lam=math.inf),
+        "lam must be nonnegative and finite, got inf"),
+    "TrainConfig.lambda_l2_inf": (
+        lambda tmp: TrainConfig("poem_l2", lambda_l2=math.inf),
+        "lambda_l2 must be nonnegative and finite, got inf"),
     "learn_logging_policy.seed": (
         lambda tmp: learn_logging_policy(logged(), 0.1, seed=-3),
         "seed must be at least 0, got -3"),
@@ -245,10 +251,13 @@ CASES = {
         "n must be at least 2, got 1"),
     "poem_build_surrogate.lam": (
         lambda tmp: poem_build_surrogate(POLICY, logged(), 0.01, -1.0),
-        "lam must be nonnegative, got -1.0"),
+        "lam must be nonnegative and finite, got -1.0"),
     "poem_build_surrogate.lam_nan": (
         lambda tmp: poem_build_surrogate(POLICY, logged(), 0.01, math.nan),
-        "lam must be nonnegative, got nan"),
+        "lam must be nonnegative and finite, got nan"),
+    "poem_build_surrogate.lam_inf": (
+        lambda tmp: poem_build_surrogate(POLICY, logged(), 0.01, math.inf),
+        "lam must be nonnegative and finite, got inf"),
     # policies
     "MixedLogitSpec.prior_mean": (
         lambda tmp: MixedLogitSpec(POLICY, 0.1, zero_policy(2, 4), 1.0),
