@@ -298,7 +298,12 @@ def _read_table(
         raise ValueError(f"{path}: no records")
     features, values = zip(*blocks)
     # Row-major, as the rest of the package expects (row norms, matmuls).
-    return np.concatenate(features), [np.concatenate(parts) for parts in zip(*values)]
+    table = [np.concatenate(features),
+             *(np.concatenate(parts) for parts in zip(*values))]
+    # Read-only arrays with no other owner: a dataset takes them uncopied.
+    for column in table:
+        column.setflags(write=False)
+    return table[0], table[1:]
 
 
 def _table_blocks(path, fh, tail: tuple[_Column, ...]):

@@ -35,13 +35,15 @@ Each :func:`train` call allocates its step buffers once (see
 :class:`_StepWorkspace`), and every step writes into them.  The step keeps
 the bits of the plain numpy expressions: lr·g is formed before the division
 by smoothing + sqrt(acc), the IPS coefficient (−r/max(p, tau))·pi before
-the division by the batch size, and the softmax row sum is numpy's
-contiguous last-axis reduction (pairwise from k = 8 on); only the row max,
-which is exact in any order, is taken over an action-major copy.
+the division by the batch size, and the softmax is the package's one
+softmax, run on the transposed view of the batch's record-major logits,
+which keeps numpy's own row sum.
 
 Each epoch gathers its shuffled records once; mini-batches are slices of
 that gather.  :func:`train` evaluates the exact objective on the full data
-after every epoch and keeps it as the trace.  Callers that keep only the
+after every epoch and keeps it as the trace; a POEM run builds its next
+surrogate from the moments of that evaluation, so a traced POEM epoch makes
+one full-data softmax pass.  Callers that keep only the
 final policy (cross-validation jobs and :func:`learn_logging_policy`) run
 trace-free: at each epoch end a cheap certificate (see
 :func:`_objective_certified`) proves the objective finite, and the full
@@ -79,6 +81,7 @@ from .estimators import (
 from .policies import (
     SoftmaxPolicy, _check_count, _check_dims, _check_level, _check_nonnegative,
     _check_positive, _distance_sq, _matched_probs, _softmax_rows, _writing,
+    action_prob_matrix,
 )
 from .seeding import derive_seed
 
@@ -216,28 +219,45 @@ def _penalized(
     return value + weight * _distance_sq(W, center)
 
 
+def _poem_moments(
+    policy: SoftmaxPolicy, data: LoggedDataset, tau: float
+) -> tuple[float, float]:
+    """(mean_u, var_u) of the POEM statistic of ``policy`` on ``data``: one
+    full-data pass, which the objective and its surrogate both read."""
+    _, _, mean_u, var_u = _poem_statistic(
+        _matched_probs(policy, data), data.propensities, data.rewards, tau
+    )
+    return mean_u, var_u
+
+
 def objective_value(
     config: TrainConfig,
     policy: SoftmaxPolicy,
     prior: Optional[SoftmaxPolicy],
     data: LoggedDataset,
+    *,
+    _moments: Optional[tuple[float, float]] = None,
 ) -> float:
     """Exact value of the configured objective on ``data``.
 
     ``prior`` is required for the LPR objectives and rejected otherwise.
-    The POEM objectives need at least two records.
+    The POEM objectives need at least two records.  The private
+    ``_moments`` are a POEM objective's :func:`_poem_moments` at ``policy``
+    on ``data``, already computed; they stand in for its full-data pass.
     """
     _check_prior(config.objective, prior, data)
+    obj = config.objective
+    if obj in POEM_FAMILY:
+        _check_dims(policy, data)
+        _check_count("n", data.n, 2)
+        mean_u, var_u = _moments or _poem_moments(policy, data, config.tau)
+        data_term = -mean_u + config.lam * math.sqrt(var_u / data.n)
+        return _penalized(config, data_term, policy.weights, None)
+
     pi = _matched_probs(policy, data)
     p, r = data.propensities, data.rewards
     tau = config.tau
-    obj = config.objective
-
-    if obj in POEM_FAMILY:
-        _check_count("n", data.n, 2)
-        _, _, mean_u, var_u = _poem_statistic(pi, p, r, tau)
-        data_term = -mean_u + config.lam * math.sqrt(var_u / data.n)
-    elif obj == "wnll_lpr":
+    if obj == "wnll_lpr":
         terms = np.zeros(data.n)
         mask = r > 0.0
         with np.errstate(divide="ignore"):
@@ -320,8 +340,7 @@ class _StepWorkspace:
     allocated once per :func:`train` call and batch size:
 
     * ``logits``   (m, k) logits, then probabilities, then the logit gradient;
-    * ``logits_t`` (k, m) action-major copy for the softmax row max;
-    * ``row``      (m,) row max, row sum, then the matched probabilities;
+    * ``row``      (m,) matched probabilities;
     * ``coef``     (m,) per-record gradient coefficient;
     * ``penalty``  (k, d) penalty gradient;
     * ``grad``     (k, d+1) gradient block [gW | gb].
@@ -332,7 +351,6 @@ class _StepWorkspace:
     def __init__(self, m: int, k: int, d: int):
         self.logits = np.empty((m, k))
         self.logits_flat = self.logits.reshape(-1)
-        self.logits_t = np.empty((k, m))
         self.row = np.empty(m)
         self.coef = np.empty(m)
         self.coef_column = self.coef[:, None]
@@ -364,15 +382,16 @@ def _batch_gradient(
     records contribute zero through u (the flat side of the min).  The
     weights-only penalty is added at full strength.
 
-    Every operation writes into ``ws`` and keeps the order of the plain
-    numpy expression, (−r/max(p, tau))·pi before /m included, so the bits
-    are those of that expression.
+    Every operation but the softmax's, which allocates an action-major
+    copy for its max and two length-m rows, writes into ``ws``, and each
+    keeps the order of the plain numpy expression, (−r/max(p, tau))·pi
+    before /m included, so the bits are those of that expression.
     """
     m = X.shape[0]
     P, pi, coef = ws.logits, ws.row, ws.coef
     np.matmul(X, W.T, out=P)
     P += b
-    _softmax_rows(P, (ws.logits_t, pi))
+    _softmax_rows(P.T)
     ws.logits_flat.take(flat, out=pi)
     obj, tau = config.objective, config.tau
 
@@ -482,7 +501,12 @@ class PoemSurrogate:
 
 
 def poem_build_surrogate(
-    policy_anchor: SoftmaxPolicy, data: LoggedDataset, tau: float, lam: float
+    policy_anchor: SoftmaxPolicy,
+    data: LoggedDataset,
+    tau: float,
+    lam: float,
+    *,
+    _moments: Optional[tuple[float, float]] = None,
 ) -> PoemSurrogate:
     """Build the per-epoch majorizer at ``policy_anchor``.
 
@@ -495,14 +519,15 @@ def poem_build_surrogate(
     with q = lam·sqrt(n) / (2·sqrt(S_t)·(n−1)) and constant
     q·mean_u² + (lam/2)·sqrt(S_t/n).  A zero anchor variance degenerates
     the majorizer: the surrogate drops the penalty and is marked
-    ``degenerate``, which :func:`train` logs for its epoch.
+    ``degenerate``, which :func:`train` logs for its epoch.  The private
+    ``_moments``, as in :func:`objective_value`, stand in for the full-data
+    pass at the anchor.
     """
     _check_count("n", data.n, 2)
     _check_nonnegative("lam", lam)
     _check_level("tau", tau)
     n = data.n
-    pi = _matched_probs(policy_anchor, data)
-    _, _, mean_u, var_u = _poem_statistic(pi, data.propensities, data.rewards, tau)
+    mean_u, var_u = _moments or _poem_moments(policy_anchor, data, tau)
     if lam == 0.0 or var_u <= 0.0:
         return PoemSurrogate(
             alpha=np.zeros(n),
@@ -571,7 +596,8 @@ def train(
     Deterministic for fixed (config, data): one RNG stream drives the
     per-epoch shuffles.  The trace holds the exact objective on the full
     dataset at the end of every epoch.  POEM-family runs rebuild their
-    surrogate at each epoch start and follow surrogate gradients; all other
+    surrogate at each epoch start, from the moments of the previous epoch's
+    evaluation where there was one, and follow surrogate gradients; all other
     objectives follow their exact mini-batch gradients.  Raises
     :class:`DivergenceError` the moment anything non-finite appears: a
     non-finite batch gradient names its epoch and batch, a non-finite
@@ -610,11 +636,15 @@ def train(
 
     trace: list[float] = []
     epoch_times: list[float] = []
+    # POEM moments at the current (W, b), when an epoch-end evaluation has
+    # computed them; the next surrogate is built from them.
+    moments = None
     for epoch in range(config.epochs):
         epoch_columns = columns
         if is_poem:
             surrogate = poem_build_surrogate(
-                SoftmaxPolicy(W, b), data, config.tau, config.lam
+                SoftmaxPolicy(W, b), data, config.tau, config.lam,
+                _moments=moments,
             )
             if surrogate.degenerate:
                 logger.warning("epoch %d: anchor sample variance is zero; "
@@ -646,8 +676,13 @@ def train(
                 grad *= _LEARNING_RATE
                 grad /= step
                 theta -= grad
+        moments = None
         if _trace or not _objective_certified(config, W, b, W0, data):
-            value = objective_value(config, SoftmaxPolicy(W, b), prior, data)
+            policy = SoftmaxPolicy(W, b)
+            if is_poem:
+                moments = _poem_moments(policy, data, config.tau)
+            value = objective_value(config, policy, prior, data,
+                                    _moments=moments)
             if not math.isfinite(value):
                 raise DivergenceError(epoch, None, value)
             if _trace:
@@ -841,7 +876,7 @@ def solve_logging_nll_exact(data: LoggedDataset, lam: float) -> SoftmaxPolicy:
             return policy
         # The Hessian (1/n)·sum_i (diag P_i − P_i P_iᵀ) ⊗ x_i x_iᵀ + 2·lam·I:
         # with rows A_i = P_i ⊗ x_i it is blockdiag_c(A_cᵀ X) − AᵀA, over n.
-        P = _softmax_rows(policy.logits(X))
+        P = action_prob_matrix(policy, X)
         A = P[:, :, None] * X[:, None, :]
         H = -(A.reshape(n, k * d).T @ A.reshape(n, k * d))
         c = np.arange(k)

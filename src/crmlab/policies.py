@@ -57,8 +57,9 @@ class SoftmaxPolicy:
     """Linear softmax policy with per-action weight rows and biases.
 
     ``weights`` has shape (k, d) and ``biases`` shape (k,).  Instances are
-    immutable: arrays are copied on construction and marked read-only, so a
-    policy can be shared freely across threads.
+    immutable: its arrays are read-only, and a writeable array given to the
+    constructor is copied first (see :func:`_frozen`), so a policy can be
+    shared freely across threads.
     """
 
     weights: np.ndarray
@@ -91,6 +92,13 @@ class SoftmaxPolicy:
 
 
 def _frozen(arr, dtype) -> np.ndarray:
+    """``arr`` as a read-only ``dtype`` array.  A read-only array of that
+    dtype that owns its memory, such as one the CSV reader hands over, is
+    taken as it is; anything else, a caller's writeable array included, is
+    copied."""
+    if (isinstance(arr, np.ndarray) and arr.dtype == dtype
+            and arr.flags.owndata and not arr.flags.writeable):
+        return arr
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -217,35 +225,69 @@ def _validate_context(
     return x
 
 
-def _softmax_rows(
-    logits: np.ndarray, work: Optional[tuple[np.ndarray, np.ndarray]] = None
-) -> np.ndarray:
-    """Softmax over the last axis, in a new array.
+def _row_sum(e: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of ``e`` (k, m), in a new length-m array, by
+    k − 1 vector adds in the order numpy sums a contiguous row of length k
+    (its pairwise summation): in sequence below 8 terms; up to 128 terms,
+    eight running sums r0..r7 over strides of 8, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remainder
+    in sequence; above 128 terms, the sums of the two parts split at k/2
+    rounded down to a multiple of 8.  So each column sum has the bits of
+    ``e.T.sum(axis=-1)`` on a row-major copy."""
+    k = e.shape[0]
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        out = _row_sum(e[:half])
+        out += _row_sum(e[half:])
+        return out
+    if k < 8:
+        stop, out = 1, e[0].copy()
+    else:
+        stop = k - k % 8
+        r = e[:8]
+        if stop > 8:  # a reduction over the leading axis adds in sequence
+            r = np.add.reduce(e[:stop].reshape(-1, 8, e.shape[1]), axis=0)
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        out = r[0] + r[1]
+    for j in range(stop, k):
+        out += e[j]
+    return out
 
-    ``work = (logits_t, row)``, an action-major ``(k, m)`` buffer and a
-    length-m buffer, makes the softmax of an ``(m, k)`` array overwrite
-    ``logits`` instead, allocating nothing, with the same bits: the row max
-    is taken over the action-major copy (k − 1 vector operations; max is
-    exact in any order), while the row sum stays numpy's contiguous
-    last-axis reduction, whose pairwise order from k = 8 on sets the bits.
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """The package's one softmax, in place on action-major logits ``z``
+    (k, m), whose column i holds record i's k logits; returns ``z``.
+
+    ``z`` is a C-ordered (k, m) array, one contiguous vector per action, or
+    the transposed view of record-major (m, k) rows.  The max is taken over
+    an action-major copy in the second case (max is exact in any order);
+    the subtraction, exp and division are elementwise.  The row sum is
+    numpy's own reduction where each record's logits are contiguous, and
+    :func:`_row_sum`'s vector adds, in the same order, where each action's
+    are.  So in either layout the probabilities have the bits of the
+    row-major ``e = exp(l − l.max(-1)); e / e.sum(-1)`` on the (m, k)
+    logits ``l = z.T``.  Action-major, every step is one vector operation
+    over the m records, which a full-data pass wants; a 100-record
+    training step is cheaper record-major, where numpy sums each row in
+    one call rather than k − 1.
     """
     # Max-subtraction keeps exp() in range for arbitrarily large logits.
-    if work is None:
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        np.exp(shifted, out=shifted)
-        shifted /= shifted.sum(axis=-1, keepdims=True)
-        return shifted
-    # The ufunc reductions are what max() and sum() call, minus their
-    # Python-level dispatch.
-    logits_t, row = work
-    column = row[:, None]
-    np.copyto(logits_t, logits.T)
-    np.maximum.reduce(logits_t, axis=0, out=row)
-    np.subtract(logits, column, out=logits)
-    np.exp(logits, out=logits)
-    np.add.reduce(logits, axis=-1, out=row)
-    logits /= column
-    return logits
+    z -= np.maximum.reduce(np.ascontiguousarray(z), axis=0)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=0) if z.T.flags.c_contiguous else _row_sum(z)
+    return z
+
+
+def _action_logits(policy: SoftmaxPolicy, X: np.ndarray) -> np.ndarray:
+    """The forward pass of :meth:`SoftmaxPolicy.logits` over the contexts
+    ``X`` (n, d), stored action-major as a new (k, n) array, with its bits.
+    The product stays row-major because BLAS may round W·Xᵀ differently
+    from X·Wᵀ (OpenBLAS 0.3.31 does for some shapes with k ≥ 127); the
+    bias add writes its transpose."""
+    z = np.empty((policy.k, X.shape[0]))
+    np.add((X @ policy.weights.T).T, policy.biases[:, None], out=z)
+    return z
 
 
 def action_probs(policy: SoftmaxPolicy, x: np.ndarray) -> np.ndarray:
@@ -255,21 +297,23 @@ def action_probs(policy: SoftmaxPolicy, x: np.ndarray) -> np.ndarray:
     normalized exactly, strictly positive for finite logits.
     """
     x = _validate_context(policy, x)
-    return _softmax_rows(policy.logits(x))
+    return _softmax_rows(policy.logits(x)[:, None])[:, 0]
 
 
 def action_prob_matrix(policy: SoftmaxPolicy, X: np.ndarray) -> np.ndarray:
     """Row-wise action distributions for a batch of contexts (n×d → n×k)."""
-    return _softmax_rows(policy.logits(_feature_matrix("contexts", X, policy.d)))
+    X = _feature_matrix("contexts", X, policy.d)
+    return _softmax_rows(_action_logits(policy, X)).T.copy()
 
 
 def _matched_probs(policy: SoftmaxPolicy, data, actions=None) -> np.ndarray:
     """π(a_i|x_i) of ``policy`` at every context x_i of ``data``, for its
-    logged actions or the given ``actions`` (labels).  The dataset has
-    checked its features, so only :func:`_check_dims` runs here."""
+    logged actions or the given ``actions`` (labels): one full-data pass of
+    the softmax.  The dataset has checked its features, so only
+    :func:`_check_dims` runs here."""
     _check_dims(policy, data)
-    P = _softmax_rows(policy.logits(data.features))
-    return P[np.arange(len(data)), data.actions if actions is None else actions]
+    P = _softmax_rows(_action_logits(policy, data.features))
+    return P[data.actions if actions is None else actions, np.arange(len(data))]
 
 
 def _gumbel_max_log(
@@ -277,12 +321,15 @@ def _gumbel_max_log(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log ``policy`` at the contexts ``X``: per row, the Gumbel-max action
     argmax(logits − ln(−ln u)) for uniforms u clamped inside (0, 1), and its
-    exact softmax probability as the propensity."""
-    logits = policy.logits(X)
-    P = _softmax_rows(logits)
-    u = np.clip(rng.uniform(size=logits.shape), _U_LO, _U_HI)
-    actions = np.argmax(logits - np.log(-np.log(u)), axis=1)
-    return actions, P[np.arange(X.shape[0]), actions]
+    exact softmax probability as the propensity.  The uniforms are drawn as
+    an (n, k) array, so record i, action a takes u[i, a]; ties go to the
+    lowest action index."""
+    n = X.shape[0]
+    z = _action_logits(policy, X)
+    u = np.clip(rng.uniform(size=(n, policy.k)), _U_LO, _U_HI)
+    actions = np.argmax(z - np.log(-np.log(u)).T, axis=0)
+    P = _softmax_rows(z)
+    return actions, P[actions, np.arange(n)]
 
 
 def mixed_logit_prob_mc(
@@ -306,17 +353,11 @@ def mixed_logit_prob_mc(
     order, so they are exactly the draws of one call
     ``mean_logits + scale * rng.standard_normal((samples, k))`` and the
     generator ends in the same state.  Each block's logits are stored
-    action-major (one contiguous vector per action), which turns the
-    softmax's row max and row sum into k − 1 elementwise vector operations
-    instead of one length-k loop per row.  Only the probabilities of ``a``
-    are kept, so memory is O(samples + _BLOCK_ROWS·k), and the estimate and
-    standard error are taken over all of them at once, in the summation
-    order of an unblocked call.  A last block of one row joins the block
-    before it: a (1, k) block is contiguous along its row, and from k = 8
-    numpy would sum that row pairwise instead of in action order.  So the
-    result has the bits of the unblocked action-major expression, which
-    for k ≤ 7 are those of the row-major expression above; from k = 8 the
-    row-major one sums each row pairwise and may differ in the last ulp.
+    action-major for :func:`_softmax_rows`, and only the probabilities of
+    ``a`` are kept, so memory is O(samples + _BLOCK_ROWS·k).  The estimate
+    and standard error are taken over all of them at once, in the summation
+    order of an unblocked call, so the result has the bits of the
+    row-major expression above for every k.
 
     Returns ``(estimate, std_error)``; the standard error uses the
     unbiased sample variance and is NaN when ``samples == 1``.
@@ -326,19 +367,13 @@ def mixed_logit_prob_mc(
     mu = spec.mean.logits(x)
     scale = float(np.sqrt(spec.variance) * np.linalg.norm(x))
     p = np.empty(samples)
-    start = 0
-    while start < samples:
-        stop = start + _BLOCK_ROWS
-        if stop + 1 >= samples:  # the last block, a one-row tail folded in
-            stop = samples
-        # z is the block's (rows, k) logits stored action-major: each column
-        # is contiguous.
+    for start in range(0, samples, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, samples)
         z = np.multiply(
             rng.standard_normal((stop - start, spec.mean.k)).T, scale, order="C"
-        ).T
-        z += mu
-        p[start:stop] = _softmax_rows(z)[:, a]
-        start = stop
+        )
+        z += mu[:, None]
+        p[start:stop] = _softmax_rows(z)[a]
     estimate = float(p.mean())
     if samples > 1:
         std_error = float(p.std(ddof=1) / np.sqrt(samples))

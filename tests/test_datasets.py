@@ -3,6 +3,7 @@ import errno
 import io
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -152,6 +153,39 @@ class TestCsvRoundTrips:
         save_logged(p1, data)
         save_logged(p2, data)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_logged_keeps_no_second_copy(self, tmp_path):
+        # 20 000 records are ten reader blocks.  The parsed blocks and
+        # their concatenation coexist once; the dataset then takes the
+        # reader's read-only arrays as they are.  Copying them as well
+        # peaked near three times the arrays' size.
+        rng = np.random.default_rng(5)
+        data = random_logged(rng, 20_000, 20, 10)
+        path, again = tmp_path / "logs.csv", tmp_path / "again.csv"
+        save_logged(path, data)
+        tracemalloc.start()
+        try:
+            back = load_logged(path, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        names = ("features", "actions", "propensities", "rewards")
+        for name in names:
+            np.testing.assert_array_equal(getattr(back, name),
+                                          getattr(data, name), strict=True)
+            assert not getattr(back, name).flags.writeable
+        save_logged(again, back)
+        assert again.read_bytes() == path.read_bytes()
+        assert peak < 2.5 * sum(getattr(back, name).nbytes for name in names)
+
+    def test_callers_writeable_arrays_are_copied(self):
+        X = np.ones((3, 2))
+        actions = np.array([0, 1, 0])
+        data = LoggedDataset(X, actions, np.full(3, 0.5), np.ones(3), 2)
+        X[0, 0] = 7.0
+        actions[0] = 1
+        assert data.features[0, 0] == 1.0 and data.actions[0] == 0
+        assert not data.features.flags.writeable
 
 
 class TestCsvErrors:

@@ -48,6 +48,7 @@ from crmlab import (
     zero_policy,
     LabeledDataset,
 )
+from crmlab.policies import _matched_probs
 from conftest import (
     fd_gradient,
     floor_propensity_logged,
@@ -627,6 +628,35 @@ class TestTrain:
             assert err.value.epoch == 0
             assert err.value.batch is None
         assert str(lean.value) == str(traced.value)
+
+    @pytest.mark.parametrize("objective", ["poem", "poem_l2"])
+    def test_traced_poem_epoch_makes_one_full_data_pass(self, logs400,
+                                                        monkeypatch,
+                                                        objective):
+        # The epoch-end evaluation computes the POEM moments at the
+        # parameters where the next epoch builds its surrogate, and the
+        # surrogate reuses them: E epochs make E + 1 full-data softmax
+        # passes, the first surrogate's included.  A trace-free run whose
+        # certificate holds evaluates nothing at its epoch ends: E passes.
+        epochs = 4
+        config = cfg(objective, lam=0.1, lambda_l2=1e-3, epochs=epochs,
+                     seed=3)
+        passes = []
+
+        def counted(policy, data, *args):
+            passes.append(data.n)
+            return _matched_probs(policy, data, *args)
+
+        monkeypatch.setattr(learning, "_matched_probs", counted)
+        traced = train(config, logs400)
+        assert passes == [logs400.n] * (epochs + 1)
+        passes.clear()
+        lean = train(config, logs400, _trace=False)
+        assert passes == [logs400.n] * epochs
+        np.testing.assert_array_equal(lean.final_policy.weights,
+                                      traced.final_policy.weights)
+        assert traced.objective_trace[-1] == objective_value(
+            config, traced.final_policy, None, logs400)
 
     def test_overflowing_gradient_sum_does_not_abort(self):
         # Two equal records at propensity and tau 1e-300: every gradient

@@ -17,7 +17,9 @@ from crmlab import (
     save_model,
     zero_policy,
 )
-from crmlab.policies import _BLOCK_ROWS, _gumbel_max_log, _softmax_rows
+from crmlab.policies import (
+    _BLOCK_ROWS, _action_logits, _gumbel_max_log, _softmax_rows,
+)
 
 
 def bias_policy(biases, d=1):
@@ -69,6 +71,38 @@ class TestActionProbs:
         # few ulps, not bit-exact.
         for i in range(6):
             np.testing.assert_allclose(P[i], action_probs(pol, X[i]), rtol=1e-13)
+
+
+# k covers every summation order of policies._row_sum and its edges: in
+# sequence (k < 8), eight running sums (8 ≤ k ≤ 128, with and without a
+# remainder) and the split above 128.
+SUM_ORDER_KS = [1, 2, 7, 8, 9, 10, 16, 17, 128, 129, 200]
+
+
+@pytest.mark.parametrize("k", SUM_ORDER_KS)
+@pytest.mark.parametrize("m", [1, 37, 100, 5000])
+def test_softmax_has_the_bits_of_numpys_row_major_softmax(k, m):
+    # On action-major memory the one softmax forms each row sum by vector
+    # adds in the order numpy sums a contiguous row; on the transposed view
+    # of record-major rows it calls numpy's sum.  A numpy that sums in
+    # another order fails here, by name, before the golden digests move; so
+    # does a forward pass whose action-major logits lose the bits of
+    # x·Wᵀ + b.
+    rng = np.random.default_rng(1000 * k + m)
+    d = 1 + (k * m) % 50
+    X = rng.normal(size=(m, d))
+    for scale in (0.1, 1.0, 30.0, 300.0):
+        pol = SoftmaxPolicy(scale * rng.normal(size=(k, d)),
+                            scale * rng.normal(size=k))
+        logits = pol.logits(X)
+        expected = _row_major_softmax(logits)
+        z = _action_logits(pol, X)
+        assert z.flags.c_contiguous
+        assert np.array_equal(z, logits.T)
+        for layout in (z, logits.copy().T):
+            np.testing.assert_array_equal(_softmax_rows(layout).T, expected,
+                                          strict=True)
+        assert np.array_equal(action_prob_matrix(pol, X), expected)
 
 
 class TestSampling:
@@ -177,7 +211,7 @@ class TestMixedLogitMC:
         with pytest.raises(ValueError):
             mixed_logit_prob_mc(spec, np.ones(1), 0, 0, np.random.default_rng(2))
 
-    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    @pytest.mark.parametrize("k", [2, 3, 5, 7, 8, 10, 16])
     @pytest.mark.parametrize("samples", BLOCK_EDGES)
     def test_bit_identical_to_row_major_reference(self, k, samples):
         # The estimate must equal, bit for bit, the plain row-major
@@ -188,9 +222,8 @@ class TestMixedLogitMC:
     @pytest.mark.parametrize("k", [8, 9, 10, 16])
     @pytest.mark.parametrize("samples", BLOCK_EDGES)
     def test_blocks_bit_identical_to_one_action_major_block(self, k, samples):
-        # From k = 8 numpy sums a contiguous row pairwise, so the reference
-        # is the unblocked action-major expression; samples = block + 1
-        # would leave a one-row block, which must not be summed apart.
+        # The unblocked action-major expression: blocks, a one-row last
+        # block (samples = block + 1) included, sum as one block does.
         _check_against_reference(_action_major_probs, k, samples)
 
     def test_peak_memory_below_one_full_block(self):
@@ -209,10 +242,16 @@ class TestMixedLogitMC:
         assert peak < 200_000 * 10 * 8
 
 
+def _row_major_softmax(z):
+    """The plain numpy softmax of each row of ``z`` (m, k)."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _row_major_probs(mu, scale, samples, a, rng):
     """π(a) over one row-major (samples, k) draw."""
     z = mu + scale * rng.standard_normal((samples, mu.shape[0]))
-    return _softmax_rows(z)[:, a]
+    return _row_major_softmax(z)[:, a]
 
 
 def _action_major_probs(mu, scale, samples, a, rng):
@@ -220,9 +259,9 @@ def _action_major_probs(mu, scale, samples, a, rng):
     form of mixed_logit_prob_mc."""
     z = np.multiply(
         rng.standard_normal((samples, mu.shape[0])).T, scale, order="C"
-    ).T
-    z += mu
-    return _softmax_rows(z)[:, a]
+    )
+    z += mu[:, None]
+    return _softmax_rows(z)[a]
 
 
 def _check_against_reference(reference, k, samples):

@@ -98,15 +98,16 @@ def test_cli_imports_no_private_name():
 
 
 def test_forward_pass_is_written_once():
-    # x·Wᵀ + b lives in SoftmaxPolicy.logits; every other forward pass calls
-    # it.  The in-place matmul of the training step spells W.T and is not
+    # x·Wᵀ + b lives in SoftmaxPolicy.logits and, stored action-major, in
+    # policies._action_logits; every other forward pass calls one of them.
+    # The in-place matmul of the training step spells W.T and is not
     # counted.
     uses = [
         path.name
         for path in sorted((ROOT / "src" / "crmlab").glob("*.py"))
         for _ in range(path.read_text(encoding="utf-8").count("weights.T"))
     ]
-    assert uses == ["policies.py"]
+    assert uses == ["policies.py", "policies.py"]
 
 
 def _in_place_exps(tree):
@@ -123,8 +124,8 @@ def _in_place_exps(tree):
 
 
 def test_softmax_is_written_once():
-    # The in-place exp of a softmax lives in policies._softmax_rows, once per
-    # branch; an inlined per-action softmax elsewhere would be a second one.
+    # The in-place exp of a softmax lives in policies._softmax_rows, once;
+    # an inlined per-action softmax elsewhere would be a second one.
     found, inside = set(), set()
     for path in sorted((ROOT / "src" / "crmlab").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -134,7 +135,7 @@ def test_softmax_is_written_once():
                            if isinstance(node, ast.FunctionDef)
                            and node.name == "_softmax_rows")
             inside = {(path.name, line) for line in _in_place_exps(softmax)}
-    assert len(inside) == 2
+    assert len(inside) == 1
     assert found == inside
 
 
