@@ -27,6 +27,8 @@ from typing import Optional
 
 import numpy as np
 
+from ._jobs import prefetched
+
 __all__ = [
     "SoftmaxPolicy",
     "MixedLogitSpec",
@@ -209,6 +211,18 @@ def _max_row_norm(X: np.ndarray) -> float:
     return norm
 
 
+def _context_norm(x: np.ndarray) -> float:
+    """‖x‖ with the bits of ``np.linalg.norm`` wherever that is finite;
+    rescaled by the largest entry only when the square overflows, as in
+    :func:`_max_row_norm`."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if norm == np.inf:
+        scale = float(np.abs(x).max())
+        return scale * float(np.linalg.norm(x / scale))
+    return norm
+
+
 def _validate_context(
     policy: SoftmaxPolicy, x: np.ndarray, a: Optional[int] = None
 ) -> np.ndarray:
@@ -359,27 +373,41 @@ def mixed_logit_prob_mc(
     order of an unblocked call, so the result has the bits of the
     row-major expression above for every k.
 
+    With more than one block and more than one usable CPU, a helper thread
+    draws the next block while this one goes through the softmax (see
+    :func:`crmlab._jobs.prefetched`), with the same draws in the same
+    order.  So ``rng`` advances on that thread during the call: do not
+    share it with another thread until the call returns.
+
     Returns ``(estimate, std_error)``; the standard error uses the
     unbiased sample variance and is NaN when ``samples == 1``.
     """
     _check_count("samples", samples, 1)
     x = _validate_context(spec.mean, x, a)
     mu = spec.mean.logits(x)
-    scale = float(np.sqrt(spec.variance) * np.linalg.norm(x))
+    scale = float(np.sqrt(spec.variance) * _context_norm(x))
+    starts = range(0, samples, _BLOCK_ROWS)
+    draws = (
+        rng.standard_normal((min(_BLOCK_ROWS, samples - start), spec.mean.k))
+        for start in starts
+    )
     p = np.empty(samples)
-    for start in range(0, samples, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, samples)
-        z = np.multiply(
-            rng.standard_normal((stop - start, spec.mean.k)).T, scale, order="C"
-        )
-        z += mu[:, None]
-        p[start:stop] = _softmax_rows(z)[a]
-    estimate = float(p.mean())
+    with prefetched(draws, len(starts)) as normals:
+        for start, noise in zip(starts, normals):
+            z = np.multiply(noise.T, scale, order="C")
+            z += mu[:, None]
+            p[start:start + len(noise)] = _softmax_rows(z)[a]
+    mean = np.add.reduce(p) / samples
     if samples > 1:
-        std_error = float(p.std(ddof=1) / np.sqrt(samples))
+        # p.std(ddof=1)'s steps, in place: its (samples,) temporary made the
+        # allocator hand pages back and fault them in again on every call.
+        p -= mean
+        np.multiply(p, p, out=p)
+        variance = np.add.reduce(p) / (samples - 1)
+        std_error = float(np.sqrt(variance) / np.sqrt(samples))
     else:
         std_error = float("nan")
-    return estimate, std_error
+    return float(mean), std_error
 
 
 def mixed_logit_prob_bounds(
@@ -395,7 +423,7 @@ def mixed_logit_prob_bounds(
     to 1.  At σ = 0 both sides collapse to the exact softmax probability.
     """
     x = _validate_context(spec.mean, x, a)
-    _check_norm_bound("B", B, float(np.linalg.norm(x)))
+    _check_norm_bound("B", B, _context_norm(x))
     p = float(action_probs(spec.mean, x)[a])
     sb2 = spec.variance * B * B
     lower = p * float(np.exp(-0.5 * sb2))

@@ -1,10 +1,14 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from crmlab import _jobs
 from crmlab import (
     MixedLogitSpec,
     SoftmaxPolicy,
@@ -168,6 +172,51 @@ BLOCK_EDGES = [1, 2, 7, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                2 * _BLOCK_ROWS + 1, 200_000]
 
 
+@pytest.fixture(params=[1, 2], ids=["inline", "helper_thread"])
+def draw_workers(request, monkeypatch):
+    """Runs the MC's normal draws inline (1) or on a helper thread (2),
+    whatever the host's CPU count."""
+    monkeypatch.setattr(_jobs, "worker_count",
+                        lambda jobs: min(jobs, request.param))
+    return request.param
+
+
+def _returns_within(call, seconds=30.0):
+    """``call()``'s result, run on a watcher thread so that a producer that
+    never stops fails the test instead of hanging it."""
+    outcome = {}
+
+    def watched():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:  # re-raised on the test's thread
+            outcome["error"] = exc
+
+    watcher = threading.Thread(target=watched, daemon=True)
+    watcher.start()
+    watcher.join(seconds)
+    assert not watcher.is_alive(), f"no return within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class _RecordingRng:
+    """A generator stand-in: draws from ``default_rng(0)``, records the
+    thread of each draw, and raises on draw number ``fail_at``."""
+
+    def __init__(self, fail_at=None):
+        self.rng = np.random.default_rng(0)
+        self.fail_at = fail_at
+        self.threads = []
+
+    def standard_normal(self, shape):
+        self.threads.append(threading.get_ident())
+        if len(self.threads) == self.fail_at:
+            raise FloatingPointError("draw failed")
+        return self.rng.standard_normal(shape)
+
+
 class TestMixedLogitMC:
     def test_tiny_variance_recovers_softmax(self):
         rng = np.random.default_rng(11)
@@ -213,7 +262,8 @@ class TestMixedLogitMC:
 
     @pytest.mark.parametrize("k", [2, 3, 5, 7, 8, 10, 16])
     @pytest.mark.parametrize("samples", BLOCK_EDGES)
-    def test_bit_identical_to_row_major_reference(self, k, samples):
+    def test_bit_identical_to_row_major_reference(self, k, samples,
+                                                  draw_workers):
         # The estimate must equal, bit for bit, the plain row-major
         # expression on an identically seeded generator, and leave that
         # generator in the same state.
@@ -221,12 +271,13 @@ class TestMixedLogitMC:
 
     @pytest.mark.parametrize("k", [8, 9, 10, 16])
     @pytest.mark.parametrize("samples", BLOCK_EDGES)
-    def test_blocks_bit_identical_to_one_action_major_block(self, k, samples):
+    def test_blocks_bit_identical_to_one_action_major_block(self, k, samples,
+                                                            draw_workers):
         # The unblocked action-major expression: blocks, a one-row last
         # block (samples = block + 1) included, sum as one block does.
         _check_against_reference(_action_major_probs, k, samples)
 
-    def test_peak_memory_below_one_full_block(self):
+    def test_peak_memory_below_one_full_block(self, draw_workers):
         # One (samples, k) float64 array at k = 10 and 200 000 samples is
         # 16 MB; drawing them all at once peaked at about twice that.
         rng = np.random.default_rng(5)
@@ -240,6 +291,83 @@ class TestMixedLogitMC:
         finally:
             tracemalloc.stop()
         assert peak < 200_000 * 10 * 8
+
+    @pytest.mark.parametrize("samples,threaded", [
+        (_BLOCK_ROWS, False), (_BLOCK_ROWS + 1, True), (3 * _BLOCK_ROWS, True),
+    ])
+    def test_draws_leave_the_callers_thread_only_for_two_blocks_and_cpus(
+            self, draw_workers, samples, threaded):
+        pol = zero_policy(2, 3)
+        spec = MixedLogitSpec(pol, 0.5, pol, 1.0)
+        rng = _RecordingRng()
+        mixed_logit_prob_mc(spec, np.ones(2), 0, samples, rng)
+        off_caller = {t != threading.get_ident() for t in rng.threads}
+        assert off_caller == {threaded and draw_workers == 2}
+        assert len(rng.threads) == -(-samples // _BLOCK_ROWS)
+
+    def test_failed_draw_reaches_the_caller_and_leaves_no_thread(
+            self, draw_workers):
+        pol = zero_policy(2, 3)
+        spec = MixedLogitSpec(pol, 0.5, pol, 1.0)
+        rng = _RecordingRng(fail_at=3)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="draw failed"):
+            _returns_within(lambda: mixed_logit_prob_mc(
+                spec, np.ones(2), 0, 6 * _BLOCK_ROWS, rng))
+        assert threading.active_count() == threads
+        assert len(rng.threads) == 3
+
+    def test_bits_hold_under_rapid_thread_switches(self, monkeypatch):
+        # Switching threads every microsecond interleaves the producer and
+        # the caller at many more points than the default 5 ms does.
+        monkeypatch.setattr(_jobs, "worker_count", lambda jobs: min(jobs, 2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _returns_within(lambda: _check_against_reference(
+                _row_major_probs, 3, 5 * _BLOCK_ROWS + 3))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_zero_variance_equals_softmax_where_the_norm_squared_overflows(self):
+        # ‖x‖² = 1e400 overflows; np.linalg.norm once made the scale inf and
+        # the estimate (nan, nan).
+        pol = SoftmaxPolicy(np.array([[1e-200], [0.0]]), np.zeros(2))
+        spec = MixedLogitSpec(pol, 0.0, pol, 1.0)
+        x = np.array([1e200])
+        p = action_probs(pol, x)
+        for a in (0, 1):
+            est, se = mixed_logit_prob_mc(spec, x, a, 1000,
+                                          np.random.default_rng(3))
+            assert est == pytest.approx(p[a], rel=1e-15)
+            assert se < 1e-15
+
+
+class TestPrefetched:
+    def test_consumer_stopping_early_stops_the_producer(self, monkeypatch):
+        monkeypatch.setattr(_jobs, "worker_count", lambda jobs: min(jobs, 2))
+        made = []
+
+        def items():
+            for i in range(100):
+                made.append(i)
+                yield i
+
+        # One taken, the slots full, and one in hand, blocked on a full queue.
+        full = 1 + _jobs._AHEAD + 1
+
+        def stop_early():
+            with _jobs.prefetched(items(), 100) as taken:
+                assert next(taken) == 0
+                deadline = time.monotonic() + 10.0
+                while len(made) < full and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                assert len(made) == full
+
+        threads = threading.active_count()
+        _returns_within(stop_early)
+        assert threading.active_count() == threads
+        assert len(made) == full
 
 
 def _row_major_softmax(z):
@@ -299,6 +427,14 @@ def _check_against_reference(reference, k, samples):
 
 
 class TestSandwichBounds:
+    def test_zero_variance_collapse_where_the_norm_squared_overflows(self):
+        pol = SoftmaxPolicy(np.array([[1e-200], [0.0]]), np.zeros(2))
+        spec = MixedLogitSpec(pol, 0.0, pol, 1.0)
+        x = np.array([1e200])
+        p = action_probs(pol, x)
+        for a in (0, 1):
+            assert mixed_logit_prob_bounds(spec, x, a, 1e200) == (p[a], p[a])
+
     def test_zero_variance_collapse(self):
         rng = np.random.default_rng(21)
         pol = SoftmaxPolicy(rng.normal(size=(3, 2)), rng.normal(size=3))

@@ -139,38 +139,54 @@ def test_softmax_is_written_once():
     assert found == inside
 
 
-def _process_pool_uses(tree):
-    """Line numbers in ``tree`` that import ``multiprocessing`` or
-    ``concurrent.futures``, or name ``ProcessPoolExecutor``."""
+def _concurrency_uses(tree, modules, names):
+    """Line numbers in ``tree`` that import one of ``modules`` (or a
+    submodule) or name one of ``names``."""
     lines = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
+            imported = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            modules = [node.module or ""]
+            imported = [node.module or ""]
         else:
-            modules = []
-        if any(m.split(".")[0] in ("multiprocessing", "concurrent") for m in modules):
+            imported = []
+        if any(m.split(".")[0] in modules for m in imported):
             lines.add(node.lineno)
-        if ((isinstance(node, ast.Name) and node.id == "ProcessPoolExecutor")
-                or (isinstance(node, ast.Attribute)
-                    and node.attr == "ProcessPoolExecutor")):
+        if ((isinstance(node, ast.Name) and node.id in names)
+                or (isinstance(node, ast.Attribute) and node.attr in names)):
             lines.add(node.lineno)
     return lines
+
+
+def _check_only_helper_uses(helper_name, modules, names):
+    """Every use of ``modules`` or ``names`` in the package sits inside
+    ``_jobs.<helper_name>``, which has at least one."""
+    found, inside = set(), set()
+    for path in sorted((ROOT / "src" / "crmlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.name, line)
+                  for line in _concurrency_uses(tree, modules, names)}
+        if path.name == "_jobs.py":
+            helper = next(node for node in ast.walk(tree)
+                          if isinstance(node, ast.FunctionDef)
+                          and node.name == helper_name)
+            inside = {(path.name, line)
+                      for line in _concurrency_uses(helper, modules, names)}
+    assert inside
+    assert found == inside
 
 
 def test_worker_processes_start_in_one_place():
     # Cross-validation forks its workers through _jobs.map_jobs; a second
     # pool elsewhere would be a second set of rules for worker counts,
     # daemonic callers and shutdown.
-    found, inside = set(), set()
-    for path in sorted((ROOT / "src" / "crmlab").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        found |= {(path.name, line) for line in _process_pool_uses(tree)}
-        if path.name == "_jobs.py":
-            helper = next(node for node in ast.walk(tree)
-                          if isinstance(node, ast.FunctionDef)
-                          and node.name == "map_jobs")
-            inside = {(path.name, line) for line in _process_pool_uses(helper)}
-    assert inside
-    assert found == inside
+    _check_only_helper_uses("map_jobs", ("multiprocessing", "concurrent"),
+                            ("ProcessPoolExecutor",))
+
+
+def test_threads_start_in_one_place():
+    # The Monte Carlo draws ahead on the thread of _jobs.prefetched; a
+    # thread started elsewhere could outlive its call or be alive when
+    # map_jobs forks.
+    _check_only_helper_uses("prefetched", ("threading", "queue", "_thread"),
+                            ("Thread", "ThreadPoolExecutor"))
