@@ -12,6 +12,13 @@ never perturbs the randomness of earlier stages.  Outputs are byte-identical
 across reruns with equal flags, except for recorded wall times in training
 reports and trace files.
 
+``train`` writes its model, report and trace to temporary files beside
+them and moves them into place only once all of them are written, so a
+failed write leaves none of them; a target that is not a regular file,
+such as /dev/null, is written directly.  The other subcommands write one
+file each; ``bound`` without ``--out`` writes to stdout, which cannot be
+undone.
+
 ``simulate``, ``evaluate`` and ``bound`` take the action count k from the
 model file, as a CSV stores none, so ``evaluate`` and ``bound`` accept a
 model with more actions than its labeled or logged file used.
@@ -42,7 +49,8 @@ from .learning import (
     train,
 )
 from .policies import (
-    MixedLogitSpec, SoftmaxPolicy, load_model, param_distance_sq, save_model,
+    MixedLogitSpec, SoftmaxPolicy, _staged, _writing, load_model,
+    param_distance_sq, save_model,
 )
 from .seeding import derive_seed
 
@@ -102,20 +110,17 @@ def _grid(text: str) -> tuple[float, ...]:
     return values
 
 
-def _write_csv(path: Optional[Path], header: list[str], rows: list[list]) -> None:
-    """Write ``header`` and ``rows`` as CSV lines to ``path``, or to stdout.
-
-    A failed file write raises OSError ``cannot write <path>: <reason>``,
-    the message of the library's writers.
-    """
+def _write_csv(
+    path: Optional[Path], header: list[str], rows: list[list],
+    staged: Optional[list] = None,
+) -> None:
+    """Write ``header`` and ``rows`` as CSV lines to ``path``, or to stdout,
+    through the library's one file writer (``staged`` as there)."""
     if path is None:
         csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
         return
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    with _writing(path, staged) as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _fmt(value: float) -> str:
@@ -202,19 +207,25 @@ def cmd_train(ns: argparse.Namespace) -> int:
     else:
         sigma = 1.0 / logs.n
     out = ns.output_dir / ns.out
-    save_model(
-        out,
-        report.final_policy,
-        sigma=sigma,
-        sigma0=config.sigma0,
-        prior=prior,
-        feature_norm_bound=logs.feature_norm_bound,
-    )
-    save_train_report(Path(str(out) + ".report.json"), report, config)
-    if ns.trace is not None:
-        rows = zip(report.objective_trace, report.epoch_wall_times)
-        _write_csv(ns.output_dir / ns.trace, ["epoch", "objective", "wall_time"],
-                   [[i, _fmt(obj), _fmt(wt)] for i, (obj, wt) in enumerate(rows)])
+    # The model, the report and the trace appear together or not at all.
+    with _staged() as staged:
+        save_model(
+            out,
+            report.final_policy,
+            sigma=sigma,
+            sigma0=config.sigma0,
+            prior=prior,
+            feature_norm_bound=logs.feature_norm_bound,
+            _staged=staged,
+        )
+        save_train_report(Path(str(out) + ".report.json"), report, config,
+                          _staged=staged)
+        if ns.trace is not None:
+            rows = zip(report.objective_trace, report.epoch_wall_times)
+            _write_csv(ns.output_dir / ns.trace,
+                       ["epoch", "objective", "wall_time"],
+                       [[i, _fmt(obj), _fmt(wt)]
+                        for i, (obj, wt) in enumerate(rows)], staged)
     final = report.objective_trace[-1] if report.objective_trace else float("nan")
     print(f"objective={ns.objective}")
     print(f"final_objective={_fmt(final)}")

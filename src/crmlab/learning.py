@@ -27,39 +27,50 @@ objectives read from a majorizing surrogate: :func:`train` rebuilds it at
 each epoch start, :func:`objective_gradient` at the policy it is given,
 where it touches the objective.  Any non-finite objective aborts the run.
 
-The parameters live in one (k, d+1) block theta = [W | b], as do the
-AdaGrad accumulator and the gradient, so one in-place update covers weights
-and biases and one sum over the gradient block checks it for non-finite
-entries (frozen biases are checked too, and zeroed only after the check).
-Each :func:`train` call allocates its step buffers once (see
-:class:`_StepWorkspace`), and every step writes into them.  The step keeps
-the bits of the plain numpy expressions: lr·g is formed before the division
-by smoothing + sqrt(acc), the IPS coefficient (−r/max(p, tau))·pi before
-the division by the batch size, and the softmax is the package's one
-softmax, run on the transposed view of the batch's record-major logits,
-which keeps numpy's own row sum.
+The training kernel works on a stack of L runs at once: run l's parameters
+are block l of an (L, k, d+1) array theta = [W | b], as are its AdaGrad
+accumulator and its gradient, so one in-place update covers the weights and
+biases of every run and one sum over the gradient blocks checks them for
+non-finite entries (frozen biases are checked too, and zeroed only after
+the check).  :func:`train` is the stack of one run; cross-validation stacks
+its jobs.  Each stack allocates its step buffers once per height (see
+:class:`_StepWorkspace`), and every step writes into them.  Every
+operation reads slice l for run l, so each run keeps the bits of the plain
+numpy expressions, which a run alone has: lr·g is formed before the
+division by smoothing + sqrt(acc), the IPS coefficient (−r/max(p, tau))·pi
+before the division by the batch size, and the softmax is the package's
+one softmax, run on the transposed view of the batch's record-major
+logits, which keeps numpy's own row sum.
 
-Each epoch gathers its shuffled records once; mini-batches are slices of
-that gather.  :func:`train` evaluates the exact objective on the full data
-after every epoch and keeps it as the trace; a POEM run builds its next
-surrogate from the moments of that evaluation, so a traced POEM epoch makes
-one full-data softmax pass.  Callers that keep only the
-final policy (cross-validation jobs and :func:`learn_logging_policy`) run
+Each epoch shuffles each run's records with its own generator and gathers
+their indices and per-record columns once; each step takes its batch's
+contexts from the log.  :func:`train` evaluates the exact objective on the
+full data after every epoch and keeps it as the trace; a POEM run builds
+its next surrogate from the moments of that evaluation, so a traced POEM
+epoch makes one full-data softmax pass.  Callers that keep only the final
+policy (cross-validation jobs and :func:`learn_logging_policy`) run
 trace-free: at each epoch end a cheap certificate (see
 :func:`_objective_certified`) proves the objective finite, and the full
 objective is evaluated only when the certificate fails.  Both paths raise
-the same :class:`DivergenceError` at the same point.
+the same :class:`DivergenceError` at the same point; in a stack, the run
+that meets it leaves the stack there and the others go on.
 
 Cross-validation builds its (value, fold) jobs first, each a config with
 the value as lam and a seed derived from its own (value, fold) tag, so
-every grid value is checked before any job runs.  It maps them, with their
-fold indices, over the worker processes of ``crmlab._jobs.map_jobs``:
-min(jobs, usable CPUs) processes forked from the caller, which share its
-data and prior without copying them.  Only a job index goes to a worker
-and only a score comes back; the scores are merged in (value, fold) order,
-so the table is bit-identical at any worker count.  With one worker,
-without the ``fork`` start method, or inside a daemonic worker process, the
-jobs run in process.
+every grid value is checked, and a repeated one rejected, before any job
+runs.  It splits the jobs into one contiguous chunk per worker process of
+``crmlab._jobs.map_jobs``: min(jobs, usable CPUs) processes forked from
+the caller, which share its data and prior without copying them.  Only a
+chunk index goes to a worker and only the chunk's scores come back.  A
+worker trains its chunk as one lockstep stack per training-set size (fold
+sizes differ by at most one, so at most two stacks); its memory beyond the
+shared log is O(L·n) for the runs' shuffled indices and columns and
+O(L·100·d) for a step's contexts, plus, for the POEM objectives, a copy of
+each fold's training set for the surrogate's full-data pass.  The scores
+are merged in (value, fold) order, and every run has the bits it has
+alone, so the table is bit-identical at any worker count.  With one
+worker, without the ``fork`` start method, or inside a daemonic worker
+process, the chunks run in process.
 """
 
 from __future__ import annotations
@@ -73,7 +84,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._jobs import map_jobs
+from . import _jobs
 from .datasets import LoggedDataset, kfold_split
 from .estimators import (
     _compensated_mean, _poem_statistic, _reward_mean, truncated_ips_risk,
@@ -336,62 +347,139 @@ def _coefficient_columns(
 
 
 class _StepWorkspace:
-    """The buffers of :func:`_batch_gradient` for batches of m records,
-    allocated once per :func:`train` call and batch size:
+    """The buffers of :func:`_batch_gradient` for a stack of L runs on
+    batches of m records, allocated once per stack and batch size:
 
-    * ``logits``   (m, k) logits, then probabilities, then the logit gradient;
-    * ``row``      (m,) matched probabilities;
-    * ``coef``     (m,) per-record gradient coefficient;
-    * ``penalty``  (k, d) penalty gradient;
-    * ``grad``     (k, d+1) gradient block [gW | gb].
+    * ``logits``   (L, m, k) logits, then probabilities, then the logit
+      gradient;
+    * ``row``      (L, m) matched probabilities;
+    * ``coef``     (L, m) per-record gradient coefficient;
+    * ``penalty``  (L, k, d) penalty gradient;
+    * ``grad``     (L, k, d+1) gradient blocks [gW | gb].
 
     The views the step needs are made here once, not at every step.
     """
 
-    def __init__(self, m: int, k: int, d: int):
-        self.logits = np.empty((m, k))
+    def __init__(self, L: int, m: int, k: int, d: int):
+        self.logits = np.empty((L, m, k))
         self.logits_flat = self.logits.reshape(-1)
-        self.row = np.empty(m)
-        self.coef = np.empty(m)
-        self.coef_column = self.coef[:, None]
-        self.penalty = np.empty((k, d))
-        self.grad = np.empty((k, d + 1))
-        self.grad_W, self.grad_b = self.grad[:, :d], self.grad[:, d]
+        self.logits_t = self.logits.transpose(0, 2, 1)
+        self.row = np.empty((L, m))
+        self.coef = np.empty((L, m))
+        self.coef_column = self.coef[..., None]
+        self.penalty = np.empty((L, k, d))
+        self.grad = np.empty((L, k, d + 1))
+        self.grad_W, self.grad_b = self.grad[..., :d], self.grad[..., d]
+
+
+def _penalty_columns(
+    configs: Sequence[TrainConfig], W0: Optional[np.ndarray]
+) -> Optional[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """The :func:`_penalty` of each run as (2·weight, center), the doubled
+    weights an (L, 1, 1) column; None for ``poem``.  The runs share an
+    objective, so they share the center."""
+    penalties = [_penalty(config, W0) for config in configs]
+    if penalties[0] is None:
+        return None
+    twice = np.array([2.0 * weight for weight, _ in penalties])
+    return twice[:, None, None], penalties[0][1]
+
+
+class _Runs:
+    """The live runs of a lockstep fit, indexed alike along a leading run
+    axis: each run's place in the caller's list, config, shuffling
+    generator, training records (indices into the log, None for all of it)
+    and POEM moments, and the stacked parameter blocks theta = [W | b],
+    AdaGrad accumulators and penalty column.  :meth:`keep` drops runs."""
+
+    def __init__(
+        self,
+        configs: Sequence[TrainConfig],
+        train_sets: Sequence[Optional[np.ndarray]],
+        k: int,
+        d: int,
+        W0: Optional[np.ndarray],
+    ):
+        self.slots = list(range(len(configs)))
+        self.configs = list(configs)
+        self.rngs = [np.random.default_rng(config.seed) for config in configs]
+        self.train_sets = list(train_sets)
+        self.moments: list = [None] * len(configs)
+        # One parameter block per run, with W and b views into it;
+        # AdaGrad's squared-gradient accumulator and the update's scratch
+        # have its shape, so one update runs over weights and biases of
+        # every run together.
+        self.theta = np.zeros((len(configs), k, d + 1))
+        self.acc = np.zeros_like(self.theta)
+        self.penalty = _penalty_columns(configs, W0)
+        self._views()
+
+    @classmethod
+    def at(
+        cls, policy: SoftmaxPolicy, config: TrainConfig, W0: Optional[np.ndarray]
+    ) -> _Runs:
+        """One run with ``config``, its parameters set to ``policy``'s."""
+        runs = cls([config], [None], policy.k, policy.d, W0)
+        runs.W[0], runs.b[0] = policy.weights, policy.biases
+        return runs
+
+    def _views(self) -> None:
+        # The views the step reads, made once per stack height.
+        d = self.theta.shape[2] - 1
+        self.W, self.b = self.theta[..., :d], self.theta[..., d]
+        self.W_t = self.W.transpose(0, 2, 1)
+        self.b_rows = self.theta[:, None, :, d]
+        self.step = np.empty_like(self.theta)
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep the runs where ``mask`` is true, in order."""
+        kept = np.flatnonzero(mask)
+        for name in ("slots", "configs", "rngs", "train_sets", "moments"):
+            setattr(self, name, [getattr(self, name)[j] for j in kept])
+        self.theta, self.acc = self.theta[kept], self.acc[kept]
+        if self.penalty is not None:
+            self.penalty = (self.penalty[0][kept], self.penalty[1])
+        self._views()
 
 
 def _batch_gradient(
     config: TrainConfig,
-    W: np.ndarray,
-    b: np.ndarray,
-    W0: Optional[np.ndarray],
+    runs: _Runs,
     X: np.ndarray,
     flat: np.ndarray,
     columns: Sequence[np.ndarray],
     ws: _StepWorkspace,
 ) -> np.ndarray:
-    """Training gradient w.r.t. the block [W | b] on the gathered mini-batch
-    ``X``, written into ``ws.grad`` and returned there.
+    """Training gradients of the L ``runs`` w.r.t. their blocks [W | b], on
+    their gathered mini-batches ``X`` (L, m, d), written into ``ws.grad``
+    (L, k, d+1) and returned there.  The runs share ``config`` but for the
+    penalty weight, and run l reads only slice l of every array, so each
+    slice has the bits of a stack of one.
 
-    ``flat`` holds each record's flat index i·k + a_i into the batch's
-    (m, k) probability rows, and ``columns`` are the batch's entries of
-    :func:`_coefficient_columns`, both gathered in the order of ``X``.
-    Every data term has the per-record logit gradient c_i·(e_{a_i} − P_i),
-    so the objectives differ only in the coefficient c_i, which carries the
-    1/m batch average; for POEM it is (2·alpha_i·u_i + beta_i)·du_i/dz_i/m
-    with the surrogate's (alpha, beta) ending ``columns``.  Ratio-capped
-    records contribute zero through u (the flat side of the min).  The
-    weights-only penalty is added at full strength.
+    ``flat`` (L, m) holds each record's flat index l·m·k + i·k + a_i into
+    the stack's (L, m, k) probability rows, and ``columns`` are the
+    batches' entries of :func:`_coefficient_columns`, both gathered in the
+    order of ``X``.  Every data term has the per-record logit gradient
+    c_i·(e_{a_i} − P_i), so the objectives differ only in the coefficient
+    c_i, which carries the 1/m batch average; for POEM it is
+    (2·alpha_i·u_i + beta_i)·du_i/dz_i/m with the surrogates' (alpha, beta)
+    ending ``columns``.  Ratio-capped records contribute zero through u
+    (the flat side of the min).  The runs' weights-only penalty is added
+    at full strength.
 
     Every operation but the softmax's, which allocates an action-major
-    copy for its max and two length-m rows, writes into ``ws``, and each
+    copy for its max and two (L, m) rows, writes into ``ws``, and each
     keeps the order of the plain numpy expression, (−r/max(p, tau))·pi
     before /m included, so the bits are those of that expression.
     """
-    m = X.shape[0]
+    m = X.shape[1]
     P, pi, coef = ws.logits, ws.row, ws.coef
-    np.matmul(X, W.T, out=P)
-    P += b
-    _softmax_rows(P.T)
+    np.matmul(X, runs.W_t, out=P)
+    P += runs.b_rows
+    _softmax_rows(ws.logits_t)
     ws.logits_flat.take(flat, out=pi)
     obj, tau = config.objective, config.tau
 
@@ -408,7 +496,7 @@ def _batch_gradient(
         ratio, u, _, _ = _poem_statistic(pi, p, r, tau, moments=False)
         du_dz = np.where(ratio >= 1.0 / tau, 0.0, r * ratio)
         coef = (2.0 * alpha * u + beta) * du_dz / m
-        coef_column = coef[:, None]
+        coef_column = coef[..., None]
     # E − P: 1 − pi is exactly −pi + 1.
     np.negative(P, out=P)
     ws.logits_flat.put(flat, np.subtract(1.0, pi, out=pi))
@@ -418,20 +506,34 @@ def _batch_gradient(
         P /= -m
     else:
         P *= coef_column
-    np.matmul(P.T, X, out=ws.grad_W)
-    np.add.reduce(P, axis=0, out=ws.grad_b)
+    np.matmul(ws.logits_t, X, out=ws.grad_W)
+    np.add.reduce(P, axis=1, out=ws.grad_b)
 
     # Nothing is added for poem: a zero penalty would turn −0.0 into +0.0.
-    penalty = _penalty(config, W0)
-    if penalty is not None:
-        weight, center = penalty
+    if runs.penalty is not None:
+        twice_weight, center = runs.penalty
         if center is None:
-            np.multiply(W, 2.0 * weight, out=ws.penalty)
+            np.multiply(runs.W, twice_weight, out=ws.penalty)
         else:
-            np.subtract(W, center, out=ws.penalty)
-            ws.penalty *= 2.0 * weight
+            np.subtract(runs.W, center, out=ws.penalty)
+            ws.penalty *= twice_weight
         ws.grad_W += ws.penalty
     return ws.grad
+
+
+def _adagrad_update(
+    theta: np.ndarray, acc: np.ndarray, grad: np.ndarray, step: np.ndarray
+) -> None:
+    """One AdaGrad step on a stack of parameter blocks, in place:
+    acc += g², theta −= (lr·g)/(smoothing + sqrt(acc)).  ``grad`` is
+    overwritten, and ``step``, shaped like them, is scratch."""
+    np.multiply(grad, grad, out=step)
+    acc += step
+    np.sqrt(acc, out=step)
+    step += _ADAGRAD_SMOOTHING
+    grad *= _LEARNING_RATE
+    grad /= step
+    theta -= grad
 
 
 def objective_gradient(
@@ -457,13 +559,15 @@ def objective_gradient(
         surrogate = poem_build_surrogate(policy, batch, config.tau, config.lam)
         columns += (surrogate.alpha, surrogate.beta)
     m, (k, d) = batch.n, policy.weights.shape
+    # The stack of one run, at ``policy``.
+    runs = _Runs.at(policy, config, None if prior is None else prior.weights)
     grad = _batch_gradient(
-        config, policy.weights, policy.biases,
-        None if prior is None else prior.weights, batch.features,
-        np.arange(m) * k + batch.actions, columns, _StepWorkspace(m, k, d),
+        config, runs, batch.features[None],
+        (np.arange(m) * k + batch.actions)[None],
+        [column[None] for column in columns], _StepWorkspace(1, m, k, d),
     )
     # New arrays: no later call writes into them.
-    return grad[:, :d].copy(), grad[:, d].copy()
+    return grad[0, :, :d].copy(), grad[0, :, d].copy()
 
 
 # -----------------------------------------------------------------------
@@ -584,6 +688,159 @@ def closed_form_sigma(data: LoggedDataset, tau: float, sigma0: float) -> float:
 # -----------------------------------------------------------------------
 
 
+def _fit(
+    configs: Sequence[TrainConfig],
+    data: LoggedDataset,
+    train_sets: Sequence[Optional[np.ndarray]],
+    prior: Optional[SoftmaxPolicy],
+    trace: Optional[list] = None,
+) -> list:
+    """Train run j, with ``configs[j]``, on the records ``train_sets[j]``
+    of ``data`` (all of them for None), for every j at once, in lockstep;
+    returns each run's final policy, or the :class:`DivergenceError` that
+    ended it, in the order of ``configs``.
+
+    The runs share every config field but ``lam`` and ``seed``, and their
+    training sets have one size n.  Each step stacks the runs' batches into
+    one :func:`_batch_gradient` call and one :func:`_adagrad_update`, and
+    each run keeps its own per-epoch permutations, penalty weight, POEM
+    surrogate and epoch-end check, so every run has the bits it gets in a
+    stack of one, which is what :func:`train` runs.  A run that meets a
+    non-finite gradient or objective leaves the stack there.  A given
+    ``trace`` (one run only) collects (objective, ``time.perf_counter()``)
+    after every epoch; otherwise the epoch-end check is
+    :func:`_objective_certified`, and the objective is evaluated only where
+    it fails.
+
+    Each epoch gathers the runs' shuffled record indices, flat indices and
+    coefficient columns, (L, n) arrays; each step gathers its (L, m, d)
+    contexts from the shared log.  A run's own training set is copied out
+    only when an objective or a POEM surrogate needs a full-data pass on
+    it, once per distinct index array.
+    """
+    config = configs[0]
+    k, d = data.k, data.d
+    n = data.n if train_sets[0] is None else len(train_sets[0])
+    W0 = prior.weights if prior is not None else None
+    is_poem = config.objective in POEM_FAMILY
+    columns = _coefficient_columns(config, data)
+    runs = _Runs(configs, train_sets, k, d, W0)
+    results: list = [None] * len(configs)
+    subsets: dict = {}
+
+    def training_set(j: int) -> LoggedDataset:
+        idx = runs.train_sets[j]
+        if idx is None:
+            return data
+        # Runs of one fold share its index array, and so its subset.
+        if id(idx) not in subsets:
+            subsets[id(idx)] = data.subset(idx)
+        return subsets[id(idx)]
+
+    # Record i of an epoch is row i mod B of its batch, which has m_i
+    # records: its flat index into run l's batch probability rows is
+    # l·m_i·k + (i mod B)·k + a_i.  Each batch's slice of the epoch and the
+    # workspace of its size, for the stack's current height.
+    starts = range(0, n, _BATCH_SIZE)
+    sizes = np.minimum(n - np.arange(n) // _BATCH_SIZE * _BATCH_SIZE, _BATCH_SIZE)
+
+    def layout():
+        L = len(runs)
+        offsets = np.arange(L)[:, None] * (sizes * k) + np.arange(n) % _BATCH_SIZE * k
+        full = _StepWorkspace(L, _BATCH_SIZE, k, d) if n >= _BATCH_SIZE else None
+        batches = [
+            (slice(start, start + _BATCH_SIZE),
+             full if start + _BATCH_SIZE <= n
+             else _StepWorkspace(L, n - start, k, d))
+            for start in starts
+        ]
+        return offsets, batches
+
+    row_offsets, batches = layout()
+    for epoch in range(config.epochs):
+        if is_poem:
+            surrogates = []
+            for j, run_config in enumerate(runs.configs):
+                surrogate = poem_build_surrogate(
+                    SoftmaxPolicy(runs.W[j], runs.b[j]), training_set(j),
+                    config.tau, run_config.lam, _moments=runs.moments[j],
+                )
+                if surrogate.degenerate:
+                    logger.warning("epoch %d: anchor sample variance is zero; "
+                                   "dropping the variance penalty", epoch)
+                surrogates.append(surrogate)
+        perms = [rng.permutation(n) for rng in runs.rngs]
+        rows = np.stack([perm if idx is None else idx[perm]
+                         for perm, idx in zip(perms, runs.train_sets)])
+        flat = row_offsets + data.actions[rows]
+        epoch_columns = [column[rows] for column in columns]
+        if is_poem:
+            epoch_columns += [
+                np.stack([s.alpha[perm] for s, perm in zip(surrogates, perms)]),
+                np.stack([s.beta[perm] for s, perm in zip(surrogates, perms)]),
+            ]
+        # Non-finite values inside a batch are not a condition numpy should
+        # warn about: they are detected and the run leaves the stack.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for batch_index in range(len(batches)):
+                batch, ws = batches[batch_index]
+                # The (L, m, d) contexts, by one take (cheaper than fancy
+                # indexing by the 2-D index array).
+                X = data.features.take(rows[:, batch], axis=0)
+                grad = _batch_gradient(
+                    config, runs, X, flat[:, batch],
+                    [column[:, batch] for column in epoch_columns], ws,
+                )
+                # The sum is non-finite whenever an entry is; a sum of finite
+                # entries that overflows is re-checked entry by entry.  Frozen
+                # biases are checked too, and only then zeroed.
+                if not math.isfinite(grad.sum()):
+                    finite = np.isfinite(grad).all(axis=(1, 2))
+                    if not finite.all():
+                        for j in np.flatnonzero(~finite):
+                            results[runs.slots[j]] = DivergenceError(
+                                epoch, batch_index, float("nan"))
+                        runs.keep(finite)
+                        if not runs:
+                            return results
+                        grad, rows = grad[finite], rows[finite]
+                        epoch_columns = [c[finite] for c in epoch_columns]
+                        row_offsets, batches = layout()
+                        flat = row_offsets + data.actions[rows]
+                if not config.train_biases:
+                    grad[..., d] = 0.0
+                _adagrad_update(runs.theta, runs.acc, grad, runs.step)
+
+        # Each run's objective, where it is evaluated rather than certified.
+        diverged = {}
+        for j, run_config in enumerate(runs.configs):
+            runs.moments[j] = None
+            W, b = runs.W[j], runs.b[j]
+            if trace is not None or not _objective_certified(
+                    run_config, W, b, W0, data):
+                run_data = training_set(j)
+                policy = SoftmaxPolicy(W, b)
+                if is_poem:
+                    runs.moments[j] = _poem_moments(policy, run_data, config.tau)
+                value = objective_value(run_config, policy, prior, run_data,
+                                        _moments=runs.moments[j])
+                if not math.isfinite(value):
+                    diverged[j] = value
+                elif trace is not None:
+                    trace.append((value, time.perf_counter()))
+        if diverged:
+            for j, value in diverged.items():
+                results[runs.slots[j]] = DivergenceError(epoch, None, value)
+            runs.keep([j not in diverged for j in range(len(runs))])
+            if not runs:
+                return results
+            row_offsets, batches = layout()
+
+    for j, slot in enumerate(runs.slots):
+        results[slot] = SoftmaxPolicy(runs.W[j], runs.b[j])
+    return results
+
+
 def train(
     config: TrainConfig,
     data: LoggedDataset,
@@ -611,94 +868,21 @@ def train(
     """
     _check_prior(config.objective, prior, data)
     t0 = time.perf_counter()
-    n, d, k = data.n, data.d, data.k
-    # One parameter block theta = [W | b], with W and b views into it;
-    # AdaGrad's squared-gradient accumulator and the update's scratch have
-    # its shape, so one update runs over weights and biases together.
-    theta = np.zeros((k, d + 1))
-    W, b = theta[:, :d], theta[:, d]
-    acc = np.zeros_like(theta)
-    step = np.empty_like(theta)
-    rng = np.random.default_rng(config.seed)
-    is_poem = config.objective in POEM_FAMILY
-    W0 = prior.weights if prior is not None else None
-    columns = _coefficient_columns(config, data)
-    # Record i of an epoch is row i mod B of its batch: its flat index into
-    # the batch's (B, k) probability rows is (i mod B)·k + a_i.
-    row_offsets = np.arange(n) % _BATCH_SIZE * k
-    # Each batch's slice of the epoch and the workspace of its size.
-    full = _StepWorkspace(_BATCH_SIZE, k, d) if n >= _BATCH_SIZE else None
-    batches = [
-        (slice(start, start + _BATCH_SIZE),
-         full if start + _BATCH_SIZE <= n else _StepWorkspace(n - start, k, d))
-        for start in range(0, n, _BATCH_SIZE)
-    ]
-
-    trace: list[float] = []
-    epoch_times: list[float] = []
-    # POEM moments at the current (W, b), when an epoch-end evaluation has
-    # computed them; the next surrogate is built from them.
-    moments = None
-    for epoch in range(config.epochs):
-        epoch_columns = columns
-        if is_poem:
-            surrogate = poem_build_surrogate(
-                SoftmaxPolicy(W, b), data, config.tau, config.lam,
-                _moments=moments,
-            )
-            if surrogate.degenerate:
-                logger.warning("epoch %d: anchor sample variance is zero; "
-                               "dropping the variance penalty", epoch)
-            epoch_columns = columns + (surrogate.alpha, surrogate.beta)
-        perm = rng.permutation(n)
-        X = data.features[perm]
-        flat = row_offsets + data.actions[perm]
-        epoch_columns = tuple(c[perm] for c in epoch_columns)
-        # Non-finite values inside a batch are not a condition numpy should
-        # warn about: they are detected and raised as DivergenceError.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for batch_index, (batch, ws) in enumerate(batches):
-                grad = _batch_gradient(
-                    config, W, b, W0, X[batch], flat[batch],
-                    [c[batch] for c in epoch_columns], ws,
-                )
-                # The sum is non-finite whenever an entry is; a sum of finite
-                # entries that overflows is re-checked entry by entry.  Frozen
-                # biases are checked too, and only then zeroed.
-                if not math.isfinite(grad.sum()) and not np.isfinite(grad).all():
-                    raise DivergenceError(epoch, batch_index, float("nan"))
-                if not config.train_biases:
-                    grad[:, d] = 0.0
-                np.multiply(grad, grad, out=step)
-                acc += step
-                np.sqrt(acc, out=step)
-                step += _ADAGRAD_SMOOTHING
-                grad *= _LEARNING_RATE
-                grad /= step
-                theta -= grad
-        moments = None
-        if _trace or not _objective_certified(config, W, b, W0, data):
-            policy = SoftmaxPolicy(W, b)
-            if is_poem:
-                moments = _poem_moments(policy, data, config.tau)
-            value = objective_value(config, policy, prior, data,
-                                    _moments=moments)
-            if not math.isfinite(value):
-                raise DivergenceError(epoch, None, value)
-            if _trace:
-                trace.append(value)
-                epoch_times.append(time.perf_counter() - t0)
-
+    trace: Optional[list] = [] if _trace else None
+    # The stack of one run.
+    (final,) = _fit([config], data, [None], prior, trace)
+    if isinstance(final, DivergenceError):
+        raise final
     if config.objective == "logging_nll":
         sigma_star: Optional[float] = None
     else:
         sigma_star = closed_form_sigma(data, config.tau, config.sigma0)
     return TrainReport(
-        final_policy=SoftmaxPolicy(W, b),
-        objective_trace=trace,
+        final_policy=final,
+        objective_trace=[value for value, _ in trace or ()],
         sigma_star=sigma_star,
         wall_time=time.perf_counter() - t0,
-        epoch_wall_times=epoch_times,
+        epoch_wall_times=[stamp - t0 for _, stamp in trace or ()],
     )
 
 
@@ -754,19 +938,28 @@ class CVRow:
     mean_score: float
 
 
-def _cv_job(
+def _cv_scores(
     data: LoggedDataset,
-    config: TrainConfig,
-    train_idx: np.ndarray,
-    holdout_idx: np.ndarray,
+    jobs: Sequence[tuple[TrainConfig, np.ndarray, np.ndarray]],
     prior: Optional[SoftmaxPolicy],
-) -> float:
-    try:
-        report = train(config, data.subset(train_idx), prior=prior, _trace=False)
-    except DivergenceError:
-        return float("-inf")
-    holdout = data.subset(holdout_idx)
-    return 1.0 - truncated_ips_risk(report.final_policy, holdout, config.tau)
+) -> list[float]:
+    """Holdout scores of the (config, training indices, holdout indices)
+    ``jobs``, in order.  The jobs of each training-set size train as one
+    lockstep stack (:func:`_fit`); a run that diverges scores −inf."""
+    scores = [0.0] * len(jobs)
+    for size in sorted({len(train_idx) for _, train_idx, _ in jobs}):
+        members = [i for i, (_, train_idx, _) in enumerate(jobs)
+                   if len(train_idx) == size]
+        finals = _fit([jobs[i][0] for i in members], data,
+                      [jobs[i][1] for i in members], prior)
+        for i, final in zip(members, finals):
+            config, _, holdout_idx = jobs[i]
+            if isinstance(final, DivergenceError):
+                scores[i] = -math.inf
+            else:
+                holdout = data.subset(holdout_idx)
+                scores[i] = 1.0 - truncated_ips_risk(final, holdout, config.tau)
+    return scores
 
 
 def cross_validate(
@@ -817,11 +1010,19 @@ def cross_validate(
         for lam in lambda_grid
         for fold in range(num_folds)
     ]
+    for row, lam in enumerate(lambda_grid):
+        for earlier in lambda_grid[:row]:
+            if earlier == lam:
+                raise ValueError("lambda_grid values must be distinct, got "
+                                 f"{earlier!r} and {lam!r}")
+    # One contiguous chunk of jobs per worker.
+    chunks = np.array_split(np.arange(len(jobs)), _jobs.worker_count(len(jobs)))
 
-    def run(index: int) -> float:
-        return _cv_job(data, *jobs[index], prior)
+    def run(chunk: int) -> list[float]:
+        return _cv_scores(data, [jobs[i] for i in chunks[chunk]], prior)
 
-    scores = map_jobs(run, len(jobs))
+    scores = [score for chunk_scores in _jobs.map_jobs(run, len(chunks))
+              for score in chunk_scores]
     table: list[CVRow] = []
     for row, lam in enumerate(lambda_grid):
         fold_scores = tuple(scores[row * num_folds:(row + 1) * num_folds])
@@ -903,8 +1104,12 @@ def solve_logging_nll_exact(data: LoggedDataset, lam: float) -> SoftmaxPolicy:
 # -----------------------------------------------------------------------
 
 
-def save_train_report(path, report: TrainReport, config: TrainConfig) -> None:
-    """Write a training report as structured text next to the model file."""
+def save_train_report(
+    path, report: TrainReport, config: TrainConfig, *,
+    _staged: Optional[list] = None,
+) -> None:
+    """Write a training report as structured text next to the model file.
+    The private ``_staged`` is as in :func:`crmlab.policies.save_model`."""
     doc = {
         "objective": config.objective,
         "lambda": config.lam,
@@ -922,5 +1127,5 @@ def save_train_report(path, report: TrainReport, config: TrainConfig) -> None:
         "sigma_star": report.sigma_star,
         "wall_time": report.wall_time,
     }
-    with _writing(path) as fh:
+    with _writing(path, _staged) as fh:
         fh.write(json.dumps(doc, indent=1))

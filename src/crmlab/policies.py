@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -240,56 +241,63 @@ def _validate_context(
 
 
 def _row_sum(e: np.ndarray) -> np.ndarray:
-    """Sum over the first axis of ``e`` (k, m), in a new length-m array, by
-    k − 1 vector adds in the order numpy sums a contiguous row of length k
-    (its pairwise summation): in sequence below 8 terms; up to 128 terms,
-    eight running sums r0..r7 over strides of 8, combined as
+    """Sum over the action axis of ``e`` (..., k, m), in a new (..., m)
+    array, by k − 1 vector adds in the order numpy sums a contiguous row of
+    length k (its pairwise summation): in sequence below 8 terms; up to 128
+    terms, eight running sums r0..r7 over strides of 8, combined as
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remainder
     in sequence; above 128 terms, the sums of the two parts split at k/2
     rounded down to a multiple of 8.  So each column sum has the bits of
-    ``e.T.sum(axis=-1)`` on a row-major copy."""
-    k = e.shape[0]
+    ``e.swapaxes(-1, -2).sum(axis=-1)`` on a row-major copy."""
+    k, m = e.shape[-2:]
     if k > 128:
         half = k // 2 - k // 2 % 8
-        out = _row_sum(e[:half])
-        out += _row_sum(e[half:])
+        out = _row_sum(e[..., :half, :])
+        out += _row_sum(e[..., half:, :])
         return out
     if k < 8:
-        stop, out = 1, e[0].copy()
+        stop, out = 1, e[..., 0, :].copy()
     else:
         stop = k - k % 8
-        r = e[:8]
-        if stop > 8:  # a reduction over the leading axis adds in sequence
-            r = np.add.reduce(e[:stop].reshape(-1, 8, e.shape[1]), axis=0)
-        r = r[0::2] + r[1::2]
-        r = r[0::2] + r[1::2]
-        out = r[0] + r[1]
+        r = e[..., :8, :]
+        if stop > 8:  # a reduction over a non-inner axis adds in sequence
+            r = np.add.reduce(
+                e[..., :stop, :].reshape(e.shape[:-2] + (-1, 8, m)), axis=-3
+            )
+        r = r[..., 0::2, :] + r[..., 1::2, :]
+        r = r[..., 0::2, :] + r[..., 1::2, :]
+        out = r[..., 0, :] + r[..., 1, :]
     for j in range(stop, k):
-        out += e[j]
+        out += e[..., j, :]
     return out
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """The package's one softmax, in place on action-major logits ``z``
-    (k, m), whose column i holds record i's k logits; returns ``z``.
+    (..., k, m), whose column i holds record i's k logits; returns ``z``.
+    Leading axes stack independent blocks, such as the runs of a lockstep
+    training step, and each block gets the bits it would get alone.
 
-    ``z`` is a C-ordered (k, m) array, one contiguous vector per action, or
-    the transposed view of record-major (m, k) rows.  The max is taken over
-    an action-major copy in the second case (max is exact in any order);
-    the subtraction, exp and division are elementwise.  The row sum is
-    numpy's own reduction where each record's logits are contiguous, and
+    ``z`` is C-ordered, one contiguous vector per action, or the transposed
+    view of record-major (..., m, k) rows.  The max is taken over an
+    action-major copy in the second case (max is exact in any order); the
+    subtraction, exp and division are elementwise.  The row sum is numpy's
+    own reduction where each record's logits are contiguous, and
     :func:`_row_sum`'s vector adds, in the same order, where each action's
     are.  So in either layout the probabilities have the bits of the
-    row-major ``e = exp(l − l.max(-1)); e / e.sum(-1)`` on the (m, k)
-    logits ``l = z.T``.  Action-major, every step is one vector operation
-    over the m records, which a full-data pass wants; a 100-record
-    training step is cheaper record-major, where numpy sums each row in
-    one call rather than k − 1.
+    row-major ``e = exp(l − l.max(-1)); e / e.sum(-1)`` on the (..., m, k)
+    logits ``l = z.swapaxes(-1, -2)``.  Action-major, every step is one
+    vector operation over the m records, which a full-data pass wants; a
+    100-record training step is cheaper record-major, where numpy sums each
+    row in one call rather than k − 1.
     """
     # Max-subtraction keeps exp() in range for arbitrarily large logits.
-    z -= np.maximum.reduce(np.ascontiguousarray(z), axis=0)
+    z -= np.maximum.reduce(np.ascontiguousarray(z), axis=-2, keepdims=True)
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=0) if z.T.flags.c_contiguous else _row_sum(z)
+    if z.strides[-2] == z.itemsize:  # each record's logits are contiguous
+        z /= np.add.reduce(z, axis=-2, keepdims=True)
+    else:
+        z /= _row_sum(z)[..., None, :]
     return z
 
 
@@ -449,16 +457,55 @@ _MODEL_FORMAT = "crmlab-model"
 _MODEL_VERSION = 1
 
 
+def _cannot_write(path, exc: OSError) -> OSError:
+    return OSError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 @contextmanager
-def _writing(path):
-    """``path`` opened for writing text.  An OSError from opening, writing
-    or closing it is raised again as ``cannot write <path>: <reason>``, so
-    the message names the file; the CLI's CSV writer words it the same."""
+def _writing(path, staged: Optional[list] = None):
+    """``path`` opened for writing text, the one way every file here is
+    written.  An OSError from opening, writing or closing it is raised
+    again as ``cannot write <path>: <reason>``, so the message names the
+    file.  With the ``staged`` list of a :func:`_staged` block, the text
+    goes to a temporary file ``<path>.<pid>.tmp`` beside ``path`` instead,
+    which the block moves into place.  Only a regular file, or a new one,
+    is staged: a temporary file moved onto a device such as /dev/null
+    would replace it, so anything else is written directly."""
+    name = path
+    if staged is not None and (os.path.isfile(path) or not os.path.lexists(path)):
+        name = f"{path}.{os.getpid()}.tmp"
+        staged.append((name, path))
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with open(name, "w", newline="", encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _cannot_write(path, exc) from exc
+
+
+@contextmanager
+def _staged():
+    """Outputs that appear together or not at all.  Yields a list to pass
+    to :func:`_writing`; when the block ends without an error, each
+    temporary file goes onto its target by ``os.replace``, in the order
+    they were opened, and an error removes every temporary file left.  A
+    replace that fails (say, onto a directory) leaves the targets replaced
+    before it in place."""
+    staged: list = []
+    try:
+        yield staged
+        while staged:
+            name, path = staged[0]
+            try:
+                os.replace(name, path)
+            except OSError as exc:
+                raise _cannot_write(path, exc) from exc
+            staged.pop(0)
+    finally:
+        for name, _ in staged:
+            try:
+                os.remove(name)
+            except FileNotFoundError:
+                pass
 
 
 @dataclass(frozen=True)
@@ -480,6 +527,7 @@ def save_model(
     sigma0: Optional[float] = None,
     prior: Optional[SoftmaxPolicy] = None,
     feature_norm_bound: Optional[float] = None,
+    _staged: Optional[list] = None,
 ) -> None:
     """Write a policy (and optional posterior/prior metadata) to ``path``.
 
@@ -487,7 +535,8 @@ def save_model(
     feature_norm_bound are finite numbers or None and 0 < sigma <= sigma0
     when both are given, so every file written here loads with
     :func:`load_model`.  The file's ``log_propensity_upper_bound`` key is
-    always false; :func:`load_model` ignores it.
+    always false; :func:`load_model` ignores it.  The private ``_staged``
+    is the list of a :func:`_staged` block, which places the file.
     """
     if prior is not None:
         _check_dims(prior, policy, "prior")
@@ -509,7 +558,7 @@ def save_model(
         "feature_norm_bound": feature_norm_bound,
         "log_propensity_upper_bound": False,
     }
-    with _writing(path) as fh:
+    with _writing(path, _staged) as fh:
         fh.write(json.dumps(doc, indent=1))
 
 

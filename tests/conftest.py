@@ -15,7 +15,9 @@ from crmlab import (
     task_logs,
     zero_policy,
 )
-from crmlab.learning import _batch_gradient, _coefficient_columns, _StepWorkspace
+from crmlab.learning import (
+    _batch_gradient, _coefficient_columns, _Runs, _StepWorkspace,
+)
 
 
 @pytest.fixture(scope="session")
@@ -141,11 +143,12 @@ def surrogate_gradient(surrogate, policy, data, workspace=None):
                                                      surrogate.beta)
     (k, d), m = policy.weights.shape, data.n
     grad = _batch_gradient(
-        config, policy.weights, policy.biases, None, data.features,
-        np.arange(m) * k + data.actions, columns,
-        workspace or _StepWorkspace(m, k, d),
+        config, _Runs.at(policy, config, None), data.features[None],
+        (np.arange(m) * k + data.actions)[None],
+        [column[None] for column in columns],
+        workspace or _StepWorkspace(1, m, k, d),
     )
-    return grad[:, :d].copy(), grad[:, d].copy()
+    return grad[0, :, :d].copy(), grad[0, :, d].copy()
 
 
 def rel_gradient_error(analytic, numeric):

@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -524,6 +525,23 @@ class TestTune:
                        "grid value; no lambda to select\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("grid, message", [
+        ("0.1,0.1", "got 0.1 and 0.1"), ("0,-0", "got 0.0 and -0.0"),
+    ], ids=["repeated", "signed_zero"])
+    def test_repeated_grid_value_exits_two_with_one_line(
+            self, ws, tmp_path, capsys, monkeypatch, grid, message):
+        # Rejected before any job runs: no fold is trained.
+        monkeypatch.setattr(learning, "_fit", None)
+        rc, out, err = run(
+            capsys, "tune", "--logged", ws / "logs.csv", "--k", "3",
+            "--method", "ips_l2", "--grid", grid, "--folds", "2",
+            "--epochs", "2", "--out", tmp_path / "cv.csv",
+        )
+        assert rc == 2 and out == ""
+        assert err == ("crmlab: error: lambda_grid values must be distinct, "
+                       f"{message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", ["ips_l2", "poem"])
     def test_subnormal_tau_fails_in_one_line(self, tmp_path, capsys, method):
@@ -784,10 +802,12 @@ class TestFullDisk:
         flags, name = LAST_WRITES[case]
         argv = [*file_command(tmp_path, case.removesuffix("-trace")), *flags]
         target = str(tmp_path / name)
+        listing = sorted(os.listdir(tmp_path))
         real_open = builtins.open
 
         def open_on_full_disk(file, mode="r", *args, **kwargs):
-            if "w" in mode and os.fspath(file) == target:
+            # The target itself, or train's temporary file for it.
+            if "w" in mode and os.fspath(file).startswith(target):
                 return _FullDisk()
             return real_open(file, mode, *args, **kwargs)
 
@@ -795,6 +815,59 @@ class TestFullDisk:
         rc, _, err = run(capsys, *argv)
         assert rc == 2
         assert err == f"crmlab: error: cannot write {target}: No space left on device\n"
+        if case.startswith("train"):
+            # train's earlier outputs, already written, are not left behind.
+            assert sorted(os.listdir(tmp_path)) == listing
+
+    def test_train_onto_a_directory_leaves_no_file(self, tmp_path, capsys):
+        # A directory is no regular file, so it is opened directly, which
+        # fails; no temporary file stays behind.
+        argv = file_command(tmp_path, "train")
+        (tmp_path / "o.model").mkdir()
+        listing = sorted(os.listdir(tmp_path))
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err == (f"crmlab: error: cannot write {tmp_path / 'o.model'}: "
+                       "Is a directory\n")
+        assert sorted(os.listdir(tmp_path)) == listing
+
+    def test_failed_move_into_place_leaves_no_temporary_file(
+            self, tmp_path, capsys, monkeypatch):
+        argv = file_command(tmp_path, "train")
+        target = str(tmp_path / "o.model.report.json")
+        real_replace = os.replace
+
+        def replace_across_devices(src, dst):
+            if os.fspath(dst) == target:
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_across_devices)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err == (f"crmlab: error: cannot write {target}: "
+                       "Invalid cross-device link\n")
+        # The model, moved before the report, stays; no .tmp file does.
+        assert not [name for name in os.listdir(tmp_path)
+                    if name.endswith(".tmp")]
+
+    def test_train_writes_a_trace_into_a_pipe_directly(self, tmp_path, capsys):
+        # A temporary file moved onto a non-regular target would replace
+        # it, so the trace goes straight into the named pipe.
+        fifo = tmp_path / "trace.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            argv = [*file_command(tmp_path, "train"), "--trace", fifo]
+            rc, _, err = run(capsys, *argv)
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert rc == 0 and err == ""
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert text.startswith("epoch,objective,wall_time\n0,")
+        assert not [name for name in os.listdir(tmp_path)
+                    if name.endswith(".tmp")]
 
 
 class TestNoChildLeft:
@@ -813,7 +886,8 @@ class TestNoChildLeft:
         # Four (lambda, fold) jobs on two forked workers.
         monkeypatch.setattr(_jobs, "worker_count", lambda jobs: min(jobs, 2))
         if failure == "worker_dies":
-            monkeypatch.setattr(learning, "_cv_job", lambda *args: os._exit(9))
+            monkeypatch.setattr(learning, "_cv_scores",
+                                lambda *args: os._exit(9))
             message = ("A process in the process pool was terminated abruptly "
                        "while the future was running or pending.")
         else:

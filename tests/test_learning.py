@@ -402,7 +402,7 @@ class TestPoemSurrogate:
         anchor, data = anchor_data
         s = poem_build_surrogate(anchor, data, 0.15, 0.8)
         other = SoftmaxPolicy(anchor.weights + 0.5, anchor.biases - 0.5)
-        shared = learning._StepWorkspace(data.n, anchor.k, anchor.d)
+        shared = learning._StepWorkspace(1, data.n, anchor.k, anchor.d)
         first = surrogate_gradient(s, anchor, data, shared)
         kept = [g.copy() for g in first]
         second = surrogate_gradient(s, other, data, shared)
@@ -908,10 +908,128 @@ def use_cv_workers(monkeypatch, workers):
                         lambda jobs: min(jobs, workers))
 
 
+def scores_of_process(data, jobs, prior):
+    """A stand-in for ``learning._cv_scores``: every job scores the id of
+    the process that ran it."""
+    return [float(os.getpid())] * len(jobs)
+
+
 def hex_table(table):
     """A CV table with every float spelled out bit for bit."""
     return [(row.lam.hex(), [s.hex() for s in row.fold_scores],
              row.mean_score.hex()) for row in table]
+
+
+def stack_of_one(config, data, idx, prior):
+    """The outcome of ``config`` trained alone, as cross-validation trained
+    a job before runs were stacked: the bytes of its final policy, or the
+    (epoch, batch) of its DivergenceError."""
+    try:
+        final = train(config, data.subset(idx), prior, _trace=False).final_policy
+    except DivergenceError as exc:
+        return exc.epoch, exc.batch
+    return final.weights.tobytes(), final.biases.tobytes()
+
+
+def stack_outcomes(configs, data, train_sets, prior):
+    """The outcome of each run of one lockstep stack, as in stack_of_one."""
+    return [
+        (final.epoch, final.batch) if isinstance(final, DivergenceError)
+        else (final.weights.tobytes(), final.biases.tobytes())
+        for final in learning._fit(configs, data, train_sets, prior)
+    ]
+
+
+class TestLockstep:
+    """Every run of a lockstep stack has the bits of the run trained alone."""
+
+    @pytest.mark.parametrize("k, d", [(1, 1), (2, 20), (10, 20), (129, 1),
+                                      (1, 20), (2, 1), (10, 1), (129, 20)])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_each_run_has_the_bits_of_its_stack_of_one(self, objective, k, d):
+        # 201 training records: the last batch of each epoch has one.
+        rng = np.random.default_rng(1000 * k + d)
+        data = random_logged(rng, 301, d, k)
+        prior = None
+        if objective in LPR_FAMILY:
+            prior = SoftmaxPolicy(rng.normal(size=(k, d)), rng.normal(size=k))
+        # Two runs share a training set, as the grid values of a fold do.
+        sets = [rng.permutation(301)[:201] for _ in range(2)]
+        train_sets = [sets[0], sets[1], sets[0], sets[1]]
+        configs = [
+            cfg(objective, lam=lam, lambda_l2=0.05, tau=0.05, epochs=3,
+                seed=seed, train_biases=objective != "logging_nll")
+            for seed, lam in enumerate([0.0, 1e-3, 0.3, 2.0])
+        ]
+        outcomes = stack_outcomes(configs, data, train_sets, prior)
+        assert outcomes == [stack_of_one(c, data, idx, prior)
+                            for c, idx in zip(configs, train_sets)]
+        if k > 1:  # with one action every gradient of the data term is 0
+            assert len(set(outcomes)) == 4
+
+    def test_runs_leave_the_stack_where_they_diverge(self):
+        # Record 0 has a subnormal propensity, so at the subnormal tau its
+        # IPS weight overflows: a run whose training set holds it diverges
+        # at the batch it lands in, and 1e308 overflows the penalty at the
+        # first batch.  The other runs finish beside them.
+        rng = np.random.default_rng(71)
+        base = random_logged(rng, 300, 3, 4)
+        propensities = base.propensities.copy()
+        propensities[0] = 4e-309
+        rewards = base.rewards.copy()
+        rewards[0] = 1.0
+        data = LoggedDataset(base.features, base.actions, propensities,
+                             rewards, 4)
+        clean, poisoned = np.arange(1, 251), np.arange(0, 250)
+        train_sets, configs = [], []
+        for seed, (lam, idx) in enumerate(
+                [(lam, idx) for lam in (1e-3, 1e308, 0.1)
+                 for idx in (clean, poisoned, poisoned[::-1].copy())]):
+            train_sets.append(idx)
+            configs.append(cfg("ips_l2", lam=lam, tau=4e-309, epochs=3,
+                               seed=seed))
+        outcomes = stack_outcomes(configs, data, train_sets, None)
+        assert outcomes == [stack_of_one(c, data, idx, None)
+                            for c, idx in zip(configs, train_sets)]
+        diverged = {o for o in outcomes if isinstance(o[1], (int, type(None)))}
+        assert (0, 0) in diverged
+        assert any(batch > 0 for _, batch in diverged)
+        assert sum(isinstance(o[1], bytes) for o in outcomes) == 2
+
+    def test_epoch_end_divergence_leaves_the_stack(self):
+        # At lam=1e308 the poem objective is infinite at the end of epoch 0.
+        data = equal_u_logged(1e-6)
+        idx = np.arange(100)
+        configs = [cfg("poem", lam=lam, tau=1e-7, epochs=3, seed=seed)
+                   for seed, lam in enumerate([1e-3, 1e308, 0.5])]
+        outcomes = stack_outcomes(configs, data, [idx] * 3, None)
+        assert outcomes == [stack_of_one(c, data, idx, None) for c in configs]
+        assert outcomes[1] == (0, None)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_two_training_sizes_make_two_stacks(self, monkeypatch, logs400,
+                                                workers):
+        # 399 records in 4 folds: three training sets of 299 and one of 300.
+        use_cv_workers(monkeypatch, workers)
+        stacks = []
+        real_fit = learning._fit
+        monkeypatch.setattr(learning, "_fit", lambda configs, *args: (
+            stacks.append(len(configs)) or real_fit(configs, *args)))
+        data = logs400.subset(range(399))
+        grid = [1e-3, 1e-1]
+        _, table = cross_validate(data, grid, 4, cfg("ips_l2", epochs=3, seed=7))
+        folds = learning.kfold_split(data.n, 4, derive_seed(7, "cv-folds"))
+        assert sorted(len(t) for t, _ in folds) == [299, 299, 299, 300]
+        if workers == 1:
+            assert sorted(stacks) == [2, 6]
+        for row, lam in zip(table, grid):
+            for fold, (train_idx, holdout_idx) in enumerate(folds):
+                job = cfg("ips_l2", lam=lam, epochs=3,
+                          seed=derive_seed(7, f"cv:lam={lam!r}:fold={fold}"))
+                final = train(job, data.subset(train_idx), _trace=False)
+                expected = 1.0 - truncated_ips_risk(
+                    final.final_policy, data.subset(holdout_idx), 0.01)
+                assert row.fold_scores[fold].hex() == expected.hex()
 
 
 class TestCrossValidate:
@@ -972,8 +1090,9 @@ class TestCrossValidate:
                                                   bad):
         use_cv_workers(monkeypatch, 2)
         jobs, forks = [], []
-        monkeypatch.setattr(learning, "_cv_job",
-                            lambda *args: jobs.append(args) or 0.0)
+        monkeypatch.setattr(learning, "_cv_scores",
+                            lambda data, chunk, prior: jobs.extend(chunk)
+                            or [0.0] * len(chunk))
 
         def no_fork():
             forks.append(os.getpid())
@@ -1036,7 +1155,7 @@ class TestCrossValidate:
                                                         logging_policy):
         # 1e308 diverges, so every worker count also merges -inf scores.
         tables = []
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 7):
             use_cv_workers(monkeypatch, workers)
             best, table = cross_validate(
                 logs400, [1e-3, 1e308, 1e-5], 3,
@@ -1044,12 +1163,11 @@ class TestCrossValidate:
             )
             tables.append((best.hex(), hex_table(table)))
         assert table[1].fold_scores == (float("-inf"),) * 3
-        assert tables[1] == tables[0] and tables[2] == tables[0]
+        assert all(t == tables[0] for t in tables[1:])
 
     def test_jobs_run_in_forked_workers(self, monkeypatch, logs400):
         # Each job scores its worker's process id.
-        monkeypatch.setattr(learning, "_cv_job",
-                            lambda *args: float(os.getpid()))
+        monkeypatch.setattr(learning, "_cv_scores", scores_of_process)
         grid = [1e-3, 1e-2, 1e-1]
         for workers in (1, 2):
             use_cv_workers(monkeypatch, workers)
@@ -1062,8 +1180,7 @@ class TestCrossValidate:
 
     def test_platform_without_fork_runs_jobs_in_process(self, monkeypatch,
                                                         logs400):
-        monkeypatch.setattr(learning, "_cv_job",
-                            lambda *args: float(os.getpid()))
+        monkeypatch.setattr(learning, "_cv_scores", scores_of_process)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
         use_cv_workers(monkeypatch, 2)
@@ -1091,14 +1208,15 @@ class TestCrossValidate:
     def test_job_error_reaches_caller_with_its_type(self, monkeypatch,
                                                     logs400, workers):
         use_cv_workers(monkeypatch, workers)
-        real_train = learning.train
+        real_fit = learning._fit
 
-        def failing_train(config, data, prior=None, **kwargs):
-            if config.lam == 1e-5:
-                raise ZeroDivisionError(f"job at lam={config.lam!r}")
-            return real_train(config, data, prior, **kwargs)
+        def failing_fit(configs, *args):
+            for config in configs:
+                if config.lam == 1e-5:
+                    raise ZeroDivisionError(f"job at lam={config.lam!r}")
+            return real_fit(configs, *args)
 
-        monkeypatch.setattr(learning, "train", failing_train)
+        monkeypatch.setattr(learning, "_fit", failing_fit)
         with pytest.raises(ZeroDivisionError, match="^job at lam=1e-05$"):
             cross_validate(logs400, [1e-3, 1e-5], 2, cfg("ips_l2", epochs=2))
 

@@ -106,6 +106,13 @@ def test_softmax_has_the_bits_of_numpys_row_major_softmax(k, m):
         for layout in (z, logits.copy().T):
             np.testing.assert_array_equal(_softmax_rows(layout).T, expected,
                                           strict=True)
+        # Stacked blocks, as in a lockstep training step, get their own bits.
+        stacked = np.stack([logits, 2.0 * logits])
+        each = np.stack([expected, _row_major_softmax(2.0 * logits)])
+        for layout in (np.ascontiguousarray(stacked.swapaxes(1, 2)),
+                       stacked.copy().swapaxes(1, 2)):
+            np.testing.assert_array_equal(_softmax_rows(layout).swapaxes(1, 2),
+                                          each, strict=True)
         assert np.array_equal(action_prob_matrix(pol, X), expected)
 
 

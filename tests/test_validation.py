@@ -236,6 +236,14 @@ CASES = {
                                    TrainConfig("ips_l2", epochs=1)),
         "num_folds=2 leaves 1 of the 2 records for training; training needs "
         "at least 2"),
+    "cross_validate.repeated_value": (
+        lambda tmp: cross_validate(logged(), [0.1, 0.2, 0.1], 2,
+                                   TrainConfig("ips_l2", epochs=1)),
+        "lambda_grid values must be distinct, got 0.1 and 0.1"),
+    "cross_validate.signed_zero": (
+        lambda tmp: cross_validate(logged(), [0, -0.0], 2,
+                                   TrainConfig("ips_l2", epochs=1)),
+        "lambda_grid values must be distinct, got 0 and -0.0"),
     "closed_form_sigma.sigma0_inf": (
         lambda tmp: closed_form_sigma(logged(), 0.1, math.inf),
         "sigma0 must be positive and finite, got inf"),
